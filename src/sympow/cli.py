@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--threads", type=int, default=os.cpu_count(),
-                       help="worker bound for specialization trials (does not affect output)")
+                       help="accepted for compatibility; trials run serially (does not affect output)")
 
     p = sub.add_parser("betti", help="Betti numbers of the k-th symmetric power")
     add_common(p)
@@ -118,6 +118,8 @@ def _validate(args) -> None:
 
 
 def _homology_report(args, kind: str) -> HomologyReport:
+    if args.N is not None and args.method != "snf":
+        raise UsageError("--N applies only to --method snf")
     prime = args.prime
     if kind == "cover":
         g = _require_genus(args)
@@ -223,8 +225,10 @@ def run(argv: list[str]) -> tuple[int, str, str | None]:
             rep = _homology_report(args, kind)
             return 0, _render_homology(rep, args.format), out
         if args.command == "verify":
+            if args.suite == "all" and args.k is not None:
+                raise UsageError("--k does not apply to --suite all (each suite uses its own k)")
             prime = args.prime if args.prime is not None else VERIFY_PRIME
-            n_list = (1, args.N) if args.N not in (None, 1) else (1, 2)
+            n_list = (1, 2) if args.N is None else tuple(sorted({1, args.N}))
             reports = run_suite(args.suite, g=args.genus, n=args.arity, k=args.k,
                                 trials=args.trials, seed=args.seed, prime=prime,
                                 N_list=n_list)

@@ -11,10 +11,11 @@ fraction-field values with probability >= 1 - deg/p per trial.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress, count
 
 from .complexes import ChainComplex, IntegerChainComplex, SparseRingMatrix
 from .groupring import UnitSpecialization, random_specialization
@@ -121,41 +122,12 @@ def smith_normal_form(M: list[list[int]]) -> SnfResult:
         t += 1
     diag = [abs(A[i][i]) for i in range(size)]
     diag = sorted((d for d in diag if d)) + [0] * sum(1 for d in diag if not d)
-    # safety net: the algorithm already guarantees the chain (each pivot divides
-    # the remaining submatrix), but normalize to a fixpoint regardless
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if a and b and b % a:
-                g = math.gcd(a, b)
-                diag[i], diag[i + 1] = g, a * b // g
-                changed = True
     return SnfResult(tuple(diag))
 
 
 def integer_rank(M: list[list[int]]) -> int:
-    """Rank over Q via fraction-free (Bareiss) elimination."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    A = [row[:] for row in M]
-    r = 0
-    prev = 1
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                A[i][j] = (A[i][j] * A[r][c] - A[i][c] * A[r][j]) // prev
-            A[i][c] = 0
-        prev = A[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r
+    """Rank over Q, computed exactly in integer arithmetic."""
+    return _sparse_rank(M, None)
 
 
 def integer_matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
@@ -176,29 +148,105 @@ def integer_matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Mod-p linear algebra (dense, small matrices)
+# Rank: one sparse elimination kernel for F_p and Q
+
+
+def _sparse_rank(M: list[list[int]], p: int | None) -> int:
+    """Rank of an integer matrix over F_p for a prime ``p``, or over Q for ``None``.
+
+    Sparse Gaussian elimination (LaMacchia-Odlyzko): rows are ``{col: value}``
+    dicts and ``col_rows`` maps each column to the active rows that use it.
+    Markowitz-style pivoting takes the sparsest active row and, in it, the
+    column with the fewest active rows (over Q a +-1 entry first, which needs
+    no row scaling).  Only the rows still active are eliminated: the rank
+    needs no back-substitution into earlier pivot rows.  Over Q the update is
+    fraction-free, e <- a*e - b*d with a, b the pivot-column entries over
+    their gcd, and the updated row is divided by its content, so no fractions
+    appear and the coefficients stay small.  The rank does not depend on the
+    pivot order.
+    """
+    modular = p is not None
+    rows: dict[int, dict[int, int]] = {}
+    col_rows: dict[int, set[int]] = {}
+    for i, dense in enumerate(M):
+        row = dict(zip(compress(count(), dense), filter(None, dense)))  # nonzeros by column
+        if modular:
+            row = {j: v for j, x in row.items() if (v := x % p)}
+        if row:
+            rows[i] = row
+            for j in row:
+                col_rows.setdefault(j, set()).add(i)
+    # (length, row id) pushed whenever a row's length changes; stale entries
+    # are skipped when popped, so the heap top is always the sparsest row
+    queue = [(len(row), i) for i, row in rows.items()]
+    heapq.heapify(queue)
+    rank = 0
+    while queue:
+        n, r = heapq.heappop(queue)
+        prow = rows.get(r)
+        if prow is None or len(prow) != n:
+            continue
+        del rows[r]
+        for j in prow:
+            col_rows[j].discard(r)
+        if modular:
+            c = min(prow, key=lambda j: len(col_rows[j]))
+        else:
+            c = min(prow, key=lambda j: (abs(prow[j]) != 1, len(col_rows[j])))
+        rank += 1
+        targets = col_rows.pop(c)
+        a = prow.pop(c)
+        if not targets:
+            continue
+        # normalize the pivot to 1 over F_p, to a positive value over Q
+        if modular:
+            inv = pow(a, -1, p)
+            prow = {j: v * inv % p for j, v in prow.items()}
+        elif a < 0:
+            a = -a
+            prow = {j: -v for j, v in prow.items()}
+        for i in targets:
+            row = rows[i]
+            b = row.pop(c)
+            if not modular:
+                g = math.gcd(a, b)
+                s, b = a // g, b // g
+                if s != 1:
+                    for j in row:
+                        row[j] *= s
+            for j, v in prow.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = -b * v % p if modular else -b * v
+                    col_rows[j].add(i)
+                    continue
+                x -= b * v
+                if modular:
+                    x %= p
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+                    col_rows[j].discard(i)
+            if not row:
+                del rows[i]
+                continue
+            if not modular:
+                g = math.gcd(*row.values())
+                if g > 1:
+                    for j in row:
+                        row[j] //= g
+            heapq.heappush(queue, (len(row), i))
+    return rank
 
 
 def modp_rank(M: list[list[int]], p: int) -> int:
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    A = [[x % p for x in row] for row in M]
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][c], -1, p)
-        A[r] = [x * inv % p for x in A[r]]
-        for i in range(rows):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [(a - f * b) % p for a, b in zip(A[i], A[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    """Rank over F_p of an integer matrix (entries reduced mod ``p``)."""
+    return _sparse_rank(M, p)
+
+
+# ---------------------------------------------------------------------------
+# Mod-p linear algebra (dense, small matrices)
 
 
 def modp_nullspace(M: list[list[int]], p: int, cols: int | None = None) -> list[list[int]]:
@@ -442,7 +490,9 @@ def generic_homology(c: ChainComplex, trials: int = DEFAULT_TRIALS, seed: int = 
     """Fraction-field homology dimensions via rank-nullity on specializations.
 
     Each trial uses one consistent specialization for every boundary; the
-    per-degree results are aggregated by minimum over trials.
+    per-degree results are aggregated by minimum over trials.  Trials run
+    serially: ``threads`` is accepted for compatibility and changes nothing
+    (a thread pool only adds lock contention to pure-Python elimination).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -455,11 +505,7 @@ def generic_homology(c: ChainComplex, trials: int = DEFAULT_TRIALS, seed: int = 
             ranks[i] = modp_rank(c.boundaries[i].specialize(spec), prime)
         return [c.modules[i].rank - ranks[i] - ranks[i + 1] for i in range(n)]
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(one_trial, range(trials)))
-    else:
-        per_trial = [one_trial(t) for t in range(trials)]
+    per_trial = [one_trial(t) for t in range(trials)]
     dims = [min(tr[i] for tr in per_trial) for i in range(n)]
     entries = [DegreeEntry(i, dims[i]) for i in range(n)]
     return HomologyReport(c.case, dict(c.params), "generic-rank", entries,

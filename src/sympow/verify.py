@@ -44,10 +44,10 @@ from .dga import (
     sigma_element,
     surface_context,
 )
-from .groupring import random_specialization
 from .homology import (
     DEFAULT_TRIALS,
     VERIFY_PRIME,
+    _trial_specialization,
     betti_symmetric_power,
     euler_characteristic,
     generic_homology,
@@ -335,8 +335,7 @@ def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
     next_lambda = {m: lambda_matrix(g, 2 * m + 1) for m in range(1, g)}
     bad = None
     for t in range(trials):
-        rng = random.Random(seed * 1000003 + t)
-        spec = random_specialization(surface_context(g).ring, prime, rng)
+        spec = _trial_specialization(surface_context(g).ring, prime, seed, t)
         for m in range(1, g):
             basis = full_q.modules[2 * g - (2 * m + 1)].basis
             index = {mono: i for i, mono in enumerate(basis)}
@@ -416,8 +415,7 @@ def verify_theorem_main(g: int, k: int, trials: int = DEFAULT_TRIALS, seed: int 
     if k <= 2 * g:
         per_trial = []
         for t in range(trials):
-            rng = random.Random(seed * 1000003 + t)
-            spec = random_specialization(surface_context(g).ring, prime, rng)
+            spec = _trial_specialization(surface_context(g).ring, prime, seed, t)
             dim_kk = len(modp_nullspace(exterior_boundary_matrix(g, k).specialize(spec), prime))
             kbasis = modp_nullspace(exterior_boundary_matrix(g, k - 1).specialize(spec), prime)
             lam_mat = lambda_matrix(g, k - 1).specialize(spec)

@@ -2,7 +2,8 @@
 
 Everything here recomputes expected values through a different route than
 the library: truncated power-series arithmetic for Betti numbers, direct
-enumeration for regular representations, sympy for Smith normal forms.
+enumeration for regular representations, sympy for Smith normal forms, and
+the dense elimination loops that the library's sparse rank kernel replaced.
 """
 
 from __future__ import annotations
@@ -85,3 +86,49 @@ def brute_force_modp_rank(M: list[list[int]], p: int) -> int:
         if any(vec):
             basis.append(vec)
     return len(basis)
+
+
+def dense_modp_rank(M: list[list[int]], p: int) -> int:
+    """Rank over F_p by dense Gauss-Jordan elimination, leftmost pivot per column."""
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    A = [[x % p for x in row] for row in M]
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = pow(A[r][c], -1, p)
+        A[r] = [x * inv % p for x in A[r]]
+        for i in range(rows):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [(a - f * b) % p for a, b in zip(A[i], A[r])]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def bareiss_rank(M: list[list[int]]) -> int:
+    """Rank over Q by dense fraction-free (Bareiss) elimination."""
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    A = [row[:] for row in M]
+    r = 0
+    prev = 1
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                A[i][j] = (A[i][j] * A[r][c] - A[i][c] * A[r][j]) // prev
+            A[i][c] = 0
+        prev = A[r][c]
+        r += 1
+        if r == rows:
+            break
+    return r

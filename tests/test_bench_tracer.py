@@ -1,0 +1,32 @@
+"""The benchmark's span tracer still installs against the package.
+
+``benchmarks/tracer.py`` wraps a fixed list of sympow functions and methods
+by name; a renamed or removed one would crash the traced benchmark run.
+This installs the tracer, runs one CLI report and removes the tracer again.
+"""
+
+import pathlib
+
+import sympow.cli as cli
+import sympow.homology as homology
+
+BENCHMARKS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def test_tracer_installs_and_keeps_stdout(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    from tracer import Tracer
+
+    argv = ["cover-homology", "--genus", "2", "--k", "2"]
+    originals = (cli.run, homology.modp_rank)
+    plain = cli.run(argv)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        traced = cli.run(argv)
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert (cli.run, homology.modp_rank) == originals
+    assert cli.run(argv) == plain
+    assert tracer.stats["homology.modp_rank"]["calls"] > 0

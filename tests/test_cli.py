@@ -85,6 +85,34 @@ def test_usage_errors_exit_two():
     assert code == 2  # missing --k
 
 
+def test_verify_all_rejects_k():
+    # each suite of the battery picks its own k; a --k would be dropped silently
+    code, text, _ = run(["verify", "--suite", "all", "--genus", "2", "--k", "3"])
+    assert code == 2 and "usage error" in text and "--k" in text
+
+
+def test_N_rejected_outside_snf():
+    for argv in (["cover-homology", "--genus", "2", "--k", "2", "--N", "2"],
+                 ["cover-homology", "--genus", "2", "--k", "2", "--method", "generic", "--N", "2"],
+                 ["cover-homology", "--genus", "2", "--k", "2", "--method", "count", "--N", "2"],
+                 ["wedge-homology", "--arity", "4", "--k", "2", "--N", "3"]):
+        code, text, _ = run(argv)
+        assert code == 2 and "usage error" in text and "--N" in text, argv
+
+
+def test_verify_N1_is_only_the_base():
+    code, text, _ = run(["verify", "--suite", "theorem-main", "--genus", "2", "--k", "2",
+                         "--N", "1", "--trials", "2"])
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["N_list"] == [1]
+    growth = next(c for c in payload["checks"] if c["name"] == "finite-cover-rank-growth")
+    assert growth["detail"] == "no N >= 2 requested"
+    _, text, _ = run(["verify", "--suite", "theorem-main", "--genus", "2", "--k", "2",
+                      "--N", "3", "--trials", "2"])
+    assert json.loads(text)["N_list"] == [1, 3]
+
+
 def test_formats():
     code, text, _ = run(["betti", "--genus", "1", "--k", "1", "--format", "csv"])
     assert code == 0

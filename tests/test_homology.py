@@ -21,9 +21,41 @@ from sympow.homology import (
     integer_rank,
     kernel_basis,
     modp_matvec,
+    modp_rank,
     smith_normal_form,
 )
-from oracles import brute_force_modp_rank, gf_betti, sympy_snf_diagonal
+from oracles import (
+    bareiss_rank,
+    brute_force_modp_rank,
+    dense_modp_rank,
+    gf_betti,
+    sympy_snf_diagonal,
+)
+
+RANK_PRIMES = (3, 7, 1000003, 2147483647)
+
+
+def _random_rank_matrices(seed: int, count: int) -> list[list[list[int]]]:
+    """Seeded integer matrices up to 30x40: dense, sparse, and low-rank products."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(count):
+        rows, cols = rng.randint(1, 30), rng.randint(1, 40)
+        if n % 3 == 0:
+            M = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        elif n % 3 == 1:
+            M = [[0] * cols for _ in range(rows)]
+            for row in M:
+                for _ in range(rng.randint(0, 4)):
+                    row[rng.randrange(cols)] = rng.choice([-3, -2, -1, 1, 1, 2, 5])
+        else:
+            inner = rng.randint(0, min(rows, cols))
+            A = [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(rows)]
+            B = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(inner)]
+            M = [[sum(A[i][t] * B[t][j] for t in range(inner)) for j in range(cols)]
+                 for i in range(rows)]
+        out.append(M)
+    return out
 
 
 def test_snf_examples():
@@ -62,6 +94,54 @@ def test_integer_rank_against_snf():
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         M = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         assert integer_rank(M) == smith_normal_form(M).rank()
+
+
+def test_rank_kernel_edge_cases():
+    for p in (None, *RANK_PRIMES):
+        rank = integer_rank if p is None else (lambda M, p=p: modp_rank(M, p))
+        assert rank([]) == 0
+        assert rank([[0, 0], [0, 0]]) == 0
+        assert rank([[1, 2, 3]]) == 1
+        assert rank([[1], [2], [3]]) == 1
+    # the pivot entry is a multiple of p, the rest of its column is not
+    assert modp_rank([[3, 1], [1, 1]], 3) == 2
+    assert modp_rank([[3, 6], [6, 9]], 3) == 0
+    assert integer_rank([[3, 6], [6, 9]]) == 2
+    # a row that the fraction-free update empties, and growing coefficients
+    assert integer_rank([[2, 4], [3, 6], [5, 7]]) == 2
+    assert integer_rank([[10 ** 12, 1], [1, 1]]) == 2
+
+
+def test_rank_kernel_against_dense_oracles():
+    for M in _random_rank_matrices(31, 60):
+        for p in RANK_PRIMES:
+            assert modp_rank(M, p) == dense_modp_rank(M, p), (M, p)
+        assert integer_rank(M) == bareiss_rank(M), M
+
+
+def test_integer_rank_against_sympy():
+    # sympy's domain-matrix rank: Matrix.rank itself takes seconds per 30x40 matrix
+    from sympy import Matrix
+
+    for M in _random_rank_matrices(37, 30):
+        assert integer_rank(M) == Matrix(M).to_DM().rank(), M
+
+
+def test_rank_kernel_on_boundaries():
+    complexes = [build_cover_complex(3, 3), build_Q_complex(3, 3), build_wedge_complex(6, 3)]
+    for c in complexes:
+        for p in RANK_PRIMES:
+            spec = random_specialization(c.ctx.ring, p, random.Random(p))
+            for b in c.boundaries[1:]:
+                M = b.specialize(spec)
+                assert modp_rank(M, p) == dense_modp_rank(M, p), (c.case, p)
+                assert integer_rank(M) == bareiss_rank(M), (c.case, p)
+        for M in base_change(c, 1).boundaries[1:]:
+            assert integer_rank(M) == bareiss_rank(M), c.case
+    for M in base_change(build_cover_complex(2, 2), 2).boundaries[1:]:
+        assert integer_rank(M) == bareiss_rank(M)
+        for p in RANK_PRIMES:
+            assert modp_rank(M, p) == dense_modp_rank(M, p), p
 
 
 def test_integer_homology_circle():
