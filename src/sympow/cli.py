@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--arity", type=int, help="arity n of the wedge of circles")
         p.add_argument("--k", type=int, required=need_k, help="symmetric-power degree / truncation")
         p.add_argument("--N", type=int, default=None, help="finite cover order for the snf method")
-        p.add_argument("--method", choices=["generic", "snf", "count"], default="generic")
+        p.add_argument("--method", choices=["generic", "snf", "count"], default=None,
+                       help="homology route (default generic)")
         p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--prime", type=int, default=None)
@@ -118,7 +119,8 @@ def _validate(args) -> None:
 
 
 def _homology_report(args, kind: str) -> HomologyReport:
-    if args.N is not None and args.method != "snf":
+    method = args.method or "generic"
+    if args.N is not None and method != "snf":
         raise UsageError("--N applies only to --method snf")
     prime = args.prime
     if kind == "cover":
@@ -135,15 +137,15 @@ def _homology_report(args, kind: str) -> HomologyReport:
             raise UsageError("--k must be >= 1 for the quotient complex")
         complex_ = build_Q_complex(g, args.k)
 
-    if args.method == "generic":
+    if method == "generic":
         rep = generic_homology(complex_, args.trials, args.seed,
                                prime if prime is not None else FAST_PRIME,
                                threads=args.threads)
-    elif args.method == "snf":
+    elif method == "snf":
         rep = integer_homology(base_change(complex_, args.N if args.N is not None else 1))
     else:
         if kind != "cover":
-            raise UsageError("--method count applies to cover-homology and betti only")
+            raise UsageError("--method count applies to cover-homology only")
         g = _require_genus(args)
         betti = betti_symmetric_power(g, args.k)
         rep = HomologyReport("surface-cover", {"g": g, "k": args.k}, "betti-count",
@@ -214,6 +216,9 @@ def run(argv: list[str]) -> tuple[int, str, str | None]:
     try:
         _validate(args)
         if args.command == "betti":
+            for flag in ("N", "method"):
+                if getattr(args, flag) is not None:
+                    raise UsageError(f"--{flag} does not apply to betti (it counts cells)")
             g = _require_genus(args)
             betti = betti_symmetric_power(g, args.k)
             rep = HomologyReport("surface-cover", {"g": g, "k": args.k}, "betti-count",
@@ -225,6 +230,8 @@ def run(argv: list[str]) -> tuple[int, str, str | None]:
             rep = _homology_report(args, kind)
             return 0, _render_homology(rep, args.format), out
         if args.command == "verify":
+            if args.method is not None:
+                raise UsageError("--method does not apply to verify (each check picks its own route)")
             if args.suite == "all" and args.k is not None:
                 raise UsageError("--k does not apply to --suite all (each suite uses its own k)")
             prime = args.prime if args.prime is not None else VERIFY_PRIME

@@ -94,10 +94,20 @@ class SparseRingMatrix:
         return not self.entries
 
     def specialize(self, spec: UnitSpecialization) -> list[list[int]]:
-        """Dense matrix of entrywise evaluations mod spec.prime."""
+        """Dense matrix of entrywise evaluations mod spec.prime.
+
+        Boundary matrices repeat a few group-ring values many times (the 8860
+        entries of ``cover(5,5)`` take 20 values), so each distinct value is
+        evaluated once, keyed by its sorted terms.
+        """
         M = [[0] * self.cols for _ in range(self.rows)]
+        values: dict[tuple, int] = {}
         for (r, c), v in self.entries.items():
-            M[r][c] = v.specialize(spec)
+            key = tuple(sorted(v.terms.items()))
+            x = values.get(key)
+            if x is None:
+                x = values[key] = v.specialize(spec)
+            M[r][c] = x
         return M
 
     def base_change(self, N: int) -> list[list[int]]:

@@ -100,6 +100,30 @@ def test_N_rejected_outside_snf():
         assert code == 2 and "usage error" in text and "--N" in text, argv
 
 
+def test_betti_rejects_N():
+    code, text, _ = run(["betti", "--genus", "2", "--k", "2", "--N", "3"])
+    assert code == 2 and "usage error" in text and "--N" in text
+
+
+def test_betti_rejects_method():
+    for method in ("generic", "snf", "count"):
+        code, text, _ = run(["betti", "--genus", "2", "--k", "2", "--method", method])
+        assert code == 2 and "usage error" in text and "--method" in text, method
+
+
+def test_verify_rejects_method():
+    for method in ("generic", "snf", "count"):
+        code, text, _ = run(["verify", "--suite", "dga", "--genus", "2", "--method", method])
+        assert code == 2 and "usage error" in text and "--method" in text, method
+
+
+def test_homology_method_defaults_to_generic():
+    argv = ["cover-homology", "--genus", "2", "--k", "2", "--seed", "1"]
+    code, text, _ = run(argv)
+    assert code == 0 and json.loads(text)["method"] == "generic-rank"
+    assert run(argv + ["--method", "generic"])[1] == text
+
+
 def test_verify_N1_is_only_the_base():
     code, text, _ = run(["verify", "--suite", "theorem-main", "--genus", "2", "--k", "2",
                          "--N", "1", "--trials", "2"])

@@ -3,8 +3,12 @@ import random
 
 import pytest
 
+import sympow.homology as homology
 from sympow.complexes import (
+    BasedFreeModule,
+    ChainComplex,
     IntegerChainComplex,
+    SparseRingMatrix,
     base_change,
     build_cover_complex,
     build_Q_complex,
@@ -25,6 +29,7 @@ from sympow.homology import (
     smith_normal_form,
 )
 from oracles import (
+    all_trials_generic_homology,
     bareiss_rank,
     brute_force_modp_rank,
     dense_modp_rank,
@@ -223,6 +228,89 @@ def test_generic_homology_thread_invariance():
     threaded = generic_homology(build_cover_complex(2, 2), 4, 9, threads=4)
     assert base.ranks() == threaded.ranks()
     assert base.to_json_dict() == threaded.to_json_dict()
+
+
+def _count_trials(monkeypatch, ones_at=None):
+    """Record the trial index of every specialization drawn; trial ``ones_at``,
+    if given, sets every variable to 1."""
+    seen = []
+    draw = homology._trial_specialization
+
+    def counting(ring, prime, seed, trial):
+        seen.append(trial)
+        if trial == ones_at:
+            return UnitSpecialization(prime, (1,) * ring.nvars)
+        return draw(ring, prime, seed, trial)
+
+    monkeypatch.setattr(homology, "_trial_specialization", counting)
+    return seen
+
+
+def test_generic_homology_matches_every_trial_oracle():
+    complexes = [build_cover_complex(2, 2), build_cover_complex(2, 3), build_cover_complex(3, 3),
+                 build_Q_complex(2, 2), build_Q_complex(3, 3),
+                 build_wedge_complex(4, 2), build_wedge_complex(6, 3)]
+    for c in complexes:
+        for prime in RANK_PRIMES:
+            for seed in range(5):
+                rep = generic_homology(c, 5, seed, prime)
+                assert rep.ranks() == all_trials_generic_homology(c, 5, seed, prime), \
+                    (c.case, c.params, prime, seed)
+
+
+def test_generic_homology_stops_after_certifying_trial(monkeypatch):
+    seen = _count_trials(monkeypatch)
+    rep = generic_homology(build_cover_complex(3, 3), 5, 0)
+    assert seen == [0]
+    assert rep.trials == 5 and rep.to_json_dict()["trials"] == 5
+    assert rep.ranks() == [0, 0, 0, 4, 0, 0, 0]
+
+
+def test_generic_homology_runs_on_after_a_miss(monkeypatch):
+    # every variable at 1 is the augmentation: the homology of Sym^k itself,
+    # spread over every degree, so trial 0 certifies nothing
+    c = build_cover_complex(3, 3)
+    seen = _count_trials(monkeypatch, ones_at=0)
+    rep = generic_homology(c, 5, 2)
+    assert seen[0] == 0 and len(seen) > 1
+    assert rep.ranks() == all_trials_generic_homology(c, 5, 2, homology.FAST_PRIME)
+
+
+def test_generic_homology_two_degrees_runs_every_trial(monkeypatch):
+    # d = diag(z1 - 1, 0) on Z[z1]^2 -> Z[z1]^2: generic homology [1, 1], in
+    # two degrees, so no trial certifies; z1 = 1 in the last trial gives
+    # [2, 2], which only the minimum over trials discards (the bases are
+    # labels: generic_homology reads their lengths)
+    ctx = build_wedge_complex(1, 1).ctx
+    ring = ctx.ring
+    modules = [BasedFreeModule(0, ((0, 0), (0, 1))), BasedFreeModule(1, ((1, 0), (1, 1)))]
+    d = SparseRingMatrix(ring, 2, 2, {(0, 0): ring.gen(0) - ring.one()})
+    c = ChainComplex("wedge", {"n": 1, "k": 1}, ctx, modules, [None, d])
+    seen = _count_trials(monkeypatch, ones_at=4)
+    rep = generic_homology(c, 5, 0)
+    assert seen == [0, 1, 2, 3, 4]
+    assert rep.ranks() == [1, 1] and rep.trials == 5
+
+
+def test_generic_rank_stops_at_full_rank(monkeypatch):
+    c = build_cover_complex(2, 2)
+    seen = _count_trials(monkeypatch)
+    assert generic_rank(c.boundaries[1], trials=5, seed=0) == 1
+    assert seen == [0]
+    seen.clear()
+    zero = SparseRingMatrix(c.ctx.ring, 3, 2, {})
+    assert generic_rank(zero, trials=4, seed=0) == 0
+    assert seen == [0, 1, 2, 3]
+
+
+def test_specialize_deduplicated_matches_entrywise():
+    for c in (build_cover_complex(3, 3), build_Q_complex(3, 3), build_wedge_complex(6, 3)):
+        for prime in RANK_PRIMES:
+            spec = random_specialization(c.ctx.ring, prime, random.Random(prime))
+            for M in c.boundaries[1:]:
+                entrywise = [[M.entry(r, col).specialize(spec) for col in range(M.cols)]
+                             for r in range(M.rows)]
+                assert M.specialize(spec) == entrywise
 
 
 def test_euler_conservation_per_method():
