@@ -15,6 +15,17 @@ Cases:
   C_0 -> C_1 -> .. -> C_min(k,2g) on the exterior modules over the surface
   ring, stored reversed so boundaries lower the stored index; stored index
   j corresponds to cochain position (top - j).
+
+The builders are table-driven: one ``dga.coefficient_table`` per call holds
+each generator's boundary and lam coefficient with its negative, and each
+source monomial's image comes from ``dga.monomial_boundary`` or
+``dga.lambda_image``, so no group-ring arithmetic runs per entry.
+``operator_matrix`` builds the same matrices element by element and stays
+as their oracle.
+
+Finite covers: ``base_change`` is dense and refuses, from the shapes alone,
+any boundary over ``MAX_DENSE_CELLS``; ``SparseRingMatrix.mod2_columns``
+gives the mod-2 columns of a base change without the dense matrix.
 """
 
 from __future__ import annotations
@@ -22,22 +33,25 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable
+from operator import itemgetter
+from typing import Callable, Iterable
 
 from .dga import (
     DgaContext,
     DgaElement,
     Monomial,
-    boundary,
-    dga_mul,
-    lambda_element,
-    monomial_elem,
+    coefficient_table,
+    lambda_image,
+    monomial_boundary,
     monomial_sort_key,
     monomial_str,
     surface_context,
     wedge_context,
 )
 from .groupring import GroupRingElement, LaurentRing, UnitSpecialization, finite_quotient
+
+# Largest dense matrix (rows x cols cells) that one base change may allocate.
+MAX_DENSE_CELLS = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -110,8 +124,18 @@ class SparseRingMatrix:
             M[r][c] = x
         return M
 
+    def check_base_change_size(self, N: int, name: str = "a matrix") -> None:
+        """Refuse, from the shape alone, a base change denser than MAX_DENSE_CELLS."""
+        bs = N ** self.ring.nvars
+        rows, cols = self.rows * bs, self.cols * bs
+        if rows * cols > MAX_DENSE_CELLS:
+            raise ValueError(f"base change of {name} ({self.rows} x {self.cols}) at N={N} would be "
+                             f"a dense {rows} x {cols} matrix of {rows * cols:,} cells, "
+                             f"over the limit of {MAX_DENSE_CELLS:,} cells per matrix")
+
     def base_change(self, N: int) -> list[list[int]]:
         """Replace each entry by its finite-quotient block; ranks multiply by N^m."""
+        self.check_base_change_size(N)
         bs = N ** self.ring.nvars
         M = [[0] * (self.cols * bs) for _ in range(self.rows * bs)]
         for (r, c), v in self.entries.items():
@@ -124,6 +148,38 @@ class SparseRingMatrix:
                     if brow[b]:
                         row[c0 + b] = brow[b]
         return M
+
+    def mod2_columns(self, N: int) -> tuple[list[int], int]:
+        """``homology.mod2_columns(self.base_change(N))``, built from the entries alone.
+
+        Column ``c*N^m + b`` of the base change holds, for each term ``c_e x^e``
+        of entry (r, c), the coefficient ``c_e`` in row ``r*N^m + index(b + e
+        mod N)``; mod 2 every odd term flips that one bit.  Returns the column
+        bitsets and the row count ``rows * N^m``.
+        """
+        bs = N ** self.ring.nvars
+        out = [0] * (self.cols * bs)
+        patterns: dict[int, list[int]] = {}  # keyed by id: built entries share objects
+        for (r, c), v in self.entries.items():
+            pattern = patterns.get(id(v))
+            if pattern is None:
+                pattern = patterns[id(v)] = [0] * bs
+                for exps, coeff in v.terms.items():
+                    if coeff & 1:
+                        for b, t in enumerate(_translation(exps, N)):
+                            pattern[b] ^= 1 << t
+            shift, c0 = r * bs, c * bs
+            for b in range(bs):
+                out[c0 + b] ^= pattern[b] << shift
+        return out, self.rows * bs
+
+
+def _translation(exps: tuple[int, ...], N: int) -> list[int]:
+    """Lex index of ``b + exps`` mod N for every b in (Z/N)^m, listed in lex order of b."""
+    index = [0]
+    for e in exps:
+        index = [t * N + (b + e) % N for t in index for b in range(N)]
+    return index
 
 
 @dataclass
@@ -169,6 +225,32 @@ class ModpChainComplex:
     boundaries: list[list[list[int]] | None]
 
 
+def _image_matrix(src: tuple[Monomial, ...], tgt: tuple[Monomial, ...], ring: LaurentRing,
+                  image: Callable[[Monomial], Iterable[tuple[Monomial, GroupRingElement]]]) -> SparseRingMatrix:
+    """Matrix of a monomial-wise operator given by each source monomial's image pairs.
+
+    Column-major, rows ascending within a column: the layout of
+    ``operator_matrix``.  The coefficient objects become the entries as they
+    are (group-ring elements are immutable), so every entry of a matrix built
+    from a coefficient table is one of the table's few objects.
+    """
+    index = {m: i for i, m in enumerate(tgt)}
+    entries: dict[tuple[int, int], GroupRingElement] = {}
+    for c, mono in enumerate(src):
+        column = []
+        for m, coeff in image(mono):
+            if not coeff:
+                continue
+            r = index.get(m)
+            if r is None:
+                raise ValueError(f"operator image leaves the target basis: {m}")
+            column.append((r, coeff))
+        column.sort(key=itemgetter(0))
+        for r, coeff in column:
+            entries[(r, c)] = coeff
+    return SparseRingMatrix(ring, len(tgt), len(src), entries)
+
+
 def operator_matrix(src: tuple[Monomial, ...], tgt: tuple[Monomial, ...],
                     ring: LaurentRing, fn: Callable[[Monomial], DgaElement]) -> SparseRingMatrix:
     """Matrix of a monomial-wise operator in the given bases (column-major)."""
@@ -181,6 +263,14 @@ def operator_matrix(src: tuple[Monomial, ...], tgt: tuple[Monomial, ...],
                 raise ValueError(f"operator image leaves the target basis: {m}")
             entries[(index[m], c)] = coeff
     return SparseRingMatrix(ring, len(tgt), len(src), entries)
+
+
+def _boundary_matrices(ctx: DgaContext, modules: list[BasedFreeModule]) -> list[SparseRingMatrix | None]:
+    """``[None, d_1, .., d_top]`` from one coefficient table."""
+    table = coefficient_table(ctx)
+    image = lambda m: monomial_boundary(m, table)
+    return [None] + [_image_matrix(modules[i].basis, modules[i - 1].basis, ctx.ring, image)
+                     for i in range(1, len(modules))]
 
 
 def _exterior_basis(ctx: DgaContext, size: int) -> tuple[Monomial, ...]:
@@ -201,11 +291,7 @@ def build_wedge_complex(n: int, k: int) -> ChainComplex:
         raise ValueError(f"truncation k={k} out of range 0..{n} (no cells beyond degree n)")
     ctx = wedge_context(n)
     modules = [BasedFreeModule(i, _exterior_basis(ctx, i)) for i in range(k + 1)]
-    boundaries: list[SparseRingMatrix | None] = [None]
-    for i in range(1, k + 1):
-        fn = lambda m: boundary(monomial_elem(ctx, m[0], 0))
-        boundaries.append(operator_matrix(modules[i].basis, modules[i - 1].basis, ctx.ring, fn))
-    return ChainComplex("wedge", {"n": n, "k": k}, ctx, modules, boundaries)
+    return ChainComplex("wedge", {"n": n, "k": k}, ctx, modules, _boundary_matrices(ctx, modules))
 
 
 def cover_basis(g: int, k: int, degree: int) -> tuple[Monomial, ...]:
@@ -241,21 +327,16 @@ def build_cover_complex(g: int, k: int) -> ChainComplex:
         bases.append(basis)
         degree += 1
     modules = [BasedFreeModule(i, b) for i, b in enumerate(bases)]
-    boundaries: list[SparseRingMatrix | None] = [None]
-    for i in range(1, len(modules)):
-        fn = lambda m: boundary(monomial_elem(ctx, m[0], m[1]))
-        boundaries.append(operator_matrix(modules[i].basis, modules[i - 1].basis, ctx.ring, fn))
-    return ChainComplex("surface-cover", {"g": g, "k": k}, ctx, modules, boundaries)
+    return ChainComplex("surface-cover", {"g": g, "k": k}, ctx, modules, _boundary_matrices(ctx, modules))
 
 
 def lambda_matrix(g: int, size: int) -> SparseRingMatrix:
     """Matrix of left multiplication by lam from exterior degree ``size`` to ``size + 1``."""
     ctx = surface_context(g)
-    lam = lambda_element(g)
+    table = coefficient_table(ctx)
     src = _exterior_basis(ctx, size)
     tgt = _exterior_basis(ctx, size + 1)
-    fn = lambda m: dga_mul(lam, monomial_elem(ctx, m[0], 0))
-    return operator_matrix(src, tgt, ctx.ring, fn)
+    return _image_matrix(src, tgt, ctx.ring, lambda m: lambda_image(m, table))
 
 
 def exterior_boundary_matrix(g: int, size: int) -> SparseRingMatrix:
@@ -267,10 +348,10 @@ def exterior_boundary_matrix(g: int, size: int) -> SparseRingMatrix:
     if size < 1:
         raise ValueError("size must be >= 1")
     ctx = surface_context(g)
+    table = coefficient_table(ctx)
     src = _exterior_basis(ctx, size)
     tgt = _exterior_basis(ctx, size - 1)
-    fn = lambda m: boundary(monomial_elem(ctx, m[0], 0))
-    return operator_matrix(src, tgt, ctx.ring, fn)
+    return _image_matrix(src, tgt, ctx.ring, lambda m: monomial_boundary(m, table))
 
 
 def build_Q_complex(g: int, k: int) -> ChainComplex:
@@ -302,6 +383,8 @@ def base_change(c: ChainComplex, N: int) -> IntegerChainComplex:
     """Integer chain complex of the (Z/N)^m-cover; ranks multiply by N^m."""
     if N < 1:
         raise ValueError("N must be >= 1")
+    for i in range(1, len(c.modules)):
+        c.boundaries[i].check_base_change_size(N, f"d_{i}")
     bs = N ** c.ctx.ring.nvars
     ranks = [m.rank * bs for m in c.modules]
     boundaries: list[list[list[int]] | None] = [None]

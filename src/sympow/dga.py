@@ -241,37 +241,76 @@ def dga_mul(a: DgaElement, b: DgaElement) -> DgaElement:
     return DgaElement(ctx, terms)
 
 
+CoefficientTable = tuple[tuple[tuple[GroupRingElement, GroupRingElement], ...], ...]
+
+
+def coefficient_table(ctx: DgaContext) -> CoefficientTable:
+    """Each generator's boundary and lam coefficient, each paired with its negative.
+
+    ``table[0][i]`` is ``(d(gen_i), -d(gen_i))`` and ``table[1][i]`` the same
+    for the lam coefficient (empty in the wedge case).  Built afresh for
+    every ``boundary`` call and every matrix build from the two coefficient
+    sources above, and never cached, so a patched source reaches every path.
+    """
+    ext = tuple((c, -c) for c in (_ext_boundary_coeff(ctx, i) for i in range(ctx.ngens)))
+    lam = ()
+    if ctx.case == "surface":
+        lam = tuple((c, -c) for c in (_lambda_coeff(ctx, i) for i in range(ctx.ngens)))
+    return ext, lam
+
+
+def lambda_image(m: Monomial, table: CoefficientTable) -> list[tuple[Monomial, GroupRingElement]]:
+    """lam * (mask, s) as (monomial, coefficient) pairs, without divided-power factors.
+
+    Generator i moves past the bits of ``mask`` below it, so its sign is
+    their parity; for s = 0 this is ``dga_mul(lam, m)``.
+    """
+    mask, s = m
+    out = []
+    for i, pair in enumerate(table[1]):
+        bit = 1 << i
+        if not mask & bit:
+            out.append(((mask | bit, s), pair[(mask & (bit - 1)).bit_count() & 1]))
+    return out
+
+
+def monomial_boundary(m: Monomial, table: CoefficientTable) -> list[tuple[Monomial, GroupRingElement]]:
+    """d of the unit-coefficient monomial m as (monomial, coefficient) pairs.
+
+    The pairs have distinct monomials and the coefficients are the table's
+    own objects.  The Koszul signs of d and the rule d(g^(s)) = lam * g^(s-1)
+    live here only; ``boundary`` and the matrix builders both call this.
+    """
+    mask, s = m
+    ext = table[0]
+    out = []
+    neg = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        out.append(((mask ^ low, s), ext[low.bit_length() - 1][neg]))
+        neg ^= 1
+        rest ^= low
+    if s >= 1:
+        # d(g^(s)) = lam * g^(s-1), carried past the exterior part
+        out += lambda_image((mask, s - 1), table)
+    return out
+
+
 def boundary(a: DgaElement) -> DgaElement:
     """The boundary derivation; lowers degree by 1 and preserves weight."""
     ctx = a.ctx
+    table = coefficient_table(ctx)
     terms: dict[Monomial, GroupRingElement] = {}
-
-    def accumulate(key: Monomial, coeff: GroupRingElement) -> None:
-        v = terms.get(key)
-        v = coeff if v is None else v + coeff
-        if v:
-            terms[key] = v
-        else:
-            terms.pop(key, None)
-
-    for (mask, s), c in a.terms.items():
-        sign = 1
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            coeff = c * _ext_boundary_coeff(ctx, i)
-            accumulate((mask ^ (1 << i), s), coeff if sign > 0 else -coeff)
-            sign = -sign
-            m &= m - 1
-        if s >= 1:
-            # d(g^(s)) = lam * g^(s-1), carried past the exterior part
-            lead = -1 if mask.bit_count() & 1 else 1
-            for i in range(ctx.ngens):
-                if mask >> i & 1:
-                    continue
-                msign = _merge_sign(mask, 1 << i) * lead
-                coeff = c * _lambda_coeff(ctx, i)
-                accumulate((mask | (1 << i), s - 1), coeff if msign > 0 else -coeff)
+    for m, c in a.terms.items():
+        for key, unit in monomial_boundary(m, table):
+            coeff = c * unit
+            v = terms.get(key)
+            v = coeff if v is None else v + coeff
+            if v:
+                terms[key] = v
+            else:
+                terms.pop(key, None)
     return DgaElement(ctx, terms)
 
 

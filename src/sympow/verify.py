@@ -54,7 +54,6 @@ from .homology import (
     integer_free_ranks,
     integer_homology,
     mod2_apply,
-    mod2_columns,
     mod2_in_span,
     mod2_nullspace,
     modp_nullspace,
@@ -357,8 +356,8 @@ def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
     blocks = 2 ** (2 * g)
     for m in range(1, g):
         j = 2 * m
-        d_cols, _ = mod2_columns(exterior_boundary_matrix(g, j).base_change(2))
-        lam_cols, _ = mod2_columns(lambda_matrix(g, j).base_change(2))
+        d_cols, _ = exterior_boundary_matrix(g, j).mod2_columns(2)
+        lam_cols, _ = lambda_matrix(g, j).mod2_columns(2)
         ker = mod2_nullspace(d_cols, len(d_cols))
         images = [mod2_apply(lam_cols, v) for v in ker]
         basis = full_q.modules[2 * g - j].basis

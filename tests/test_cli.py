@@ -1,7 +1,9 @@
+import hashlib
 import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import sympow.cli as cli
 from sympow.cli import run
@@ -190,3 +192,34 @@ def test_console_script_entry_point(tmp_path):
     proc = subprocess.run(launcher + ["betti", "--genus", "-3", "--k", "1"],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
+
+
+def test_export_goldens():
+    # SHA-256 of the complete export text as the element-level builders produced it
+    golden = {
+        "export --genus 3 --k 3 --case cover":
+            "5269e6d5b38e881fecfc469fb84fda0003cd7d2ca29e45d834afdacfe4ee3a2b",
+        "export --genus 3 --k 4 --case q":
+            "9c1b86f2ac38ea539924832224c57a2fc979f5e0d22f236bf1b602dcd2be7350",
+        "export --arity 6 --k 3 --case wedge":
+            "e1d024af556e3a7b61d077a2f1c4bff13d9a0104b4d84640cff011c654f55ab5",
+        "export --genus 2 --k 2 --case cover --format json":
+            "ac487e334ece01cc37cdf0bbdec4ceb1cb3b379949b1388ec4e320055c9457e8",
+    }
+    for argv, digest in golden.items():
+        code, text, _ = run(argv.split())
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, argv
+
+
+def test_oversized_base_change_exits_two_up_front():
+    tracemalloc.start()
+    try:
+        code, text, _ = run(["cover-homology", "--genus", "3", "--k", "2",
+                             "--method", "snf", "--N", "3"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "d_2 (6 x 16) at N=3" in text and "4374 x 11664" in text and "51,018,336 cells" in text
+    assert peak < 5_000_000

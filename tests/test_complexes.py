@@ -1,8 +1,13 @@
 import json
+import tracemalloc
 
 import pytest
 
+import sympow.dga as dga
 from sympow.complexes import (
+    MAX_DENSE_CELLS,
+    SparseRingMatrix,
+    _exterior_basis,
     base_change,
     boundary_matrix,
     build_cover_complex,
@@ -12,10 +17,12 @@ from sympow.complexes import (
     export_text,
     exterior_boundary_matrix,
     lambda_matrix,
+    operator_matrix,
     specialize_complex,
 )
-from sympow.dga import monomial_str
+from sympow.dga import boundary, dga_mul, lambda_element, monomial_elem, monomial_str, surface_context
 from sympow.groupring import UnitSpecialization, surface_ring, wedge_ring
+from sympow.homology import mod2_columns
 from oracles import gf_betti
 
 
@@ -242,3 +249,119 @@ def test_export_json_mirror():
     # same entry count in both mirrors
     for b in payload["boundaries"]:
         assert f"BOUNDARY {b['degree']} entries={len(b['entries'])}" in text
+
+
+# ---------------------------------------------------------------------------
+# Table-driven builders against the element-level path they replace
+
+
+def _boundary_oracle(ctx, src, tgt):
+    return operator_matrix(src, tgt, ctx.ring, lambda m: boundary(monomial_elem(ctx, m[0], m[1])))
+
+
+def _lambda_oracle(g, size):
+    ctx = surface_context(g)
+    lam = lambda_element(g)
+    return operator_matrix(_exterior_basis(ctx, size), _exterior_basis(ctx, size + 1), ctx.ring,
+                           lambda m: dga_mul(lam, monomial_elem(ctx, m[0], 0)))
+
+
+def _assert_same_entries(built, oracle, label):
+    # same values in the same per-column insertion order
+    assert list(built.entries.items()) == list(oracle.entries.items()), label
+    assert ([v.canonical_str() for v in built.entries.values()]
+            == [v.canonical_str() for v in oracle.entries.values()]), label
+    assert (built.rows, built.cols) == (oracle.rows, oracle.cols), label
+
+
+def test_builders_match_element_oracle():
+    complexes = [build_cover_complex(g, k) for g in range(1, 4) for k in range(0, 7)]
+    complexes += [build_wedge_complex(n, k) for n in range(1, 7) for k in range(0, n + 1)]
+    for c in complexes:
+        for i in range(1, c.top_degree + 1):
+            oracle = _boundary_oracle(c.ctx, c.modules[i].basis, c.modules[i - 1].basis)
+            _assert_same_entries(c.boundaries[i], oracle, (c.case, c.params, i))
+    for g in range(1, 4):
+        for k in range(1, 8):
+            q = build_Q_complex(g, k)
+            for j in range(1, q.top_degree + 1):
+                _assert_same_entries(q.boundaries[j], _lambda_oracle(g, q.params["top"] - j), (g, k, j))
+
+
+def test_lambda_and_exterior_matrices_match_element_oracle():
+    for g in range(1, 4):
+        ctx = surface_context(g)
+        for size in range(0, 2 * g + 1):
+            _assert_same_entries(lambda_matrix(g, size), _lambda_oracle(g, size), ("lam", g, size))
+        for size in range(1, 2 * g + 1):
+            oracle = _boundary_oracle(ctx, _exterior_basis(ctx, size), _exterior_basis(ctx, size - 1))
+            _assert_same_entries(exterior_boundary_matrix(g, size), oracle, ("d", g, size))
+
+
+def test_builders_read_the_patched_boundary_convention(monkeypatch):
+    orig = dga._ext_boundary_coeff
+
+    def flipped(ctx, i):
+        if ctx.case == "surface" and i == ctx.size:  # the first f-generator
+            return ctx.ring.gen(i) - ctx.ring.one()
+        return orig(ctx, i)
+
+    build_cover_complex(2, 2)  # a table built before the patch must not survive it
+    monkeypatch.setattr(dga, "_ext_boundary_coeff", flipped)
+    c = build_cover_complex(2, 2)
+    assert any(not c.boundaries[i - 1].compose(c.boundaries[i]).is_zero()
+               for i in range(2, c.top_degree + 1))
+
+
+# ---------------------------------------------------------------------------
+# Sparse mod-2 columns of a base change
+
+
+def _assert_mod2_matches_dense(M, N, label):
+    cols, rows = M.mod2_columns(N)
+    bs = N ** M.ring.nvars
+    assert rows == M.rows * bs, label
+    if M.rows:
+        assert (cols, rows) == mod2_columns(M.base_change(N)), label
+    else:  # the dense route sees no rows, hence no columns either
+        assert cols == [0] * (M.cols * bs), label
+
+
+def test_mod2_columns_match_dense_base_change():
+    for g, n_values in ((2, (1, 2, 3)), (3, (2,))):
+        for N in n_values:
+            for size in range(0, 2 * g + 1):
+                _assert_mod2_matches_dense(lambda_matrix(g, size), N, ("lam", g, size, N))
+            for size in range(1, 2 * g + 1):
+                _assert_mod2_matches_dense(exterior_boundary_matrix(g, size), N, ("d", g, size, N))
+
+
+def test_mod2_columns_terms_colliding_mod_N():
+    ring = surface_ring(1)
+    x1 = ring.gen(0)
+    x1_inv = ring.monomial((-1, 0))
+    for v in (x1 + x1_inv, ring.one() * 3 + x1 * x1):
+        # at N=2 both terms of v land in the same cell, and their odd parities cancel
+        M = SparseRingMatrix(ring, 2, 2, {(1, 0): v, (0, 1): ring.one() * 2 - x1})
+        _assert_mod2_matches_dense(M, 2, v)
+        cols, _ = M.mod2_columns(2)
+        assert cols[:4] == [0, 0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# Memory guard on dense base change
+
+
+def test_base_change_refuses_oversized_matrix_from_its_shape():
+    c = build_cover_complex(3, 2)  # d_2 is 6 x 16, times 729^2 at N=3
+    assert 6 * 16 * 729 ** 2 > MAX_DENSE_CELLS >= 1 * 6 * 729 ** 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="51,018,336 cells"):
+            base_change(c, 3)
+        with pytest.raises(ValueError, match="over the limit"):
+            c.boundaries[2].base_change(3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # d_1 alone would take 25 MB of row lists
