@@ -35,7 +35,6 @@ from .complexes import (
     BasedFreeModule,
     ChainComplex,
     IntegerChainComplex,
-    ModpChainComplex,
     SparseRingMatrix,
     base_change,
     boundary_matrix,
@@ -44,7 +43,6 @@ from .complexes import (
     build_wedge_complex,
     export_json,
     export_text,
-    specialize_complex,
 )
 from .homology import (
     HomologyReport,

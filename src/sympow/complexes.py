@@ -134,12 +134,18 @@ class SparseRingMatrix:
                              f"over the limit of {MAX_DENSE_CELLS:,} cells per matrix")
 
     def base_change(self, N: int) -> list[list[int]]:
-        """Replace each entry by its finite-quotient block; ranks multiply by N^m."""
+        """Replace each entry by its finite-quotient block; ranks multiply by N^m.
+
+        Blocks are keyed by entry ``id``, as in ``mod2_columns``.
+        """
         self.check_base_change_size(N)
         bs = N ** self.ring.nvars
         M = [[0] * (self.cols * bs) for _ in range(self.rows * bs)]
+        blocks: dict[int, list[list[int]]] = {}
         for (r, c), v in self.entries.items():
-            block = finite_quotient(v, N)
+            block = blocks.get(id(v))
+            if block is None:
+                block = blocks[id(v)] = finite_quotient(v, N)
             r0, c0 = r * bs, c * bs
             for a in range(bs):
                 row = M[r0 + a]
@@ -210,17 +216,6 @@ class IntegerChainComplex:
 
     case: str
     params: dict[str, int]
-    ranks: list[int]
-    boundaries: list[list[list[int]] | None]
-
-
-@dataclass
-class ModpChainComplex:
-    """Specialized complex: F_p vector spaces with dense mod-p matrices."""
-
-    case: str
-    params: dict[str, int]
-    prime: int
     ranks: list[int]
     boundaries: list[list[list[int]] | None]
 
@@ -393,14 +388,6 @@ def base_change(c: ChainComplex, N: int) -> IntegerChainComplex:
     params = dict(c.params)
     params["N"] = N
     return IntegerChainComplex(c.case, params, ranks, boundaries)
-
-
-def specialize_complex(c: ChainComplex, spec: UnitSpecialization) -> ModpChainComplex:
-    """Entrywise specialization; shapes preserved."""
-    boundaries: list[list[list[int]] | None] = [None]
-    for i in range(1, len(c.modules)):
-        boundaries.append(c.boundaries[i].specialize(spec))
-    return ModpChainComplex(c.case, dict(c.params), spec.prime, c.ranks, boundaries)
 
 
 # ---------------------------------------------------------------------------

@@ -50,86 +50,72 @@ class SnfResult:
 
 
 def smith_normal_form(M: list[list[int]]) -> SnfResult:
-    """Classical SNF by unimodular row/column operations.
+    """Smith normal form by sparse Euclidean elimination on ``{col: value}`` rows.
 
-    Pivot selection: smallest absolute value, ties broken by sparsest
-    row+column, which keeps coefficient growth tame on the sparse
-    boundary matrices we feed it.
+    A heap pops the row holding the smallest |entry| (ties: the shorter row,
+    then the column with fewer rows); that entry ``a`` is the pivot.  Floor
+    division row operations clear its column, leaving remainders below |a|;
+    once the column is clear, the pivot row is reduced modulo ``a`` (column
+    operations that no other row sees).  A row with a nonzero remainder is
+    queued again, and |a| is recorded once it is alone in its row and column.
+    One pass of ``(a, b) -> (gcd, lcm)`` over the non-unit pivots, valid since
+    ``diag(a, b)`` is equivalent to ``diag(gcd, lcm)``, gives the chain.
     """
-    A = [list(map(int, row)) for row in M]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    size = min(rows, cols)
-    if size == 0:
-        return SnfResult(())
+    size = min(len(M), len(M[0])) if M else 0
+    rows, col_rows = _row_dicts(M, None)
 
-    def pick_pivot(t: int) -> tuple[int, int] | None:
-        best = None
-        where = None
-        row_nnz = [sum(1 for x in A[i][t:] if x) for i in range(rows)]
-        col_nnz = [sum(1 for i in range(t, rows) if A[i][j]) for j in range(cols)]
-        for i in range(t, rows):
-            if not row_nnz[i]:
-                continue
-            for j in range(t, cols):
-                v = A[i][j]
-                if v:
-                    key = (abs(v), row_nnz[i] + col_nnz[j])
-                    if best is None or key < best:
-                        best = key
-                        where = (i, j)
-        return where
+    def key(row: dict[int, int]) -> tuple[int, int]:
+        return min(map(abs, row.values())), len(row)
 
-    t = 0
-    while t < size:
-        where = pick_pivot(t)
-        if where is None:
-            break
-        pi, pj = where
-        A[t], A[pi] = A[pi], A[t]
-        for row in A:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            # clear column t
-            for i in range(t + 1, rows):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    if q:
-                        A[i] = [a - q * b for a, b in zip(A[i], A[t])]
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-            if any(A[i][t] for i in range(t + 1, rows)):
-                continue
-            # clear row t
-            for j in range(t + 1, cols):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    if q:
-                        for row in A:
-                            row[j] -= q * row[t]
-                    if A[t][j]:
-                        for row in A:
-                            row[t], row[j] = row[j], row[t]
-            if any(A[t][j] for j in range(t + 1, cols)):
-                continue
-            break
-        # pivot must divide the remaining submatrix
-        v = A[t][t]
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if A[i][j] % v:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            A[t] = [a + b for a, b in zip(A[t], A[bad])]
+    # (key, row id) pushed whenever a row changes; stale entries are skipped
+    queue = [(key(row), i) for i, row in rows.items()]
+    heapq.heapify(queue)
+    pivots: list[int] = []
+    while queue:
+        k, r = heapq.heappop(queue)
+        prow = rows.get(r)
+        if prow is None or key(prow) != k:
             continue
-        t += 1
-    diag = [abs(A[i][i]) for i in range(size)]
-    diag = sorted((d for d in diag if d)) + [0] * sum(1 for d in diag if not d)
-    return SnfResult(tuple(diag))
+        c = min((j for j, v in prow.items() if abs(v) == k[0]), key=lambda j: len(col_rows[j]))
+        a = prow[c]
+        for i in [i for i in col_rows[c] if i != r]:
+            row = rows[i]
+            q = row[c] // a
+            for j, v in prow.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = -q * v
+                    col_rows[j].add(i)
+                    continue
+                x -= q * v
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+                    col_rows[j].discard(i)
+            if row:
+                heapq.heappush(queue, (key(row), i))
+            else:
+                del rows[i]
+        if len(col_rows[c]) == 1:
+            for j in [j for j in prow if j != c]:
+                x = prow[j] % a
+                if x:
+                    prow[j] = x
+                else:
+                    del prow[j]
+                    col_rows[j].discard(r)
+            if len(prow) == 1:
+                del rows[r], col_rows[c]
+                pivots.append(abs(a))
+                continue
+        heapq.heappush(queue, (key(prow), r))
+    torsion = [d for d in pivots if d != 1]
+    for s in range(len(torsion)):
+        for t in range(s + 1, len(torsion)):
+            torsion[s], torsion[t] = math.gcd(torsion[s], torsion[t]), math.lcm(torsion[s], torsion[t])
+    diag = (1,) * (len(pivots) - len(torsion)) + tuple(torsion)  # 1s from the gcd pass come first
+    return SnfResult(diag + (0,) * (size - len(diag)))
 
 
 def integer_rank(M: list[list[int]]) -> int:
@@ -138,24 +124,37 @@ def integer_rank(M: list[list[int]]) -> int:
 
 
 def integer_matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    rows, mid = len(A), len(B)
-    cols = len(B[0]) if mid else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        Ai = A[i]
-        Oi = out[i]
-        for k in range(mid):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                for j in range(cols):
-                    if Bk[j]:
-                        Oi[j] += a * Bk[j]
+    """A @ B, visiting only the nonzeros of A and of each row of B."""
+    cols = len(B[0]) if B else 0
+    sparse_B = [list(zip(compress(count(), row), filter(None, row))) for row in B]
+    out = []
+    for Ai in A:
+        Oi = [0] * cols
+        for k, a in zip(compress(count(), Ai), filter(None, Ai)):
+            for j, b in sparse_B[k]:
+                Oi[j] += a * b
+        out.append(Oi)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Rank: one sparse elimination kernel for F_p and Q
+
+
+def _row_dicts(M: list[list[int]], p: int | None) -> tuple[dict[int, dict[int, int]], dict[int, set[int]]]:
+    """Nonzero rows of ``M`` as ``{col: value}`` dicts, entries reduced mod ``p``
+    unless it is ``None``, and the index from each column to the rows using it."""
+    rows: dict[int, dict[int, int]] = {}
+    col_rows: dict[int, set[int]] = {}
+    for i, dense in enumerate(M):
+        row = dict(zip(compress(count(), dense), filter(None, dense)))  # nonzeros by column
+        if p is not None:
+            row = {j: v for j, x in row.items() if (v := x % p)}
+        if row:
+            rows[i] = row
+            for j in row:
+                col_rows.setdefault(j, set()).add(i)
+    return rows, col_rows
 
 
 def _sparse_rank(M: list[list[int]], p: int | None) -> int:
@@ -173,16 +172,7 @@ def _sparse_rank(M: list[list[int]], p: int | None) -> int:
     pivot order.
     """
     modular = p is not None
-    rows: dict[int, dict[int, int]] = {}
-    col_rows: dict[int, set[int]] = {}
-    for i, dense in enumerate(M):
-        row = dict(zip(compress(count(), dense), filter(None, dense)))  # nonzeros by column
-        if modular:
-            row = {j: v for j, x in row.items() if (v := x % p)}
-        if row:
-            rows[i] = row
-            for j in row:
-                col_rows.setdefault(j, set()).add(i)
+    rows, col_rows = _row_dicts(M, p)
     # (length, row id) pushed whenever a row's length changes; stale entries
     # are skipped when popped, so the heap top is always the sparsest row
     queue = [(len(row), i) for i, row in rows.items()]

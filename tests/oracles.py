@@ -3,8 +3,9 @@
 Everything here recomputes expected values through a different route than
 the library: truncated power-series arithmetic for Betti numbers, direct
 enumeration for regular representations, sympy for Smith normal forms, the
-dense elimination loops that the library's sparse rank kernel replaced, and
-the every-trial generic homology loop that its certified early stop replaced.
+dense elimination loops that the library's sparse rank kernel and sparse
+Smith normal form replaced, and the every-trial generic homology loop that
+its certified early stop replaced.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 import random
 
 from sympow.groupring import random_specialization
+from sympow.homology import SnfResult
 
 
 def _series_mul(A, B, k):
@@ -74,6 +76,90 @@ def sympy_snf_diagonal(M: list[list[int]]) -> list[int]:
     diag = [abs(int(S[i, i])) for i in range(min(S.rows, S.cols))]
     nonzero = sorted(d for d in diag if d)
     return nonzero + [0] * (len(diag) - len(nonzero))
+
+
+def dense_smith_normal_form(M: list[list[int]]) -> SnfResult:
+    """Classical SNF by unimodular row/column operations.
+
+    Pivot selection: smallest absolute value, ties broken by sparsest
+    row+column, which keeps coefficient growth tame on the sparse
+    boundary matrices we feed it.
+    """
+    A = [list(map(int, row)) for row in M]
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    size = min(rows, cols)
+    if size == 0:
+        return SnfResult(())
+
+    def pick_pivot(t: int) -> tuple[int, int] | None:
+        best = None
+        where = None
+        row_nnz = [sum(1 for x in A[i][t:] if x) for i in range(rows)]
+        col_nnz = [sum(1 for i in range(t, rows) if A[i][j]) for j in range(cols)]
+        for i in range(t, rows):
+            if not row_nnz[i]:
+                continue
+            for j in range(t, cols):
+                v = A[i][j]
+                if v:
+                    key = (abs(v), row_nnz[i] + col_nnz[j])
+                    if best is None or key < best:
+                        best = key
+                        where = (i, j)
+        return where
+
+    t = 0
+    while t < size:
+        where = pick_pivot(t)
+        if where is None:
+            break
+        pi, pj = where
+        A[t], A[pi] = A[pi], A[t]
+        for row in A:
+            row[t], row[pj] = row[pj], row[t]
+        while True:
+            # clear column t
+            for i in range(t + 1, rows):
+                if A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    if q:
+                        A[i] = [a - q * b for a, b in zip(A[i], A[t])]
+                    if A[i][t]:
+                        A[t], A[i] = A[i], A[t]
+            if any(A[i][t] for i in range(t + 1, rows)):
+                continue
+            # clear row t
+            for j in range(t + 1, cols):
+                if A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    if q:
+                        for row in A:
+                            row[j] -= q * row[t]
+                    if A[t][j]:
+                        for row in A:
+                            row[t], row[j] = row[j], row[t]
+            if any(A[t][j] for j in range(t + 1, cols)):
+                continue
+            break
+        # pivot must divide the remaining submatrix
+        v = A[t][t]
+        bad = None
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if A[i][j] % v:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            A[t] = [a + b for a, b in zip(A[t], A[bad])]
+            continue
+        t += 1
+    diag = [abs(A[i][i]) for i in range(size)]
+    diag = sorted((d for d in diag if d)) + [0] * sum(1 for d in diag if not d)
+    return SnfResult(tuple(diag))
+
 
 
 def brute_force_modp_rank(M: list[list[int]], p: int) -> int:

@@ -223,3 +223,18 @@ def test_oversized_base_change_exits_two_up_front():
     assert code == 2
     assert "d_2 (6 x 16) at N=3" in text and "4374 x 11664" in text and "51,018,336 cells" in text
     assert peak < 5_000_000
+
+
+def test_snf_cover_genus3_k2_N2():
+    # formerly too slow for the suite under the dense SNF; stdout pinned at the dense SNF
+    from sympow.complexes import base_change, build_cover_complex
+    from sympow.homology import integer_free_ranks
+
+    code, text, _ = run(["cover-homology", "--genus", "3", "--k", "2", "--method", "snf", "--N", "2"])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "03ed2bae70efc74ead3a9f939aa835518b9290b83caeb311d881bb6475a059b6"
+    payload = json.loads(text)
+    ranks = [h["rank"] for h in payload["homology"]]
+    assert ranks == integer_free_ranks(base_change(build_cover_complex(3, 2), 2)) == [1, 6, 394, 6, 1]
+    assert all(h["torsion"] == [] for h in payload["homology"])

@@ -18,10 +18,9 @@ from sympow.complexes import (
     exterior_boundary_matrix,
     lambda_matrix,
     operator_matrix,
-    specialize_complex,
 )
 from sympow.dga import boundary, dga_mul, lambda_element, monomial_elem, monomial_str, surface_context
-from sympow.groupring import UnitSpecialization, surface_ring, wedge_ring
+from sympow.groupring import UnitSpecialization, finite_quotient, surface_ring, wedge_ring
 from sympow.homology import mod2_columns
 from oracles import gf_betti
 
@@ -146,14 +145,45 @@ def test_base_change_n1_and_scaling():
 def test_specialize_and_base_change_commute_with_extraction():
     c = build_cover_complex(1, 2)
     spec = UnitSpecialization(101, (3, 5))
-    sc = specialize_complex(c, spec)
-    for i in range(1, c.top_degree + 1):
-        assert sc.boundaries[i] == boundary_matrix(c, i).specialize(spec)
-        assert base_change(c, 2).boundaries[i] == boundary_matrix(c, i).base_change(2)
-    assert sc.prime == 101
     all_ones = UnitSpecialization(101, (1, 1))
-    sc = specialize_complex(c, all_ones)
-    assert all(all(x == 0 for row in b for x in row) for b in sc.boundaries[1:])
+    for i in range(1, c.top_degree + 1):
+        M = boundary_matrix(c, i)
+        assert M.specialize(spec) == [[M.entry(r, col).specialize(spec) for col in range(M.cols)]
+                                      for r in range(M.rows)]
+        assert base_change(c, 2).boundaries[i] == M.base_change(2)
+        assert all(x == 0 for row in M.specialize(all_ones) for x in row)
+
+
+def _blockwise_base_change(M: SparseRingMatrix, N: int) -> list[list[int]]:
+    bs = N ** M.ring.nvars
+    out = [[0] * (M.cols * bs) for _ in range(M.rows * bs)]
+    for (r, c), v in M.entries.items():
+        block = finite_quotient(v, N)
+        for a in range(bs):
+            out[r * bs + a][c * bs: (c + 1) * bs] = block[a]
+    return out
+
+
+def test_base_change_builds_each_distinct_entry_block_once(monkeypatch):
+    import sympow.complexes as complexes
+
+    calls = []
+    monkeypatch.setattr(complexes, "finite_quotient",
+                        lambda v, N: calls.append(v) or finite_quotient(v, N))
+    ring = surface_ring(1)
+    x, y = ring.gen(0), ring.gen(1)
+    shared = ring.one() - x
+    # an entry equal to ``shared`` but a different object gets its own block
+    hand = SparseRingMatrix(ring, 2, 3, {(0, 0): shared, (1, 1): shared, (0, 2): ring.one() - x,
+                                         (1, 2): 2 * y - x * x + 3 * ring.one()})
+    for M, N in ((build_cover_complex(2, 2).boundaries[2], 2), (lambda_matrix(2, 1), 2),
+                 (build_cover_complex(1, 2).boundaries[3], 3), (hand, 3)):
+        calls.clear()
+        dense = M.base_change(N)
+        assert len(calls) == len({id(v) for v in M.entries.values()})
+        assert dense == _blockwise_base_change(M, N)
+    assert len(calls) == 3 < len(hand.entries)
+    assert len({id(v) for v in build_cover_complex(2, 2).boundaries[2].entries.values()}) <= 16
 
 
 def test_cover_bases_nest_with_k():
@@ -172,9 +202,8 @@ def test_specialized_wedge_ranks():
 
     c = build_wedge_complex(2, 2)
     spec = UnitSpecialization(1000003, (3, 5))
-    sc = specialize_complex(c, spec)
-    assert modp_rank(sc.boundaries[1], 1000003) == 1
-    assert modp_rank(sc.boundaries[2], 1000003) == 1
+    assert modp_rank(boundary_matrix(c, 1).specialize(spec), 1000003) == 1
+    assert modp_rank(boundary_matrix(c, 2).specialize(spec), 1000003) == 1
 
 
 def test_lambda_and_exterior_matrices():

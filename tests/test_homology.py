@@ -22,6 +22,7 @@ from sympow.homology import (
     generic_homology,
     generic_rank,
     integer_homology,
+    integer_matmul,
     integer_rank,
     kernel_basis,
     modp_matvec,
@@ -33,6 +34,7 @@ from oracles import (
     bareiss_rank,
     brute_force_modp_rank,
     dense_modp_rank,
+    dense_smith_normal_form,
     gf_betti,
     sympy_snf_diagonal,
 )
@@ -67,6 +69,83 @@ def test_snf_examples():
     assert smith_normal_form([[2, 0], [0, 3]]).diagonal == (1, 6)
     assert smith_normal_form([[0, 0], [0, 0]]).diagonal == (0, 0)
     assert smith_normal_form([[0]]).diagonal == (0,)
+    assert smith_normal_form([]).diagonal == ()
+    assert smith_normal_form([[]]).diagonal == ()
+
+
+@pytest.mark.parametrize("M, diagonal", [
+    ([[4, 0], [0, 6]], (2, 12)),
+    ([[6, 0], [0, 4]], (2, 12)),
+    ([[12, 0, 0], [0, 6, 0], [0, 0, 4]], (2, 12, 12)),
+    ([[2, 0, 0], [0, 3, 0], [0, 0, 4]], (1, 2, 12)),
+    ([[4, 0, 0, 0], [0, 6, 0, 0], [0, 0, 0, 0]], (2, 12, 0)),
+    ([[-3, 0], [0, 1], [0, 0]], (1, 3)),
+    ([[2, 4], [6, 8]], (2, 4)),
+])
+def test_snf_gcd_lcm_cases(M, diagonal):
+    assert smith_normal_form(M).diagonal == diagonal
+    assert dense_smith_normal_form(M).diagonal == diagonal
+    assert tuple(sympy_snf_diagonal(M)) == diagonal
+
+
+def _scrambled_torsion_matrices(seed: int, count: int) -> list[list[list[int]]]:
+    """Diagonals over 0, 1, 2, 3, 4, 6, 12 scrambled by unimodular row and column operations."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        M = [[0] * cols for _ in range(rows)]
+        for i in range(min(rows, cols)):
+            M[i][i] = rng.choice([0, 1, 2, 2, 3, 4, 6, 12])
+        for _ in range(rng.randint(0, 12)):
+            q = rng.choice([-2, -1, 1, 2])
+            if rng.random() < 0.5 and rows > 1:
+                i, j = rng.sample(range(rows), 2)
+                M[i] = [a + q * b for a, b in zip(M[i], M[j])]
+            elif cols > 1:
+                i, j = rng.sample(range(cols), 2)
+                for row in M:
+                    row[i] += q * row[j]
+        rng.shuffle(M)
+        out.append(M)
+    return out
+
+
+def test_snf_on_scrambled_torsion_against_oracles():
+    matrices = _scrambled_torsion_matrices(29, 240)
+    assert sum(1 for M in matrices if dense_smith_normal_form(M).nontrivial()) >= 200
+    for M in matrices:
+        diag = smith_normal_form(M).diagonal
+        assert diag == dense_smith_normal_form(M).diagonal, M
+        assert list(diag) == sympy_snf_diagonal(M), M
+
+
+# sympy's SNF on the 324 x 567 boundaries of cover(2,2) at N=3 ran for minutes
+# and past 2 GB; above this size only the dense oracle is compared.
+SYMPY_SNF_MAX_CELLS = 30_000
+
+
+@pytest.mark.parametrize("build, g, k, N", [
+    (build_cover_complex, 2, 2, 2), (build_cover_complex, 2, 2, 3), (build_cover_complex, 2, 3, 2),
+    (build_cover_complex, 3, 1, 2), (build_Q_complex, 2, 2, 2), (build_Q_complex, 2, 4, 2),
+])
+def test_snf_on_base_changed_boundaries_against_oracles(build, g, k, N):
+    for i, M in enumerate(base_change(build(g, k), N).boundaries[1:], start=1):
+        diag = smith_normal_form(M).diagonal
+        assert diag == dense_smith_normal_form(M).diagonal, i
+        if len(M) * len(M[0]) <= SYMPY_SNF_MAX_CELLS:
+            assert list(diag) == sympy_snf_diagonal(M), i
+
+
+def test_integer_matmul_against_dense_product():
+    rng = random.Random(31)
+    for _ in range(30):
+        rows, mid, cols = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 8)
+        A = [[rng.choice([0, 0, -2, 1, 3]) for _ in range(mid)] for _ in range(rows)]
+        B = [[rng.choice([0, 0, -1, 1, 5]) for _ in range(cols)] for _ in range(mid)]
+        expected = [[sum(A[i][t] * B[t][j] for t in range(mid)) for j in range(cols)]
+                    for i in range(rows)]
+        assert integer_matmul(A, B) == expected
 
 
 def test_snf_divisibility_and_idempotence():

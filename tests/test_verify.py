@@ -1,6 +1,9 @@
 import pytest
 
+import sympow.complexes as complexes
 import sympow.dga as dga
+from sympow.cli import run
+from sympow.complexes import exterior_boundary_matrix, lambda_matrix
 from sympow.dga import (
     boundary,
     dga_mul,
@@ -9,7 +12,15 @@ from sympow.dga import (
     monomial_elem,
     surface_context,
 )
+from sympow.homology import (
+    VERIFY_PRIME,
+    _trial_specialization,
+    modp_matvec,
+    modp_nullspace,
+    modp_rank_of_columns,
+)
 from sympow.verify import (
+    _kernel_quotient_dim,
     admissible_nonfg_choices,
     evaluate_F,
     verify_dga_suite,
@@ -90,6 +101,40 @@ def test_lemma_cohomology_g3():
     assert "positions [3, 5]" in _check(rep, "lambda-sigma-cocycles").detail
     with pytest.raises(ValueError):
         verify_lemma_cohomology(1)
+
+
+def test_lemma_cohomology_refuses_oversized_witness_up_front(monkeypatch):
+    def refuse(self, N):
+        raise AssertionError("mod2_columns must not run")
+
+    monkeypatch.setattr(complexes.SparseRingMatrix, "mod2_columns", refuse)
+    code, text, _ = run(["verify", "--suite", "lemma-cohomology", "--genus", "5"])
+    assert code == 2
+    assert "81,914,757,120 bits" in text and "1,000,000,000" in text
+    monkeypatch.undo()
+    code, text, _ = run(["verify", "--suite", "lemma-cohomology", "--genus", "4"])
+    assert code == 0, text
+
+
+def _nullspace_kernel_quotient_dim(g, k, spec):
+    """dim K_k - dim lam*K_(k-1) through explicit kernel bases and their lam-images."""
+    p = spec.prime
+    dim_kk = len(modp_nullspace(exterior_boundary_matrix(g, k).specialize(spec), p))
+    kbasis = modp_nullspace(exterior_boundary_matrix(g, k - 1).specialize(spec), p)
+    lam_mat = lambda_matrix(g, k - 1).specialize(spec)
+    return dim_kk - modp_rank_of_columns([modp_matvec(lam_mat, v, p) for v in kbasis], p)
+
+
+def test_kernel_quotient_dim_matches_nullspace_route():
+    for g in (1, 2, 3):
+        ring = surface_context(g).ring
+        for k in range(2, 2 * g + 1):
+            for prime in (VERIFY_PRIME, 3, 5):
+                for seed in (0, 1, 7):
+                    for t in range(3):
+                        spec = _trial_specialization(ring, prime, seed, t)
+                        assert _kernel_quotient_dim(g, k, spec) == _nullspace_kernel_quotient_dim(g, k, spec), \
+                            (g, k, prime, seed, t)
 
 
 def test_theorem_main_g2k2():
