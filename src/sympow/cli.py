@@ -43,42 +43,55 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports argparse errors as a ``UsageError`` instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sympow",
         description="Chain complexes and homology of symmetric powers of surfaces and their covers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, need_k=True):
-        p.add_argument("--genus", type=int, help="genus g of the surface")
-        p.add_argument("--arity", type=int, help="arity n of the wedge of circles")
+    def add_common(p, *spaces, need_k=True, methods=(), ranks=True):
+        """The flags a subcommand reads: its spaces, ``--k``, ``--method`` when it
+        has ``methods``, the rank flags when ``ranks``, and the output flags."""
+        if "genus" in spaces:
+            p.add_argument("--genus", type=int, help="genus g of the surface")
+        if "arity" in spaces:
+            p.add_argument("--arity", type=int, help="arity n of the wedge of circles")
         p.add_argument("--k", type=int, required=need_k, help="symmetric-power degree / truncation")
-        p.add_argument("--N", type=int, default=None, help="finite cover order for the snf method")
-        p.add_argument("--method", choices=["generic", "snf", "count"], default=None,
-                       help="homology route (default generic)")
-        p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--prime", type=int, default=None)
+        if methods:
+            p.add_argument("--method", choices=methods, default=None,
+                           help="homology route (default generic)")
+        if ranks:
+            p.add_argument("--N", type=int, default=None, help="finite cover order for the snf method")
+            p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--prime", type=int, default=None)
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--threads", type=int, default=os.cpu_count(),
                        help="accepted for compatibility; trials run serially (does not affect output)")
 
     p = sub.add_parser("betti", help="Betti numbers of the k-th symmetric power")
-    add_common(p)
+    add_common(p, "genus", ranks=False)
 
     p = sub.add_parser("cover-homology", help="homology of the universal-cover complex")
-    add_common(p)
+    add_common(p, "genus", methods=["generic", "snf", "count"])
 
     p = sub.add_parser("quotient-homology", help="cohomology of the truncated lam-multiplication complex")
-    add_common(p)
+    add_common(p, "genus", methods=["generic", "snf"])
 
     p = sub.add_parser("wedge-homology", help="homology of the truncated wedge complex")
-    add_common(p)
+    add_common(p, "arity", methods=["generic", "snf"])
 
     p = sub.add_parser("verify", help="run a verification suite")
-    add_common(p, need_k=False)
+    add_common(p, "genus", "arity", need_k=False)
     p.add_argument("--suite", required=True, choices=SUITE_ORDER + ["all"])
 
     p = sub.add_parser("export", help="emit a complex in the SYMPOW-COMPLEX v1 format")
@@ -144,9 +157,6 @@ def _homology_report(args, kind: str) -> HomologyReport:
     elif method == "snf":
         rep = integer_homology(base_change(complex_, args.N if args.N is not None else 1))
     else:
-        if kind != "cover":
-            raise UsageError("--method count applies to cover-homology only")
-        g = _require_genus(args)
         betti = betti_symmetric_power(g, args.k)
         rep = HomologyReport("surface-cover", {"g": g, "k": args.k}, "betti-count",
                              [DegreeEntry(d, b) for d, b in enumerate(betti)])
@@ -206,19 +216,11 @@ def _render_verify(reports, fmt: str) -> str:
 
 def run(argv: list[str]) -> tuple[int, str, str | None]:
     """Parse argv and produce (exit_code, report_text, out_path); no I/O."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed a message to stderr
-        return (2 if exc.code else 0), "", None
-    out = getattr(args, "out", None)
-    try:
+        args = _build_parser().parse_args(argv)
+        out = args.out
         _validate(args)
         if args.command == "betti":
-            for flag in ("N", "method"):
-                if getattr(args, flag) is not None:
-                    raise UsageError(f"--{flag} does not apply to betti (it counts cells)")
             g = _require_genus(args)
             betti = betti_symmetric_power(g, args.k)
             rep = HomologyReport("surface-cover", {"g": g, "k": args.k}, "betti-count",
@@ -230,8 +232,6 @@ def run(argv: list[str]) -> tuple[int, str, str | None]:
             rep = _homology_report(args, kind)
             return 0, _render_homology(rep, args.format), out
         if args.command == "verify":
-            if args.method is not None:
-                raise UsageError("--method does not apply to verify (each check picks its own route)")
             if args.suite == "all" and args.k is not None:
                 raise UsageError("--k does not apply to --suite all (each suite uses its own k)")
             prime = args.prime if args.prime is not None else VERIFY_PRIME
@@ -256,9 +256,9 @@ def run(argv: list[str]) -> tuple[int, str, str | None]:
             text = export_text(complex_) if args.format == "text" else export_json(complex_)
             return 0, text, out
         raise UsageError(f"unknown command {args.command}")
-    except UsageError as exc:
-        return 2, f"usage error: {exc}\n", None
-    except ValueError as exc:
+    except SystemExit:  # --help, printed by argparse
+        return 0, "", None
+    except (UsageError, ValueError) as exc:
         return 2, f"usage error: {exc}\n", None
 
 

@@ -23,9 +23,10 @@ source monomial's image comes from ``dga.monomial_boundary`` or
 ``operator_matrix`` builds the same matrices element by element and stays
 as their oracle.
 
-Finite covers: ``base_change`` is dense and refuses, from the shapes alone,
-any boundary over ``MAX_DENSE_CELLS``; ``SparseRingMatrix.mod2_columns``
-gives the mod-2 columns of a base change without the dense matrix.
+Finite covers: ``base_change`` gives each boundary as ``{col: value}`` rows,
+built term by term from the entries, and refuses, from the shapes alone, any
+boundary of more than ``MAX_DENSE_CELLS`` cells; ``SparseRingMatrix.mod2_columns``
+gives the mod-2 columns of a base change as bitsets.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ from .dga import (
     surface_context,
     wedge_context,
 )
-from .groupring import GroupRingElement, LaurentRing, UnitSpecialization, finite_quotient
+from .groupring import GroupRingElement, LaurentRing, UnitSpecialization, _translation
 
-# Largest dense matrix (rows x cols cells) that one base change may allocate.
+# Largest base-changed matrix (rows x cols cells) allowed: the cell count
+# bounds what elimination on its rows can fill in.
 MAX_DENSE_CELLS = 20_000_000
 
 
@@ -110,53 +112,53 @@ class SparseRingMatrix:
     def specialize(self, spec: UnitSpecialization) -> list[list[int]]:
         """Dense matrix of entrywise evaluations mod spec.prime.
 
-        Boundary matrices repeat a few group-ring values many times (the 8860
-        entries of ``cover(5,5)`` take 20 values), so each distinct value is
-        evaluated once, keyed by its sorted terms.
+        Built boundary matrices share a few entry objects many times (the 8860
+        entries of ``cover(5,5)`` are 20 objects), so each distinct entry is
+        evaluated once, keyed by ``id`` as in ``mod2_columns``.
         """
         M = [[0] * self.cols for _ in range(self.rows)]
-        values: dict[tuple, int] = {}
+        values: dict[int, int] = {}
         for (r, c), v in self.entries.items():
-            key = tuple(sorted(v.terms.items()))
-            x = values.get(key)
+            x = values.get(id(v))
             if x is None:
-                x = values[key] = v.specialize(spec)
+                x = values[id(v)] = v.specialize(spec)
             M[r][c] = x
         return M
 
     def check_base_change_size(self, N: int, name: str = "a matrix") -> None:
-        """Refuse, from the shape alone, a base change denser than MAX_DENSE_CELLS."""
+        """Refuse, from the shape alone, a base change of more than MAX_DENSE_CELLS cells."""
         bs = N ** self.ring.nvars
         rows, cols = self.rows * bs, self.cols * bs
         if rows * cols > MAX_DENSE_CELLS:
             raise ValueError(f"base change of {name} ({self.rows} x {self.cols}) at N={N} would be "
-                             f"a dense {rows} x {cols} matrix of {rows * cols:,} cells, "
+                             f"a {rows} x {cols} matrix of {rows * cols:,} cells, "
                              f"over the limit of {MAX_DENSE_CELLS:,} cells per matrix")
 
-    def base_change(self, N: int) -> list[list[int]]:
-        """Replace each entry by its finite-quotient block; ranks multiply by N^m.
+    def base_change(self, N: int) -> list[dict[int, int]]:
+        """Rows ``{col: value}`` of the entrywise ``finite_quotient`` blocks; ranks multiply by N^m.
 
-        Blocks are keyed by entry ``id``, as in ``mod2_columns``.
+        Term ``c_e x^e`` of entry (r, c) puts ``c_e`` in column ``c*N^m + b``
+        of row ``r*N^m + index(b + e mod N)`` for every b.  Terms are first
+        summed by ``e mod N``, so terms that meet add, a zero sum is dropped,
+        and every cell is written at most once.
         """
         self.check_base_change_size(N)
         bs = N ** self.ring.nvars
-        M = [[0] * (self.cols * bs) for _ in range(self.rows * bs)]
-        blocks: dict[int, list[list[int]]] = {}
+        rows: list[dict[int, int]] = [{} for _ in range(self.rows * bs)]
         for (r, c), v in self.entries.items():
-            block = blocks.get(id(v))
-            if block is None:
-                block = blocks[id(v)] = finite_quotient(v, N)
-            r0, c0 = r * bs, c * bs
-            for a in range(bs):
-                row = M[r0 + a]
-                brow = block[a]
-                for b in range(bs):
-                    if brow[b]:
-                        row[c0 + b] = brow[b]
-        return M
+            terms: dict[tuple[int, ...], int] = {}
+            for exps, coeff in v.terms.items():
+                e = tuple(x % N for x in exps)
+                terms[e] = terms.get(e, 0) + coeff
+            r0 = r * bs
+            for e, coeff in terms.items():
+                if coeff:
+                    for j, t in enumerate(_translation(e, N), c * bs):
+                        rows[r0 + t][j] = coeff
+        return rows
 
     def mod2_columns(self, N: int) -> tuple[list[int], int]:
-        """``homology.mod2_columns(self.base_change(N))``, built from the entries alone.
+        """The columns of ``self.base_change(N)`` mod 2, built from the entries alone.
 
         Column ``c*N^m + b`` of the base change holds, for each term ``c_e x^e``
         of entry (r, c), the coefficient ``c_e`` in row ``r*N^m + index(b + e
@@ -178,14 +180,6 @@ class SparseRingMatrix:
             for b in range(bs):
                 out[c0 + b] ^= pattern[b] << shift
         return out, self.rows * bs
-
-
-def _translation(exps: tuple[int, ...], N: int) -> list[int]:
-    """Lex index of ``b + exps`` mod N for every b in (Z/N)^m, listed in lex order of b."""
-    index = [0]
-    for e in exps:
-        index = [t * N + (b + e) % N for t in index for b in range(N)]
-    return index
 
 
 @dataclass
@@ -212,12 +206,16 @@ class ChainComplex:
 
 @dataclass
 class IntegerChainComplex:
-    """Base-changed complex: free Z-modules with integer boundary matrices."""
+    """Base-changed complex: free Z-modules with integer boundary matrices.
+
+    ``boundaries[i]`` holds the ``{col: value}`` rows of the map from degree i
+    to degree i-1; it has ``ranks[i - 1]`` rows and ``ranks[i]`` columns.
+    """
 
     case: str
     params: dict[str, int]
     ranks: list[int]
-    boundaries: list[list[list[int]] | None]
+    boundaries: list[list[dict[int, int]] | None]
 
 
 def _image_matrix(src: tuple[Monomial, ...], tgt: tuple[Monomial, ...], ring: LaurentRing,
@@ -382,7 +380,7 @@ def base_change(c: ChainComplex, N: int) -> IntegerChainComplex:
         c.boundaries[i].check_base_change_size(N, f"d_{i}")
     bs = N ** c.ctx.ring.nvars
     ranks = [m.rank * bs for m in c.modules]
-    boundaries: list[list[list[int]] | None] = [None]
+    boundaries: list[list[dict[int, int]] | None] = [None]
     for i in range(1, len(c.modules)):
         boundaries.append(c.boundaries[i].base_change(N))
     params = dict(c.params)

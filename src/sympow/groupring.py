@@ -12,7 +12,6 @@ x1..xg, y1..yg, and the "wedge" ring with variables z1..zn.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -246,6 +245,14 @@ def specialize(a: GroupRingElement, spec: UnitSpecialization) -> int:
     return a.specialize(spec)
 
 
+def _translation(exps: tuple[int, ...], N: int) -> list[int]:
+    """Lex index of ``b + exps`` mod N for every b in (Z/N)^m, listed in lex order of b."""
+    index = [0]
+    for e in exps:
+        index = [t * N + (b + e) % N for t in index for b in range(N)]
+    return index
+
+
 def finite_quotient(a: GroupRingElement, N: int) -> list[list[int]]:
     """Matrix of multiplication by ``a`` on the regular representation of (Z/N)^m.
 
@@ -255,13 +262,9 @@ def finite_quotient(a: GroupRingElement, N: int) -> list[list[int]]:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    m = a.ring.nvars
-    basis = list(itertools.product(range(N), repeat=m))
-    index = {b: i for i, b in enumerate(basis)}
-    size = len(basis)
+    size = N ** a.ring.nvars
     M = [[0] * size for _ in range(size)]
-    for col, b in enumerate(basis):
-        for exps, c in a.terms.items():
-            target = tuple((bi + ei) % N for bi, ei in zip(b, exps))
-            M[index[target]][col] += c
+    for exps, c in a.terms.items():
+        for col, row in enumerate(_translation(exps, N)):
+            M[row][col] += c
     return M

@@ -23,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import compress, count
+from typing import Iterable
 
 from .complexes import ChainComplex, IntegerChainComplex, SparseRingMatrix
 from .groupring import UnitSpecialization, random_specialization
@@ -49,20 +50,21 @@ class SnfResult:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def smith_normal_form(M: list[list[int]]) -> SnfResult:
-    """Smith normal form by sparse Euclidean elimination on ``{col: value}`` rows.
+def smith_normal_form(M: list[dict[int, int]], ncols: int) -> SnfResult:
+    """Smith normal form of the matrix with ``{col: value}`` rows ``M`` and ``ncols`` columns.
 
-    A heap pops the row holding the smallest |entry| (ties: the shorter row,
-    then the column with fewer rows); that entry ``a`` is the pivot.  Floor
-    division row operations clear its column, leaving remainders below |a|;
-    once the column is clear, the pivot row is reduced modulo ``a`` (column
-    operations that no other row sees).  A row with a nonzero remainder is
-    queued again, and |a| is recorded once it is alone in its row and column.
-    One pass of ``(a, b) -> (gcd, lcm)`` over the non-unit pivots, valid since
+    Sparse Euclidean elimination on copies of the rows: a heap pops the row
+    holding the smallest |entry| (ties: the shorter row, then the column with
+    fewer rows); that entry ``a`` is the pivot.  Floor division row operations
+    clear its column, leaving remainders below |a|; once the column is clear,
+    the pivot row is reduced modulo ``a`` (column operations that no other row
+    sees).  A row with a nonzero remainder is queued again, and |a| is
+    recorded once it is alone in its row and column.  One pass of
+    ``(a, b) -> (gcd, lcm)`` over the non-unit pivots, valid since
     ``diag(a, b)`` is equivalent to ``diag(gcd, lcm)``, gives the chain.
     """
-    size = min(len(M), len(M[0])) if M else 0
-    rows, col_rows = _row_dicts(M, None)
+    size = min(len(M), ncols)
+    rows, col_rows = _row_dicts(map(dict, M))
 
     def key(row: dict[int, int]) -> tuple[int, int]:
         return min(map(abs, row.values())), len(row)
@@ -118,22 +120,20 @@ def smith_normal_form(M: list[list[int]]) -> SnfResult:
     return SnfResult(diag + (0,) * (size - len(diag)))
 
 
-def integer_rank(M: list[list[int]]) -> int:
-    """Rank over Q, computed exactly in integer arithmetic."""
-    return _sparse_rank(M, None)
+def integer_rank(M: list[dict[int, int]]) -> int:
+    """Rank over Q of the matrix with ``{col: value}`` rows, exactly in integer arithmetic."""
+    return _sparse_rank(map(dict, M), None)
 
 
-def integer_matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    """A @ B, visiting only the nonzeros of A and of each row of B."""
-    cols = len(B[0]) if B else 0
-    sparse_B = [list(zip(compress(count(), row), filter(None, row))) for row in B]
+def integer_matmul(A: list[dict[int, int]], B: list[dict[int, int]]) -> list[dict[int, int]]:
+    """A @ B on ``{col: value}`` rows; zero sums are not stored."""
     out = []
     for Ai in A:
-        Oi = [0] * cols
-        for k, a in zip(compress(count(), Ai), filter(None, Ai)):
-            for j, b in sparse_B[k]:
-                Oi[j] += a * b
-        out.append(Oi)
+        Oi: dict[int, int] = {}
+        for k, a in Ai.items():
+            for j, b in B[k].items():
+                Oi[j] = Oi.get(j, 0) + a * b
+        out.append({j: x for j, x in Oi.items() if x})
     return out
 
 
@@ -141,15 +141,12 @@ def integer_matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
 # Rank: one sparse elimination kernel for F_p and Q
 
 
-def _row_dicts(M: list[list[int]], p: int | None) -> tuple[dict[int, dict[int, int]], dict[int, set[int]]]:
-    """Nonzero rows of ``M`` as ``{col: value}`` dicts, entries reduced mod ``p``
-    unless it is ``None``, and the index from each column to the rows using it."""
+def _row_dicts(M: Iterable[dict[int, int]]) -> tuple[dict[int, dict[int, int]], dict[int, set[int]]]:
+    """The nonzero ``{col: value}`` rows of ``M`` by row index, taken over for
+    elimination in place, and the index from each column to the rows using it."""
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
-    for i, dense in enumerate(M):
-        row = dict(zip(compress(count(), dense), filter(None, dense)))  # nonzeros by column
-        if p is not None:
-            row = {j: v for j, x in row.items() if (v := x % p)}
+    for i, row in enumerate(M):
         if row:
             rows[i] = row
             for j in row:
@@ -157,14 +154,15 @@ def _row_dicts(M: list[list[int]], p: int | None) -> tuple[dict[int, dict[int, i
     return rows, col_rows
 
 
-def _sparse_rank(M: list[list[int]], p: int | None) -> int:
-    """Rank of an integer matrix over F_p for a prime ``p``, or over Q for ``None``.
+def _sparse_rank(M: Iterable[dict[int, int]], p: int | None) -> int:
+    """Rank over F_p for a prime ``p``, or over Q for ``None``, of the matrix
+    with ``{col: value}`` rows ``M``, entries already reduced mod ``p``.
 
-    Sparse Gaussian elimination (LaMacchia-Odlyzko): rows are ``{col: value}``
-    dicts and ``col_rows`` maps each column to the active rows that use it.
-    Markowitz-style pivoting takes the sparsest active row and, in it, the
-    column with the fewest active rows (over Q a +-1 entry first, which needs
-    no row scaling).  Only the rows still active are eliminated: the rank
+    Sparse Gaussian elimination (LaMacchia-Odlyzko) on the rows of ``M``,
+    which it takes over; ``col_rows`` maps each column to the active rows that
+    use it.  Markowitz-style pivoting takes the sparsest active row and, in it,
+    the column with the fewest active rows (over Q a +-1 entry first, which
+    needs no row scaling).  Only the rows still active are eliminated: the rank
     needs no back-substitution into earlier pivot rows.  Over Q the update is
     fraction-free, e <- a*e - b*d with a, b the pivot-column entries over
     their gcd, and the updated row is divided by its content, so no fractions
@@ -172,7 +170,7 @@ def _sparse_rank(M: list[list[int]], p: int | None) -> int:
     pivot order.
     """
     modular = p is not None
-    rows, col_rows = _row_dicts(M, p)
+    rows, col_rows = _row_dicts(M)
     # (length, row id) pushed whenever a row's length changes; stale entries
     # are skipped when popped, so the heap top is always the sparsest row
     queue = [(len(row), i) for i, row in rows.items()]
@@ -238,8 +236,9 @@ def _sparse_rank(M: list[list[int]], p: int | None) -> int:
 
 
 def modp_rank(M: list[list[int]], p: int) -> int:
-    """Rank over F_p of an integer matrix (entries reduced mod ``p``)."""
-    return _sparse_rank(M, p)
+    """Rank over F_p of a dense integer matrix (entries reduced mod ``p``)."""
+    return _sparse_rank(({j: v for j, x in zip(compress(count(), row), filter(None, row)) if (v := x % p)}
+                         for row in M), p)
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +442,11 @@ def integer_homology(ic: IntegerChainComplex) -> HomologyReport:
     """Cellular homology of an integer complex: free ranks and torsion via SNF."""
     n = len(ic.ranks)
     for i in range(1, n - 1):
-        lower, upper = ic.boundaries[i], ic.boundaries[i + 1]
-        if lower and upper and lower[0] and upper[0]:
-            prod = integer_matmul(lower, upper)
-            if any(any(row) for row in prod):
-                raise ValueError(f"boundary composite at degree {i + 1} is nonzero: builder bug")
+        if any(integer_matmul(ic.boundaries[i], ic.boundaries[i + 1])):
+            raise ValueError(f"boundary composite at degree {i + 1} is nonzero: builder bug")
     snfs: list[SnfResult | None] = [None] * (n + 1)
     for i in range(1, n):
-        snfs[i] = smith_normal_form(ic.boundaries[i])
+        snfs[i] = smith_normal_form(ic.boundaries[i], ic.ranks[i])
     entries = []
     for i in range(n):
         r_out = snfs[i].rank() if 1 <= i < n else 0

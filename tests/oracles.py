@@ -2,10 +2,13 @@
 
 Everything here recomputes expected values through a different route than
 the library: truncated power-series arithmetic for Betti numbers, direct
-enumeration for regular representations, sympy for Smith normal forms, the
-dense elimination loops that the library's sparse rank kernel and sparse
-Smith normal form replaced, and the every-trial generic homology loop that
-its certified early stop replaced.
+enumeration for regular representations, the dense base change that the
+library's sparse rows replaced, sympy for Smith normal forms, the dense
+elimination loops that the library's sparse rank kernel and sparse Smith
+normal form replaced, and the every-trial generic homology loop that its
+certified early stop replaced.  ``sparse_rows`` and ``dense_matrix`` convert
+between the dense matrices of the oracles and the library's ``{col: value}``
+rows.
 """
 
 from __future__ import annotations
@@ -64,6 +67,45 @@ def regular_representation(exps: tuple[int, ...], N: int, nvars: int) -> list[li
         target = tuple((bi + ei) % N for bi, ei in zip(b, exps))
         M[index[target]][col] = 1
     return M
+
+
+def dense_base_change(M, N: int) -> list[list[int]]:
+    """Dense base change of a ``SparseRingMatrix``: each entry replaced by its
+    block, the sum of its terms' regular representations times their coefficients."""
+    nvars = M.ring.nvars
+    bs = N ** nvars
+    out = [[0] * (M.cols * bs) for _ in range(M.rows * bs)]
+    blocks: dict[int, list[list[int]]] = {}  # keyed by id: built entries share objects
+    for (r, c), v in M.entries.items():
+        block = blocks.get(id(v))
+        if block is None:
+            block = blocks[id(v)] = [[0] * bs for _ in range(bs)]
+            for exps, coeff in v.terms.items():
+                for a, prow in enumerate(regular_representation(exps, N, nvars)):
+                    for b, x in enumerate(prow):
+                        block[a][b] += coeff * x
+        r0, c0 = r * bs, c * bs
+        for a in range(bs):
+            row = out[r0 + a]
+            brow = block[a]
+            for b in range(bs):
+                if brow[b]:
+                    row[c0 + b] = brow[b]
+    return out
+
+
+def sparse_rows(M: list[list[int]]) -> list[dict[int, int]]:
+    """The ``{col: value}`` rows of a dense matrix."""
+    return [{j: x for j, x in enumerate(row) if x} for row in M]
+
+
+def dense_matrix(rows: list[dict[int, int]], ncols: int) -> list[list[int]]:
+    """The dense matrix with ``{col: value}`` rows ``rows`` and ``ncols`` columns."""
+    out = [[0] * ncols for _ in rows]
+    for dense, row in zip(out, rows):
+        for j, x in row.items():
+            dense[j] = x
+    return out
 
 
 def sympy_snf_diagonal(M: list[list[int]]) -> list[int]:

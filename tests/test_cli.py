@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
+import pathlib
 import shutil
 import subprocess
 import sys
 import tracemalloc
 
+import sympow
 import sympow.cli as cli
 from sympow.cli import run
 from sympow.verify import VerifyReport
@@ -119,6 +122,30 @@ def test_verify_rejects_method():
         assert code == 2 and "usage error" in text and "--method" in text, method
 
 
+def test_subcommands_reject_flags_they_do_not_read():
+    for argv, flags in ((["betti", "--genus", "2", "--k", "2", "--prime", "7", "--trials", "3",
+                          "--seed", "9", "--arity", "4"], ("--prime", "--trials", "--seed", "--arity")),
+                        (["cover-homology", "--genus", "2", "--k", "2", "--arity", "3"], ("--arity",)),
+                        (["wedge-homology", "--arity", "3", "--k", "2", "--genus", "2"], ("--genus",))):
+        code, text, out = run(argv)
+        assert (code, out) == (2, None) and text.startswith("usage error: "), argv
+        assert all(flag in text for flag in flags), argv
+
+
+def test_count_method_is_cover_homology_only():
+    for argv in (["quotient-homology", "--genus", "2", "--k", "2", "--method", "count"],
+                 ["wedge-homology", "--arity", "3", "--k", "2", "--method", "count"]):
+        code, text, _ = run(argv)
+        assert code == 2 and text.startswith("usage error: ") and "--method" in text, argv
+    for argv in (["quotient-homology", "--genus", "2", "--k", "2", "--method", "snf"],
+                 ["wedge-homology", "--arity", "3", "--k", "2", "--method", "snf", "--N", "2"]):
+        assert run(argv)[0] == 0, argv
+    # --threads is accepted everywhere it was and changes nothing
+    for argv in (["betti", "--genus", "2", "--k", "2"],
+                 ["wedge-homology", "--arity", "3", "--k", "2", "--seed", "1"]):
+        assert run(argv + ["--threads", "1"]) == run(argv), argv
+
+
 def test_homology_method_defaults_to_generic():
     argv = ["cover-homology", "--genus", "2", "--k", "2", "--seed", "1"]
     code, text, _ = run(argv)
@@ -178,19 +205,21 @@ def test_determinism_across_runs_and_threads():
 def test_console_script_entry_point(tmp_path):
     # cli.main in its own process writes --out files and honors the exit
     # contract; run through the installed `sympow` script when there is one,
-    # else through `python -m sympow` (the child inherits PYTHONPATH, so it
-    # imports the same sympow as this process)
+    # else through `python -m sympow`; PYTHONPATH leads with this process's
+    # sympow location, so the child imports the same sympow
     script = shutil.which("sympow")
     launcher = [script] if script else [sys.executable, "-m", "sympow"]
+    source = str(pathlib.Path(sympow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
     out = tmp_path / "report.json"
     proc = subprocess.run(
         launcher + ["betti", "--genus", "1", "--k", "2", "--out", str(out)],
-        capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
     payload = json.loads(out.read_text())
     assert [h["rank"] for h in payload["homology"]] == [1, 2, 2, 2, 1]
     proc = subprocess.run(launcher + ["betti", "--genus", "-3", "--k", "1"],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 2
 
 

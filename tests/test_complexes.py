@@ -20,9 +20,9 @@ from sympow.complexes import (
     operator_matrix,
 )
 from sympow.dga import boundary, dga_mul, lambda_element, monomial_elem, monomial_str, surface_context
-from sympow.groupring import UnitSpecialization, finite_quotient, surface_ring, wedge_ring
-from sympow.homology import mod2_columns
-from oracles import gf_betti
+from sympow.groupring import UnitSpecialization, surface_ring, wedge_ring
+from sympow.homology import integer_homology, mod2_columns
+from oracles import dense_base_change, dense_matrix, gf_betti
 
 
 def test_wedge_examples():
@@ -133,7 +133,7 @@ def test_base_change_n1_and_scaling():
     c = build_cover_complex(2, 2)
     ic = base_change(c, 1)
     assert ic.ranks == [1, 4, 7, 4, 1]
-    assert all(all(x == 0 for row in b for x in row) for b in ic.boundaries[1:])
+    assert all(row == {} for b in ic.boundaries[1:] for row in b)
     ic2 = base_change(build_cover_complex(1, 1), 2)
     assert ic2.ranks == [4, 8, 4]
     chi = lambda ranks: sum((-1) ** i * r for i, r in enumerate(ranks))
@@ -154,36 +154,51 @@ def test_specialize_and_base_change_commute_with_extraction():
         assert all(x == 0 for row in M.specialize(all_ones) for x in row)
 
 
-def _blockwise_base_change(M: SparseRingMatrix, N: int) -> list[list[int]]:
+def _assert_rows_match_oracle(M: SparseRingMatrix, N: int, label) -> None:
+    rows = M.base_change(N)
     bs = N ** M.ring.nvars
-    out = [[0] * (M.cols * bs) for _ in range(M.rows * bs)]
-    for (r, c), v in M.entries.items():
-        block = finite_quotient(v, N)
-        for a in range(bs):
-            out[r * bs + a][c * bs: (c + 1) * bs] = block[a]
-    return out
+    assert len(rows) == M.rows * bs, label
+    assert all(0 not in row.values() for row in rows), label
+    assert dense_matrix(rows, M.cols * bs) == dense_base_change(M, N), label
 
 
-def test_base_change_builds_each_distinct_entry_block_once(monkeypatch):
-    import sympow.complexes as complexes
-
-    calls = []
-    monkeypatch.setattr(complexes, "finite_quotient",
-                        lambda v, N: calls.append(v) or finite_quotient(v, N))
+def test_base_change_rows_match_dense_blockwise_oracle():
     ring = surface_ring(1)
     x, y = ring.gen(0), ring.gen(1)
+    x_inv = ring.monomial((-1, 0))
     shared = ring.one() - x
-    # an entry equal to ``shared`` but a different object gets its own block
+    # x + x^-1 and 3 + x^2 meet in one cell at N = 1, 2; x - x^-1 cancels there at N = 2
     hand = SparseRingMatrix(ring, 2, 3, {(0, 0): shared, (1, 1): shared, (0, 2): ring.one() - x,
                                          (1, 2): 2 * y - x * x + 3 * ring.one()})
+    colliding = SparseRingMatrix(ring, 2, 2, {(1, 0): x + x_inv, (0, 1): ring.one() * 3 + x * x,
+                                              (0, 0): x - x_inv})
+    for N in (1, 2, 3, 4):
+        for M in (hand, colliding):
+            _assert_rows_match_oracle(M, N, (M.entries, N))
     for M, N in ((build_cover_complex(2, 2).boundaries[2], 2), (lambda_matrix(2, 1), 2),
-                 (build_cover_complex(1, 2).boundaries[3], 3), (hand, 3)):
-        calls.clear()
-        dense = M.base_change(N)
-        assert len(calls) == len({id(v) for v in M.entries.values()})
-        assert dense == _blockwise_base_change(M, N)
-    assert len(calls) == 3 < len(hand.entries)
-    assert len({id(v) for v in build_cover_complex(2, 2).boundaries[2].entries.values()}) <= 16
+                 (build_cover_complex(1, 2).boundaries[3], 3)):
+        _assert_rows_match_oracle(M, N, N)
+    cases = [(build_cover_complex(1, k), (1, 2, 3, 4)) for k in (1, 2, 3)]
+    cases += [(build_cover_complex(2, k), (1, 2, 3)) for k in (1, 2, 3)]
+    cases += [(build_cover_complex(3, k), (1, 2)) for k in (1, 2)]
+    cases += [(build_Q_complex(2, k), (1, 2, 3)) for k in (2, 4)] + [(build_Q_complex(3, 3), (1, 2))]
+    cases += [(build_wedge_complex(3, 3), (1, 2, 3, 4)), (build_wedge_complex(4, 2), (1, 2, 3))]
+    for c, n_values in cases:
+        for N in n_values:
+            for i in range(1, c.top_degree + 1):
+                _assert_rows_match_oracle(c.boundaries[i], N, (c.case, c.params, N, i))
+
+
+def test_base_change_of_cover_at_N4_stays_small():
+    c = build_cover_complex(2, 2)
+    tracemalloc.start()
+    try:
+        rep = integer_homology(base_change(c, 4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ranks() == [1, 4, 262, 4, 1]
+    assert peak < 10_000_000  # a dense 1024 x 1792 d_2 alone would take 14 MB of row lists
 
 
 def test_cover_bases_nest_with_k():
@@ -351,7 +366,7 @@ def _assert_mod2_matches_dense(M, N, label):
     bs = N ** M.ring.nvars
     assert rows == M.rows * bs, label
     if M.rows:
-        assert (cols, rows) == mod2_columns(M.base_change(N)), label
+        assert (cols, rows) == mod2_columns(dense_matrix(M.base_change(N), M.cols * bs)), label
     else:  # the dense route sees no rows, hence no columns either
         assert cols == [0] * (M.cols * bs), label
 
@@ -378,7 +393,7 @@ def test_mod2_columns_terms_colliding_mod_N():
 
 
 # ---------------------------------------------------------------------------
-# Memory guard on dense base change
+# Memory guard on base change
 
 
 def test_base_change_refuses_oversized_matrix_from_its_shape():
