@@ -93,7 +93,7 @@ class DgaElement:
         self.terms = terms
 
     def _check_ctx(self, other: DgaElement) -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError(f"case mismatch: {self.ctx.case}({self.ctx.size}) vs {other.ctx.case}({other.ctx.size})")
 
     def __add__(self, other: DgaElement) -> DgaElement:
@@ -248,9 +248,11 @@ def coefficient_table(ctx: DgaContext) -> CoefficientTable:
     """Each generator's boundary and lam coefficient, each paired with its negative.
 
     ``table[0][i]`` is ``(d(gen_i), -d(gen_i))`` and ``table[1][i]`` the same
-    for the lam coefficient (empty in the wedge case).  Built afresh for
-    every ``boundary`` call and every matrix build from the two coefficient
-    sources above, and never cached, so a patched source reaches every path.
+    for the lam coefficient (empty in the wedge case).  Built from the two
+    coefficient sources above and never cached: every matrix build makes
+    one, ``boundary`` makes one per call unless its caller passes one, and
+    a verification suite makes its own when it starts.  So a source patched
+    before a suite or a build runs reaches every path of it.
     """
     ext = tuple((c, -c) for c in (_ext_boundary_coeff(ctx, i) for i in range(ctx.ngens)))
     lam = ()
@@ -297,10 +299,14 @@ def monomial_boundary(m: Monomial, table: CoefficientTable) -> list[tuple[Monomi
     return out
 
 
-def boundary(a: DgaElement) -> DgaElement:
-    """The boundary derivation; lowers degree by 1 and preserves weight."""
+def boundary(a: DgaElement, table: CoefficientTable | None = None) -> DgaElement:
+    """The boundary derivation; lowers degree by 1 and preserves weight.
+
+    ``table`` is ``coefficient_table(a.ctx)``, built here when not given.
+    """
     ctx = a.ctx
-    table = coefficient_table(ctx)
+    if table is None:
+        table = coefficient_table(ctx)
     terms: dict[Monomial, GroupRingElement] = {}
     for m, c in a.terms.items():
         for key, unit in monomial_boundary(m, table):

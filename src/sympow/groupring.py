@@ -12,6 +12,7 @@ x1..xg, y1..yg, and the "wedge" ring with variables z1..zn.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
@@ -78,7 +79,7 @@ class GroupRingElement:
     # -- ring structure -------------------------------------------------
 
     def _check_ring(self, other: GroupRingElement) -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError(f"ring mismatch: {self.ring.names} vs {other.ring.names}")
 
     def __add__(self, other: GroupRingElement) -> GroupRingElement:
@@ -107,9 +108,10 @@ class GroupRingElement:
             return NotImplemented
         self._check_ring(other)
         terms: dict[tuple[int, ...], int] = {}
+        add = operator.add
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 v = terms.get(e, 0) + c1 * c2
                 if v:
                     terms[e] = v

@@ -99,15 +99,16 @@ class VerifyReport:
 
 
 def _random_groupring(ring, rng: random.Random):
-    out = ring.zero()
+    terms: dict[tuple[int, ...], int] = {}
     for _ in range(rng.randint(1, 2)):
         exps = tuple(rng.randint(-2, 2) for _ in range(ring.nvars))
-        coeff = rng.choice([-3, -2, -1, 1, 2, 3])
-        out = out + ring.monomial(exps, coeff)
-    return out
+        terms[exps] = terms.get(exps, 0) + rng.choice([-3, -2, -1, 1, 2, 3])
+    return ring.from_terms(terms)
 
 
-def _random_monomials(ctx, max_weight: int, rng: random.Random):
+def _random_monomials(ctx, max_weight: int):
+    """Every monomial of weight <= max_weight, and the same monomials grouped by
+    degree, one list per degree in increasing order."""
     monos = []
     for mask in range(1 << ctx.ngens):
         ext = mask.bit_count()
@@ -116,11 +117,13 @@ def _random_monomials(ctx, max_weight: int, rng: random.Random):
         top_s = max_weight - ext if ctx.case == "surface" else 0
         for s in range(top_s + 1):
             monos.append((mask, s))
-    return monos
+    by_degree: dict[int, list] = {}
+    for m in monos:
+        by_degree.setdefault(dga.monomial_degree(m), []).append(m)
+    return monos, [by_degree[d] for d in sorted(by_degree)]
 
 
-def _random_element(ctx, max_weight: int, rng: random.Random) -> DgaElement:
-    monos = _random_monomials(ctx, max_weight, rng)
+def _random_element(ctx, monos, rng: random.Random) -> DgaElement:
     out = DgaElement(ctx, {})
     for _ in range(rng.randint(1, 3)):
         mask, s = monos[rng.randrange(len(monos))]
@@ -128,15 +131,11 @@ def _random_element(ctx, max_weight: int, rng: random.Random) -> DgaElement:
     return out
 
 
-def _random_homogeneous(ctx, max_weight: int, rng: random.Random) -> DgaElement:
-    monos = _random_monomials(ctx, max_weight, rng)
-    by_degree: dict[int, list] = {}
-    for m in monos:
-        by_degree.setdefault(dga.monomial_degree(m), []).append(m)
-    degree = rng.choice(sorted(by_degree))
+def _random_homogeneous(ctx, by_degree, rng: random.Random) -> DgaElement:
+    monos = rng.choice(by_degree)
     out = DgaElement(ctx, {})
     for _ in range(rng.randint(1, 3)):
-        mask, s = rng.choice(by_degree[degree])
+        mask, s = rng.choice(monos)
         out = out + monomial_elem(ctx, mask, s, _random_groupring(ctx.ring, rng))
     return out
 
@@ -148,6 +147,8 @@ def verify_dga_suite(g: int, k: int, seed: int = 0) -> VerifyReport:
     if k < 0:
         raise ValueError("k must be >= 0")
     ctx = surface_context(g)
+    table = dga.coefficient_table(ctx)
+    monos, by_degree = _random_monomials(ctx, k)
     rng = random.Random(seed)
     report = VerifyReport("dga", {"g": g, "k": k, "seed": seed})
 
@@ -158,7 +159,7 @@ def verify_dga_suite(g: int, k: int, seed: int = 0) -> VerifyReport:
             continue
         for s in range(k - ext + 1):
             m = monomial_elem(ctx, mask, s)
-            if boundary(boundary(m)):
+            if boundary(boundary(m, table), table):
                 bad = dga.monomial_str(ctx, (mask, s))
                 break
         if bad:
@@ -168,8 +169,8 @@ def verify_dga_suite(g: int, k: int, seed: int = 0) -> VerifyReport:
 
     bad = None
     for _ in range(100):
-        a = _random_element(ctx, k, rng)
-        if boundary(boundary(a)):
+        a = _random_element(ctx, monos, rng)
+        if boundary(boundary(a, table), table):
             bad = a.canonical_str()
             break
     report.add("boundary-squared-random", bad is None,
@@ -177,11 +178,11 @@ def verify_dga_suite(g: int, k: int, seed: int = 0) -> VerifyReport:
 
     bad = None
     for _ in range(50):
-        a = _random_homogeneous(ctx, k, rng)
-        b = _random_element(ctx, k, rng)
+        a = _random_homogeneous(ctx, by_degree, rng)
+        b = _random_element(ctx, monos, rng)
         d = a.degree()
-        lhs = boundary(dga_mul(a, b))
-        rhs = dga_mul(boundary(a), b) + ((-1) ** d) * dga_mul(a, boundary(b))
+        lhs = boundary(dga_mul(a, b), table)
+        rhs = dga_mul(boundary(a, table), b) + ((-1) ** d) * dga_mul(a, boundary(b, table))
         if lhs != rhs:
             bad = f"a = {a.canonical_str()}, b = {b.canonical_str()}"
             break
@@ -189,8 +190,8 @@ def verify_dga_suite(g: int, k: int, seed: int = 0) -> VerifyReport:
 
     bad = None
     for _ in range(50):
-        a = _random_homogeneous(ctx, k, rng)
-        b = _random_homogeneous(ctx, k, rng)
+        a = _random_homogeneous(ctx, by_degree, rng)
+        b = _random_homogeneous(ctx, by_degree, rng)
         sign = (-1) ** (a.degree() * b.degree())
         if dga_mul(a, b) != sign * dga_mul(b, a):
             bad = f"a = {a.canonical_str()}, b = {b.canonical_str()}"
@@ -219,15 +220,15 @@ def verify_dga_suite(g: int, k: int, seed: int = 0) -> VerifyReport:
     # (it does drop it on exterior generators, e.g. d(e1) = 1 - x1)
     bad = None
     for _ in range(50):
-        a = _random_homogeneous(ctx, k, rng)
-        da = boundary(a)
+        a = _random_homogeneous(ctx, by_degree, rng)
+        da = boundary(a, table)
         if da and max(da.weights()) > max(a.weights()):
             bad = f"a = {a.canonical_str()}"
             break
     report.add("weight-filtration", bad is None, bad or "boundary never raises the filtration weight")
 
     lam = lambda_element(g)
-    ok = not dga_mul(lam, lam) and not boundary(lam)
+    ok = not dga_mul(lam, lam) and not boundary(lam, table)
     report.add("lambda-squared-and-cycle", ok, "lam * lam = 0 and d(lam) = 0")
     return report
 
@@ -277,11 +278,11 @@ def verify_lemma_q(g: int, k: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
     return report
 
 
-def _sigma_vector_bits(g: int, m: int, basis, blocks: int) -> int:
+def _sigma_vector_bits(sigma: DgaElement, basis, blocks: int) -> int:
     """sigma_m as a mod-2 bitset over the blown-up exterior basis (N-cover, exponent 0)."""
     index = {mono: i for i, mono in enumerate(basis)}
     bits = 0
-    for term, coeff in sigma_element(g, m).terms.items():
+    for term, coeff in sigma.terms.items():
         bits |= 1 << (index[term] * blocks + 0)  # exponent 0 is first in lex order
     return bits
 
@@ -318,10 +319,13 @@ def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
     report = VerifyReport("lemma-cohomology",
                           {"g": g, "trials": trials, "seed": seed, "prime": prime})
     lam = lambda_element(g)
+    table = dga.coefficient_table(lam.ctx)
+    sigmas = [sigma_element(g, m) for m in range(g + 1)]
+    lam_sigmas = [dga_mul(lam, sigma) for sigma in sigmas[:g]]
 
     bad = None
     for m in range(1, g + 1):
-        if boundary(sigma_element(g, m)) != -dga_mul(lam, sigma_element(g, m - 1)):
+        if boundary(sigmas[m], table) != -lam_sigmas[m - 1]:
             bad = m
             break
     report.add("sigma-boundary-identities", bad is None,
@@ -331,8 +335,8 @@ def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
     positions = [2 * m + 1 for m in range(1, g)]
     bad = None
     for m in range(1, g):
-        cls = dga_mul(lam, sigma_element(g, m))
-        if not cls or dga_mul(lam, cls) or boundary(cls):
+        cls = lam_sigmas[m]
+        if not cls or dga_mul(lam, cls) or boundary(cls, table):
             bad = m
             break
     report.add("lambda-sigma-cocycles", bad is None,
@@ -342,15 +346,15 @@ def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
     # specialized cycle check: the class lands in the kernel of the next lam-map
     full_q = build_Q_complex(g, 2 * g)
     next_lambda = {m: lambda_matrix(g, 2 * m + 1) for m in range(1, g)}
+    index = {m: {mono: i for i, mono in enumerate(full_q.modules[2 * g - (2 * m + 1)].basis)}
+             for m in range(1, g)}
     bad = None
     for t in range(trials):
-        spec = _trial_specialization(surface_context(g).ring, prime, seed, t)
+        spec = _trial_specialization(lam.ctx.ring, prime, seed, t)
         for m in range(1, g):
-            basis = full_q.modules[2 * g - (2 * m + 1)].basis
-            index = {mono: i for i, mono in enumerate(basis)}
-            vec = [0] * len(basis)
-            for mono, coeff in dga_mul(lam, sigma_element(g, m)).terms.items():
-                vec[index[mono]] = coeff.specialize(spec)
+            vec = [0] * len(index[m])
+            for mono, coeff in lam_sigmas[m].terms.items():
+                vec[index[m][mono]] = coeff.specialize(spec)
             if any(modp_matvec(next_lambda[m].specialize(spec), vec, prime)):
                 bad = (t, m)
                 break
@@ -370,7 +374,7 @@ def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
         ker = mod2_nullspace(d_cols, len(d_cols))
         images = [mod2_apply(lam_cols, v) for v in ker]
         basis = full_q.modules[2 * g - j].basis
-        target = mod2_apply(lam_cols, _sigma_vector_bits(g, m, basis, blocks))
+        target = mod2_apply(lam_cols, _sigma_vector_bits(sigmas[m], basis, blocks))
         if mod2_in_span(images, target):
             bad = m
             break
@@ -569,7 +573,8 @@ def verify_nonfg_witness(g: int, k: int, e_indices: tuple[int, ...],
     for j in f_indices:
         a = dga_mul(a, ext_gen(ctx, g + j - 1))
     lam = lambda_element(g)
-    witness = dga_mul(lam, boundary(a))
+    da = boundary(a)
+    witness = dga_mul(lam, da)
 
     expected = monomial_elem(ctx, 1 << g)  # f_1
     for i in e_indices:
@@ -583,7 +588,7 @@ def verify_nonfg_witness(g: int, k: int, e_indices: tuple[int, ...],
                f"F(lam*d(a)) = {image.canonical_str()}, expected {expected.canonical_str()}")
     report.add("f-evaluation-nonzero", bool(image), "nonzero output certifies lam*K_k != 0")
     report.add("f-multiplicativity",
-               image == dga_mul(evaluate_F(lam), evaluate_F(boundary(a))),
+               image == dga_mul(evaluate_F(lam), evaluate_F(da)),
                "F(lam*d(a)) = F(lam) * F(d(a))")
     return report
 

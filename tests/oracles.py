@@ -2,7 +2,8 @@
 
 Everything here recomputes expected values through a different route than
 the library: truncated power-series arithmetic for Betti numbers, direct
-enumeration for regular representations, the dense base change that the
+enumeration for regular representations, the group-ring product on plain
+dicts of exponent tuples, the dense base change that the
 library's sparse rows replaced, sympy for Smith normal forms, the dense
 elimination loops that the library's sparse rank kernel and sparse Smith
 normal form replaced, and the every-trial generic homology loop that its
@@ -67,6 +68,20 @@ def regular_representation(exps: tuple[int, ...], N: int, nvars: int) -> list[li
         target = tuple((bi + ei) % N for bi, ei in zip(b, exps))
         M[index[target]][col] = 1
     return M
+
+
+def laurent_product(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """Product of two Laurent polynomials given as ``{exponents: coefficient}`` dicts.
+
+    Accumulates every pair of terms, exponents added index by index, and
+    drops the zero coefficients only at the end.
+    """
+    acc: dict[tuple[int, ...], int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple([ea[i] + eb[i] for i in range(len(ea))])
+            acc[e] = acc.get(e, 0) + ca * cb
+    return {e: c for e, c in acc.items() if c != 0}
 
 
 def dense_base_change(M, N: int) -> list[list[int]]:

@@ -6,6 +6,7 @@ import pytest
 from sympow.dga import (
     DgaElement,
     boundary,
+    coefficient_table,
     dga_mul,
     ext_gen,
     gamma_power,
@@ -16,6 +17,7 @@ from sympow.dga import (
     surface_context,
     wedge_context,
 )
+from sympow.verify import _random_element, _random_monomials
 
 C1 = surface_context(1)
 C2 = surface_context(2)
@@ -102,6 +104,22 @@ def test_sigma_boundary_identity():
         for m in range(1, g + 1):
             assert boundary(sigma_element(g, m)) + dga_mul(lam, sigma_element(g, m - 1)) == \
                 DgaElement(surface_context(g), {})
+
+
+def test_boundary_with_passed_table_matches_own_table():
+    rng = random.Random(3)
+    contexts = [surface_context(g) for g in (1, 2, 3)] + [wedge_context(n) for n in (1, 3, 4)]
+    for ctx in contexts:
+        monos, _ = _random_monomials(ctx, 3)
+        table = coefficient_table(ctx)
+        # a table built from an equal but distinct context serves as well
+        twin = coefficient_table(surface_context(ctx.size) if ctx.case == "surface"
+                                 else wedge_context(ctx.size))
+        for _ in range(30):
+            a = _random_element(ctx, monos, rng)
+            expected = boundary(a)
+            assert boundary(a, table) == expected
+            assert boundary(a, twin) == expected
 
 
 def test_boundary_squared_exhaustive_small():

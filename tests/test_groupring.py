@@ -13,7 +13,7 @@ from sympow.groupring import (
     surface_ring,
     wedge_ring,
 )
-from oracles import regular_representation
+from oracles import laurent_product, regular_representation
 
 R1 = surface_ring(1)  # variables x1, y1
 R2 = surface_ring(2)
@@ -45,6 +45,25 @@ def test_genus_mismatch_raises():
         gr_add(R1.one(), R2.one())
     with pytest.raises(ValueError):
         gr_mul(R1.one(), R2.one())
+
+
+def _random_laurent(ring, rng, nterms):
+    return ring.from_terms({tuple(rng.randint(-3, 3) for _ in range(ring.nvars)): rng.randint(-4, 4)
+                            for _ in range(nterms)})
+
+
+def test_mul_matches_dict_product_oracle():
+    rng = random.Random(5)
+    for make_ring in (lambda: surface_ring(1), lambda: surface_ring(3), lambda: wedge_ring(2)):
+        ring, twin = make_ring(), make_ring()
+        assert ring == twin and ring is not twin
+        for _ in range(60):
+            a = _random_laurent(ring, rng, rng.randint(0, 5))
+            b = _random_laurent(rng.choice((ring, twin)), rng, rng.randint(0, 5))
+            expected = laurent_product(a.terms, b.terms)
+            assert (a * b).terms == expected
+            assert (b * a).terms == expected
+            assert (a * b).ring == ring
 
 
 def test_augmentation_examples():

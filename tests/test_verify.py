@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 
 import sympow.complexes as complexes
 import sympow.dga as dga
+import sympow.verify as verify
 from sympow.cli import run
 from sympow.complexes import exterior_boundary_matrix, lambda_matrix
 from sympow.dga import (
@@ -68,6 +71,43 @@ def test_dga_suite_detects_divided_power_mutant(monkeypatch):
     assert not rep.passed
     failing = [c.name for c in rep.checks if not c.passed]
     assert "divided-power-products" in failing or "graded-leibniz" in failing
+
+
+def test_dga_suite_builds_one_coefficient_table(monkeypatch):
+    calls = []
+    orig = dga.coefficient_table
+
+    def counting(ctx):
+        calls.append(ctx)
+        return orig(ctx)
+
+    monkeypatch.setattr(dga, "coefficient_table", counting)
+    assert verify_dga_suite(2, 3).passed
+    assert len(calls) == 1
+
+
+# First and last of the 350 random elements verify_dga_suite(2, 3, seed=7)
+# draws, and the SHA-256 of all of them joined by newlines, in draw order.
+DGA_SEED7_FIRST = ("(2*x1*x2^-2*y1^-1*y2^-2 - 2*x1*x2^-2*y1^2*y2^-2) * e1*g^(1) + "
+                   "(-1*x1^-2*x2^-2*y1^2*y2^-2 - 3*x1^2*x2^-2*y1^2*y2^-1) * e2*g^(2)")
+DGA_SEED7_LAST = ("(-2*y1^-2 + 1*x1*x2^-2*y1*y2^-1) * e2 + (1*x1^-1*x2^-2*y1^2*y2^-2 - "
+                  "2*x1*x2*y1^-2*y2^-2 - 2*x1*x2^2*y1^2*y2^-2) * f2")
+DGA_SEED7_SHA256 = "236ee151a0b4043b87c3792a1ef571802931b9c5645e60a30e8c18405f3b56cd"
+
+
+def test_dga_suite_random_draws_are_pinned(monkeypatch):
+    draws = []
+    for name in ("_random_element", "_random_homogeneous"):
+        def recording(*args, _orig=getattr(verify, name)):
+            a = _orig(*args)
+            draws.append(a.canonical_str())
+            return a
+        monkeypatch.setattr(verify, name, recording)
+    assert verify_dga_suite(2, 3, seed=7).passed
+    assert len(draws) == 350
+    assert draws[0] == DGA_SEED7_FIRST
+    assert draws[-1] == DGA_SEED7_LAST
+    assert hashlib.sha256("\n".join(draws).encode()).hexdigest() == DGA_SEED7_SHA256
 
 
 def test_lemma_torus():
