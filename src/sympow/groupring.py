@@ -217,14 +217,19 @@ class UnitSpecialization:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if self.prime < 3 or not _is_prime(self.prime):
-            raise ValueError("prime must be an odd prime >= 3")
+        _check_prime(self.prime)
         for v in self.values:
             if v % self.prime == 0:
                 raise ValueError("specialization values must be units (nonzero mod p)")
 
 
+def _check_prime(prime: int) -> None:
+    if prime < 3 or not _is_prime(prime):
+        raise ValueError("prime must be an odd prime >= 3")
+
+
 def random_specialization(ring: LaurentRing, prime: int, rng: random.Random) -> UnitSpecialization:
+    _check_prime(prime)  # before drawing: randrange(1, prime) fails for prime < 2
     values = tuple(rng.randrange(1, prime) for _ in range(ring.nvars))
     return UnitSpecialization(prime, values)
 

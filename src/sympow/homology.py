@@ -14,6 +14,12 @@ trial reaches full rank min(rows, cols); ``generic_homology`` when a trial's
 dimensions are zero in every degree but at most one (the proof is in its
 docstring).  The report's ``trials`` is the requested count, since the result
 is the minimum over all of them whether or not they ran.
+
+Clearing.  The ranks of a whole complex (``generic_homology`` per trial over
+F_p, ``integer_free_ranks`` over Q) are taken bottom-up: each ``d_(i+1)`` is
+ranked without the rows indexed by the pivot columns of ``d_i``, which keeps
+every rank (``_cleared_ranks`` has the proof).  The Smith normal form still
+eliminates every boundary in full, since torsion needs the whole lattice.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import compress, count
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .complexes import ChainComplex, IntegerChainComplex, SparseRingMatrix
 from .groupring import UnitSpecialization, random_specialization
@@ -120,9 +126,11 @@ def smith_normal_form(M: list[dict[int, int]], ncols: int) -> SnfResult:
     return SnfResult(diag + (0,) * (size - len(diag)))
 
 
-def integer_rank(M: list[dict[int, int]]) -> int:
-    """Rank over Q of the matrix with ``{col: value}`` rows, exactly in integer arithmetic."""
-    return _sparse_rank(map(dict, M), None)
+def integer_rank(M: list[dict[int, int]], pivots: list[int] | None = None) -> int:
+    """Rank over Q of the matrix with ``{col: value}`` rows, exactly in integer
+    arithmetic; the pivot column of each elimination step is appended to
+    ``pivots`` if given."""
+    return _sparse_rank(map(dict, M), None, pivots)
 
 
 def integer_matmul(A: list[dict[int, int]], B: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -154,9 +162,10 @@ def _row_dicts(M: Iterable[dict[int, int]]) -> tuple[dict[int, dict[int, int]], 
     return rows, col_rows
 
 
-def _sparse_rank(M: Iterable[dict[int, int]], p: int | None) -> int:
+def _sparse_rank(M: Iterable[dict[int, int]], p: int | None, pivots: list[int] | None = None) -> int:
     """Rank over F_p for a prime ``p``, or over Q for ``None``, of the matrix
-    with ``{col: value}`` rows ``M``, entries already reduced mod ``p``.
+    with ``{col: value}`` rows ``M``, entries already reduced mod ``p``; the
+    pivot column of each step is appended to ``pivots`` if given.
 
     Sparse Gaussian elimination (LaMacchia-Odlyzko) on the rows of ``M``,
     which it takes over; ``col_rows`` maps each column to the active rows that
@@ -167,7 +176,8 @@ def _sparse_rank(M: Iterable[dict[int, int]], p: int | None) -> int:
     fraction-free, e <- a*e - b*d with a, b the pivot-column entries over
     their gcd, and the updated row is divided by its content, so no fractions
     appear and the coefficients stay small.  The rank does not depend on the
-    pivot order.
+    pivot order.  The pivot columns are linearly independent: in elimination
+    order, each pivot row is zero in the pivot columns before its own.
     """
     modular = p is not None
     rows, col_rows = _row_dicts(M)
@@ -175,7 +185,7 @@ def _sparse_rank(M: Iterable[dict[int, int]], p: int | None) -> int:
     # are skipped when popped, so the heap top is always the sparsest row
     queue = [(len(row), i) for i, row in rows.items()]
     heapq.heapify(queue)
-    rank = 0
+    found: list[int] = []  # pivot column of each step
     while queue:
         n, r = heapq.heappop(queue)
         prow = rows.get(r)
@@ -188,7 +198,7 @@ def _sparse_rank(M: Iterable[dict[int, int]], p: int | None) -> int:
             c = min(prow, key=lambda j: len(col_rows[j]))
         else:
             c = min(prow, key=lambda j: (abs(prow[j]) != 1, len(col_rows[j])))
-        rank += 1
+        found.append(c)
         targets = col_rows.pop(c)
         a = prow.pop(c)
         if not targets:
@@ -232,13 +242,42 @@ def _sparse_rank(M: Iterable[dict[int, int]], p: int | None) -> int:
                     for j in row:
                         row[j] //= g
             heapq.heappush(queue, (len(row), i))
-    return rank
+    if pivots is not None:
+        pivots.extend(found)
+    return len(found)
 
 
-def modp_rank(M: list[list[int]], p: int) -> int:
-    """Rank over F_p of a dense integer matrix (entries reduced mod ``p``)."""
+def modp_rank(M: list[list[int]], p: int, pivots: list[int] | None = None) -> int:
+    """Rank over F_p of a dense integer matrix (entries reduced mod ``p``); the
+    pivot column of each elimination step is appended to ``pivots`` if given."""
     return _sparse_rank(({j: v for j, x in zip(compress(count(), row), filter(None, row)) if (v := x % p)}
-                         for row in M), p)
+                         for row in M), p, pivots)
+
+
+def _cleared_ranks(boundaries: Iterable[list], rank: Callable[[list, list[int]], int]) -> list[int]:
+    """``[0, rank d_1, .., rank d_(n-1), 0]`` for the boundaries ``d_1, d_2, ..``
+    of a complex in stored order, ranked bottom-up with clearing (Chen-Kerber,
+    "Persistent homology computation with a twist", 2011).
+
+    ``rank(rows, pivots)`` ranks a matrix given by its rows and appends the
+    pivot column of each elimination step to ``pivots``.  Each ``d_(i+1)`` is
+    ranked without the rows indexed by the pivot columns ``Q`` of ``d_i``.
+    This is exact over any field: the columns ``Q`` of ``d_i`` are linearly
+    independent, so no nonzero vector supported on ``Q`` lies in
+    ``ker d_i``, which contains ``im d_(i+1)`` because ``d_i d_(i+1) = 0``.
+    Deleting the ``Q`` coordinates is therefore injective on ``im d_(i+1)``
+    and keeps its rank.  Columns independent once rows are deleted are
+    independent in the full matrix, so a ``d_i`` that was itself cleared
+    gives valid pivots too.
+    """
+    ranks = [0]
+    cleared: set[int] = set()
+    for M in boundaries:
+        pivots: list[int] = []
+        ranks.append(rank([row for r, row in enumerate(M) if r not in cleared], pivots))
+        cleared = set(pivots)
+        del M  # not alive while the next matrix is built
+    return ranks + [0]
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +468,10 @@ def integer_free_ranks(ic: IntegerChainComplex) -> list[int]:
 
     Skips the Smith normal form (no torsion information): enough for Euler
     characteristics and rank-growth checks, and much faster on the larger
-    finite covers.
+    finite covers.  The boundaries are ranked with clearing (``_cleared_ranks``).
     """
     n = len(ic.ranks)
-    ranks = [0] * (n + 1)
-    for i in range(1, n):
-        ranks[i] = integer_rank(ic.boundaries[i])
+    ranks = _cleared_ranks(ic.boundaries[1:], integer_rank)
     return [ic.ranks[i] - ranks[i] - ranks[i + 1] for i in range(n)]
 
 
@@ -485,8 +522,9 @@ def generic_homology(c: ChainComplex, trials: int = DEFAULT_TRIALS, seed: int = 
                      prime: int = FAST_PRIME, threads: int | None = None) -> HomologyReport:
     """Fraction-field homology dimensions via rank-nullity on specializations.
 
-    Each trial uses one consistent specialization for every boundary; the
-    per-degree results are aggregated by minimum over trials.  Trials run
+    Each trial uses one consistent specialization for every boundary and
+    ranks the boundaries with clearing (``_cleared_ranks``), which changes no
+    rank; the per-degree results are aggregated by minimum over trials.  Trials run
     serially: ``threads`` is accepted for compatibility and changes nothing
     (a thread pool only adds lock contention to pure-Python elimination).
 
@@ -509,9 +547,8 @@ def generic_homology(c: ChainComplex, trials: int = DEFAULT_TRIALS, seed: int = 
     dims: list[int] | None = None
     for t in range(trials):
         spec = _trial_specialization(c.ctx.ring, prime, seed, t)
-        ranks = [0] * (n + 1)
-        for i in range(1, n):
-            ranks[i] = modp_rank(c.boundaries[i].specialize(spec), prime)
+        ranks = _cleared_ranks((b.specialize(spec) for b in c.boundaries[1:]),
+                               lambda M, pivots: modp_rank(M, prime, pivots))
         trial = [c.modules[i].rank - ranks[i] - ranks[i + 1] for i in range(n)]
         dims = trial if dims is None else list(map(min, dims, trial))
         if sum(1 for d in trial if d) <= 1:

@@ -594,7 +594,13 @@ def verify_nonfg_witness(g: int, k: int, e_indices: tuple[int, ...],
 
 
 def verify_nonfg_all_choices(g: int, k: int) -> VerifyReport:
-    """Run the witness over every admissible index choice."""
+    """Run the witness over every admissible index choice.
+
+    Outside ``2 <= k <= 2g-2`` there is no choice to run, so this raises the
+    witness's ``ValueError`` instead of passing on none.
+    """
+    if not 2 <= k <= 2 * g - 2:
+        raise ValueError("need 2 <= k <= 2g-2")
     report = VerifyReport("nonfg", {"g": g, "k": k})
     choices = admissible_nonfg_choices(g, k)
     bad = None

@@ -30,3 +30,22 @@ def test_tracer_installs_and_keeps_stdout(monkeypatch):
     assert (cli.run, homology.modp_rank) == originals
     assert cli.run(argv) == plain
     assert tracer.stats["homology.modp_rank"]["calls"] > 0
+
+
+def test_tracer_passes_the_pivot_list_to_integer_rank(monkeypatch):
+    # integer_free_ranks hands integer_rank a pivot list for clearing; the
+    # wrapped integer_rank must pass it through and still count the calls
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    from tracer import Tracer
+
+    argv = ["verify", "--suite", "theorem-main", "--genus", "2", "--k", "2", "--N", "2"]
+    plain = cli.run(argv)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        traced = cli.run(argv)
+    finally:
+        tracer.uninstall()
+    assert traced == plain and plain[0] == 0
+    assert tracer.stats["homology.integer_rank"]["calls"] > 0
+    assert tracer.stats["homology.modp_rank"]["calls"] > 0

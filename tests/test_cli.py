@@ -90,6 +90,20 @@ def test_usage_errors_exit_two():
     assert code == 2  # missing --k
 
 
+def test_verify_nonfg_rejects_k_outside_range():
+    for genus, k in (("3", "7"), ("2", "3")):
+        code, text, _ = run(["verify", "--suite", "nonfg", "--genus", genus, "--k", k])
+        assert code == 2 and text == "usage error: need 2 <= k <= 2g-2\n", (genus, k)
+
+
+def test_prime_below_three_is_a_clear_usage_error():
+    for prime in ("0", "1", "2"):
+        for argv in (["cover-homology", "--genus", "2", "--k", "2", "--prime", prime],
+                     ["verify", "--suite", "lemma-q", "--genus", "2", "--prime", prime]):
+            code, text, _ = run(argv)
+            assert code == 2 and text == "usage error: prime must be an odd prime >= 3\n", argv
+
+
 def test_verify_all_rejects_k():
     # each suite of the battery picks its own k; a --k would be dropped silently
     code, text, _ = run(["verify", "--suite", "all", "--genus", "2", "--k", "3"])

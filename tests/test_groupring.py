@@ -9,6 +9,7 @@ from sympow.groupring import (
     finite_quotient,
     gr_add,
     gr_mul,
+    random_specialization,
     specialize,
     surface_ring,
     wedge_ring,
@@ -92,6 +93,20 @@ def test_specialization_validation():
     with pytest.raises(ValueError):
         UnitSpecialization(9, (1, 1))  # composite modulus
     UnitSpecialization(2147483647, (5, 6))  # Mersenne prime accepted
+
+
+def test_random_specialization_checks_prime_before_drawing():
+    for prime in (0, 1, 2, 9):
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="prime must be an odd prime >= 3"):
+            random_specialization(R2, prime, rng)
+        assert rng.getstate() == state  # nothing drawn
+    # valid primes draw exactly as before: one randrange(1, p) per variable
+    for prime in (3, 1000003, 2147483647):
+        expected = random.Random(11)
+        spec = random_specialization(R2, prime, random.Random(11))
+        assert spec.values == tuple(expected.randrange(1, prime) for _ in range(R2.nvars))
 
 
 def test_finite_quotient_identity_and_n1():

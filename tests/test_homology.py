@@ -21,6 +21,7 @@ from sympow.homology import (
     euler_characteristic,
     generic_homology,
     generic_rank,
+    integer_free_ranks,
     integer_homology,
     integer_matmul,
     integer_rank,
@@ -387,6 +388,103 @@ def test_generic_homology_two_degrees_runs_every_trial(monkeypatch):
     rep = generic_homology(c, 5, 0)
     assert seen == [0, 1, 2, 3, 4]
     assert rep.ranks() == [1, 1] and rep.trials == 5
+
+
+def _clearing_complexes():
+    """Cover g <= 3 with k <= 2g+1, Q g <= 3 with k <= 2g, wedge n <= 6 with k <= n."""
+    for g in (1, 2, 3):
+        for k in range(1, 2 * g + 2):
+            yield build_cover_complex(g, k)
+        for k in range(1, 2 * g + 1):
+            yield build_Q_complex(g, k)
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            yield build_wedge_complex(n, k)
+
+
+def test_cleared_ranks_match_full_boundary_ranks():
+    # oracle: the uncleared route, modp_rank on each full specialized boundary
+    for c in _clearing_complexes():
+        for prime in RANK_PRIMES:
+            for seed in range(3):
+                spec = homology._trial_specialization(c.ctx.ring, prime, seed, 0)
+                dense = [b.specialize(spec) for b in c.boundaries[1:]]
+                full = [0] + [modp_rank(M, prime) for M in dense] + [0]
+                cleared = homology._cleared_ranks(dense, lambda M, piv: modp_rank(M, prime, piv))
+                assert cleared == full, (c.case, c.params, prime, seed)
+
+
+def test_cleared_ranks_at_the_augmentation():
+    # every variable at 1: homology of Sym^k itself, nonzero in many degrees,
+    # so the boundaries are far from full rank
+    for g, k in ((2, 2), (2, 4), (3, 3)):
+        c = build_cover_complex(g, k)
+        for prime in RANK_PRIMES:
+            dense = [b.specialize(UnitSpecialization(prime, (1,) * c.ctx.ring.nvars))
+                     for b in c.boundaries[1:]]
+            full = [0] + [modp_rank(M, prime) for M in dense] + [0]
+            assert homology._cleared_ranks(dense, lambda M, piv: modp_rank(M, prime, piv)) == full
+            ranks = [len(m.basis) for m in c.modules]
+            dims = [ranks[i] - full[i] - full[i + 1] for i in range(len(ranks))]
+            assert dims == betti_symmetric_power(g, k), (g, k, prime)
+
+
+def test_pivot_lists_are_independent_columns():
+    # the pivots a rank call reports: one per step, distinct, and a set of
+    # linearly independent columns (the submatrix on them has the same rank)
+    for M in _random_rank_matrices(7, 30):
+        for p in (None,) + RANK_PRIMES:
+            pivots = [3]  # appended to, never cleared
+            if p is None:
+                r = integer_rank(sparse_rows(M), pivots)
+                sub_rank = bareiss_rank([[row[j] for j in pivots[1:]] for row in M])
+            else:
+                r = modp_rank(M, p, pivots)
+                sub_rank = dense_modp_rank([[row[j] for j in pivots[1:]] for row in M], p)
+            assert pivots[0] == 3 and len(pivots) == r + 1 and len(set(pivots[1:])) == r
+            assert sub_rank == r, (M, p)
+
+
+def test_integer_free_ranks_match_per_boundary_integer_rank():
+    cases = [(build_cover_complex(2, 2), 2), (build_cover_complex(2, 2), 3),
+             (build_cover_complex(2, 3), 2), (build_Q_complex(2, 4), 2)]
+    for c, N in cases:
+        ic = base_change(c, N)
+        full = [0] + [integer_rank(b) for b in ic.boundaries[1:]] + [0]
+        assert integer_free_ranks(ic) == [ic.ranks[i] - full[i] - full[i + 1]
+                                          for i in range(len(ic.ranks))], (c.case, c.params, N)
+    assert integer_free_ranks(base_change(build_cover_complex(2, 2), 2)) == [1, 4, 22, 4, 1]
+
+
+def _recording(monkeypatch, name):
+    """Wrap ``homology.<name>``; record the row count of each call's matrix."""
+    seen = []
+    original = getattr(homology, name)
+
+    def counting(M, *args):
+        seen.append(len(M))
+        return original(M, *args)
+
+    monkeypatch.setattr(homology, name, counting)
+    return seen
+
+
+def test_clearing_drops_the_pivot_rows_of_the_previous_boundary(monkeypatch):
+    # each d_(i+1) reaches modp_rank with rows(d_(i+1)) - rank(d_i) rows
+    for c in (build_cover_complex(3, 3), build_Q_complex(3, 3), build_wedge_complex(6, 3)):
+        prime, seed = homology.FAST_PRIME, 1
+        spec = homology._trial_specialization(c.ctx.ring, prime, seed, 0)
+        full = [0] + [modp_rank(b.specialize(spec), prime) for b in c.boundaries[1:]]
+        seen = _recording(monkeypatch, "modp_rank")
+        generic_homology(c, 1, seed, prime)
+        monkeypatch.undo()
+        assert seen == [b.rows - full[i - 1] for i, b in enumerate(c.boundaries[1:], start=1)]
+        assert any(full[1:-1])  # some row was cleared
+    ic = base_change(build_cover_complex(2, 2), 2)
+    full = [0] + [integer_rank(b) for b in ic.boundaries[1:]]
+    seen = _recording(monkeypatch, "integer_rank")
+    integer_free_ranks(ic)
+    assert seen == [len(b) - full[i - 1] for i, b in enumerate(ic.boundaries[1:], start=1)]
 
 
 def test_generic_rank_stops_at_full_rank(monkeypatch):

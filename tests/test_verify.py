@@ -251,6 +251,13 @@ def test_nonfg_witness_validation():
         verify_nonfg_witness(2, 3, (2,), (2,))  # k > 2g-2
 
 
+def test_nonfg_all_choices_rejects_k_outside_range():
+    # outside 2 <= k <= 2g-2 there is no admissible choice; that must not pass
+    for g, k in ((3, 7), (2, 3), (3, 1), (1, 2)):
+        with pytest.raises(ValueError, match="need 2 <= k <= 2g-2"):
+            verify_nonfg_all_choices(g, k)
+
+
 def test_nonfg_admissible_enumeration():
     assert admissible_nonfg_choices(2, 2) == [((2,), (2,))]
     assert len(admissible_nonfg_choices(3, 2)) == 6
