@@ -19,6 +19,7 @@ import os
 import sys
 
 from .complexes import (
+    ChainComplex,
     build_cover_complex,
     build_Q_complex,
     build_wedge_complex,
@@ -104,20 +105,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_genus(args) -> int:
-    if args.genus is None:
-        raise UsageError("--genus is required for this command")
-    if args.genus < 1:
-        raise UsageError("--genus must be >= 1")
-    return args.genus
-
-
-def _require_arity(args) -> int:
-    if args.arity is None:
-        raise UsageError("--arity is required for this command")
-    if args.arity < 1:
-        raise UsageError("--arity must be >= 1")
-    return args.arity
+def _require(args, flag: str) -> int:
+    """The value of ``--genus`` or ``--arity``, which must be given and >= 1."""
+    value = getattr(args, flag)
+    if value is None:
+        raise UsageError(f"--{flag} is required for this command")
+    if value < 1:
+        raise UsageError(f"--{flag} must be >= 1")
+    return value
 
 
 def _validate(args) -> None:
@@ -131,35 +126,38 @@ def _validate(args) -> None:
         raise UsageError("--N must be >= 1")
 
 
+def _complex(args, case: str) -> ChainComplex:
+    """The complex of ``case`` (cover, wedge or q) at the parsed flags, after the
+    usage checks that the homology commands and ``export`` share."""
+    size = _require(args, "arity" if case == "wedge" else "genus")
+    if case == "wedge" and args.k > size:
+        raise UsageError(f"--k must be <= arity {size} (no cells beyond degree n)")
+    if case == "q" and args.k < 1:
+        raise UsageError("--k must be >= 1 for the quotient complex")
+    build = {"cover": build_cover_complex, "wedge": build_wedge_complex, "q": build_Q_complex}[case]
+    return build(size, args.k)
+
+
+def _betti_report(args) -> HomologyReport:
+    g = _require(args, "genus")
+    betti = betti_symmetric_power(g, args.k)
+    return HomologyReport("surface-cover", {"g": g, "k": args.k}, "betti-count",
+                          [DegreeEntry(d, b) for d, b in enumerate(betti)])
+
+
 def _homology_report(args, kind: str) -> HomologyReport:
     method = args.method or "generic"
     if args.N is not None and method != "snf":
         raise UsageError("--N applies only to --method snf")
-    prime = args.prime
-    if kind == "cover":
-        g = _require_genus(args)
-        complex_ = build_cover_complex(g, args.k)
-    elif kind == "wedge":
-        n = _require_arity(args)
-        if args.k > n:
-            raise UsageError(f"--k must be <= arity {n} (no cells beyond degree n)")
-        complex_ = build_wedge_complex(n, args.k)
-    else:
-        g = _require_genus(args)
-        if args.k < 1:
-            raise UsageError("--k must be >= 1 for the quotient complex")
-        complex_ = build_Q_complex(g, args.k)
-
+    if method == "count":
+        return _betti_report(args)
+    complex_ = _complex(args, kind)
     if method == "generic":
         rep = generic_homology(complex_, args.trials, args.seed,
-                               prime if prime is not None else FAST_PRIME,
+                               args.prime if args.prime is not None else FAST_PRIME,
                                threads=args.threads)
-    elif method == "snf":
-        rep = integer_homology(base_change(complex_, args.N if args.N is not None else 1))
     else:
-        betti = betti_symmetric_power(g, args.k)
-        rep = HomologyReport("surface-cover", {"g": g, "k": args.k}, "betti-count",
-                             [DegreeEntry(d, b) for d, b in enumerate(betti)])
+        rep = integer_homology(base_change(complex_, args.N if args.N is not None else 1))
     if kind == "q":
         # relabel stored chain degrees as cochain positions
         top = complex_.params["top"]
@@ -221,14 +219,10 @@ def run(argv: list[str]) -> tuple[int, str, str | None]:
         out = args.out
         _validate(args)
         if args.command == "betti":
-            g = _require_genus(args)
-            betti = betti_symmetric_power(g, args.k)
-            rep = HomologyReport("surface-cover", {"g": g, "k": args.k}, "betti-count",
-                                 [DegreeEntry(d, b) for d, b in enumerate(betti)])
-            return 0, _render_homology(rep, args.format), out
-        if args.command in ("cover-homology", "wedge-homology", "quotient-homology"):
-            kind = {"cover-homology": "cover", "wedge-homology": "wedge",
-                    "quotient-homology": "q"}[args.command]
+            return 0, _render_homology(_betti_report(args), args.format), out
+        kind = {"cover-homology": "cover", "wedge-homology": "wedge",
+                "quotient-homology": "q"}.get(args.command)
+        if kind:
             rep = _homology_report(args, kind)
             return 0, _render_homology(rep, args.format), out
         if args.command == "verify":
@@ -242,17 +236,7 @@ def run(argv: list[str]) -> tuple[int, str, str | None]:
             code = 0 if all(r.passed for r in reports) else 1
             return code, _render_verify(reports, args.format), out
         if args.command == "export":
-            if args.case == "cover":
-                complex_ = build_cover_complex(_require_genus(args), args.k)
-            elif args.case == "wedge":
-                n = _require_arity(args)
-                if args.k > n:
-                    raise UsageError(f"--k must be <= arity {n}")
-                complex_ = build_wedge_complex(n, args.k)
-            else:
-                if args.k < 1:
-                    raise UsageError("--k must be >= 1 for the quotient complex")
-                complex_ = build_Q_complex(_require_genus(args), args.k)
+            complex_ = _complex(args, args.case)
             text = export_text(complex_) if args.format == "text" else export_json(complex_)
             return 0, text, out
         raise UsageError(f"unknown command {args.command}")
@@ -264,11 +248,12 @@ def run(argv: list[str]) -> tuple[int, str, str | None]:
 
 def main() -> None:
     code, text, out = run(sys.argv[1:])
-    if code == 2:
-        sys.stderr.write(text)
-    elif out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if code != 2 and out:
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            text = ""
+        except OSError as exc:  # exit 1 means a failed check, so this is a usage error
+            code, text = 2, f"usage error: cannot write --out: {exc}\n"
+    (sys.stderr if code == 2 else sys.stdout).write(text)
     raise SystemExit(code)

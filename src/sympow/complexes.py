@@ -258,11 +258,13 @@ def operator_matrix(src: tuple[Monomial, ...], tgt: tuple[Monomial, ...],
     return SparseRingMatrix(ring, len(tgt), len(src), entries)
 
 
-def _boundary_matrices(ctx: DgaContext, modules: list[BasedFreeModule]) -> list[SparseRingMatrix | None]:
-    """``[None, d_1, .., d_top]`` from one coefficient table."""
+def _boundary_matrices(ctx: DgaContext, modules: list[BasedFreeModule],
+                       image=monomial_boundary) -> list[SparseRingMatrix | None]:
+    """``[None, d_1, .., d_top]`` from one coefficient table: ``d_i`` sends each
+    monomial ``m`` of ``modules[i]`` to ``image(m, table)`` in ``modules[i - 1]``."""
     table = coefficient_table(ctx)
-    image = lambda m: monomial_boundary(m, table)
-    return [None] + [_image_matrix(modules[i].basis, modules[i - 1].basis, ctx.ring, image)
+    return [None] + [_image_matrix(modules[i].basis, modules[i - 1].basis, ctx.ring,
+                                   lambda m: image(m, table))
                      for i in range(1, len(modules))]
 
 
@@ -362,10 +364,8 @@ def build_Q_complex(g: int, k: int) -> ChainComplex:
     ctx = surface_context(g)
     top = min(k, 2 * g)
     modules = [BasedFreeModule(j, _exterior_basis(ctx, top - j)) for j in range(top + 1)]
-    boundaries: list[SparseRingMatrix | None] = [None]
-    for j in range(1, top + 1):
-        boundaries.append(lambda_matrix(g, top - j))
-    return ChainComplex("quotient-Q", {"g": g, "k": k, "top": top}, ctx, modules, boundaries)
+    return ChainComplex("quotient-Q", {"g": g, "k": k, "top": top}, ctx, modules,
+                        _boundary_matrices(ctx, modules, lambda_image))
 
 
 def boundary_matrix(c: ChainComplex, i: int) -> SparseRingMatrix:

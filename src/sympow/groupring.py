@@ -185,8 +185,15 @@ class GroupRingElement:
         return out
 
 
+# The least strong pseudoprime to every base 2..37 (Sorenson-Webster 2017).
+_MR_BOUND = 318_665_857_834_031_151_167_461
+
+
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
+    """Deterministic Miller-Rabin with the prime bases 2..37, valid for all
+    n < 318,665,857,834,031,151,167,461; raises ``ValueError`` at or above it."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"prime must be below {_MR_BOUND:,}, where the primality test is a proof")
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from . import dga
 from .complexes import (
+    SparseRingMatrix,
     base_change,
     build_cover_complex,
     build_Q_complex,
@@ -54,9 +55,7 @@ from .homology import (
     generic_homology,
     integer_free_ranks,
     integer_homology,
-    mod2_apply,
     mod2_in_span,
-    mod2_nullspace,
     modp_matvec,
     modp_rank,
 )
@@ -278,13 +277,15 @@ def verify_lemma_q(g: int, k: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
     return report
 
 
-def _sigma_vector_bits(sigma: DgaElement, basis, blocks: int) -> int:
-    """sigma_m as a mod-2 bitset over the blown-up exterior basis (N-cover, exponent 0)."""
-    index = {mono: i for i, mono in enumerate(basis)}
-    bits = 0
-    for term, coeff in sigma.terms.items():
-        bits |= 1 << (index[term] * blocks + 0)  # exponent 0 is first in lex order
-    return bits
+def _lambda_ker_contains_mod2(d: SparseRingMatrix, lam: SparseRingMatrix,
+                              target: SparseRingMatrix) -> bool:
+    """Whether column 0 of ``target`` lies in ``lam * ker d`` over F_2 on the N=2 cover:
+    ``t`` is in ``lam * ker d`` iff ``(0; t)`` is in the column span of the stacked
+    ``[d; lam]``, the identity behind ``theorem-main``'s ``rank[d; lam] - rank d``."""
+    entries = dict(d.entries)
+    entries.update(((r + d.rows, c), v) for (r, c), v in lam.entries.items())
+    stacked, _ = SparseRingMatrix(d.ring, d.rows + lam.rows, d.cols, entries).mod2_columns(2)
+    return mod2_in_span(stacked, target.mod2_columns(2)[0][0] << d.rows * 2 ** d.ring.nvars)
 
 
 def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
@@ -343,19 +344,20 @@ def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
                f"lam*sigma_{bad} fails the cycle check" if bad is not None else
                f"lam*sigma_m nonzero cycles, positions {positions}")
 
-    # specialized cycle check: the class lands in the kernel of the next lam-map
+    # specialized cycle check: the class lands in the kernel of the next lam-map;
+    # full_q.boundaries[2g - s] is lam from exterior degree s to s + 1
     full_q = build_Q_complex(g, 2 * g)
-    next_lambda = {m: lambda_matrix(g, 2 * m + 1) for m in range(1, g)}
-    index = {m: {mono: i for i, mono in enumerate(full_q.modules[2 * g - (2 * m + 1)].basis)}
-             for m in range(1, g)}
+    classes = {}  # lam*sigma_m as one column over exterior degree 2m + 1
+    for m in range(1, g):
+        index = {mono: i for i, mono in enumerate(full_q.modules[2 * g - (2 * m + 1)].basis)}
+        classes[m] = SparseRingMatrix(lam.ctx.ring, len(index), 1,
+                                      {(index[mono], 0): c for mono, c in lam_sigmas[m].terms.items()})
     bad = None
     for t in range(trials):
         spec = _trial_specialization(lam.ctx.ring, prime, seed, t)
         for m in range(1, g):
-            vec = [0] * len(index[m])
-            for mono, coeff in lam_sigmas[m].terms.items():
-                vec[index[m][mono]] = coeff.specialize(spec)
-            if any(modp_matvec(next_lambda[m].specialize(spec), vec, prime)):
+            vec = [row[0] for row in classes[m].specialize(spec)]
+            if any(modp_matvec(full_q.boundaries[2 * g - (2 * m + 1)].specialize(spec), vec, prime)):
                 bad = (t, m)
                 break
         if bad:
@@ -369,13 +371,7 @@ def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
     detail_parts = []
     for m in range(1, g):
         j = 2 * m
-        d_cols, _ = exterior_boundary_matrix(g, j).mod2_columns(2)
-        lam_cols, _ = lambda_matrix(g, j).mod2_columns(2)
-        ker = mod2_nullspace(d_cols, len(d_cols))
-        images = [mod2_apply(lam_cols, v) for v in ker]
-        basis = full_q.modules[2 * g - j].basis
-        target = mod2_apply(lam_cols, _sigma_vector_bits(sigmas[m], basis, blocks))
-        if mod2_in_span(images, target):
+        if _lambda_ker_contains_mod2(exterior_boundary_matrix(g, j), full_q.boundaries[2 * g - j], classes[m]):
             bad = m
             break
         detail_parts.append(f"position {2 * m + 1}: lam*sigma_{m} outside lam*ker(d_{j}) on the N=2 cover")
@@ -404,14 +400,15 @@ def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
     return report
 
 
-def _kernel_quotient_dim(g: int, k: int, spec: UnitSpecialization) -> int:
+def _kernel_quotient_dim(d_k: SparseRingMatrix, d_prev: SparseRingMatrix,
+                         lam_prev: SparseRingMatrix, spec: UnitSpecialization) -> int:
     """``dim K_k - dim lam*K_(k-1)`` under one specialization (``K_j = ker d_j``),
     from ranks alone: ``dim lam(ker d) = rank[d; lam] - rank d`` for the stacked
-    matrix, whose kernel is the kernel of lam on ker d."""
+    matrix, whose kernel is the kernel of lam on ker d.  The matrices are the
+    wedge boundaries ``d_k``, ``d_(k-1)`` and ``lam_(k-1)`` on the 2g one-cells."""
     p = spec.prime
-    d_k = exterior_boundary_matrix(g, k)
-    d_prev = exterior_boundary_matrix(g, k - 1).specialize(spec)
-    stacked = d_prev + lambda_matrix(g, k - 1).specialize(spec)
+    d_prev = d_prev.specialize(spec)
+    stacked = d_prev + lam_prev.specialize(spec)
     return (d_k.cols - modp_rank(d_k.specialize(spec), p)
             - modp_rank(stacked, p) + modp_rank(d_prev, p))
 
@@ -438,7 +435,8 @@ def verify_theorem_main(g: int, k: int, trials: int = DEFAULT_TRIALS, seed: int 
 
     if k <= 2 * g:
         ring = surface_context(g).ring
-        expected_top = min(_kernel_quotient_dim(g, k, _trial_specialization(ring, prime, seed, t))
+        maps = (exterior_boundary_matrix(g, k), exterior_boundary_matrix(g, k - 1), lambda_matrix(g, k - 1))
+        expected_top = min(_kernel_quotient_dim(*maps, _trial_specialization(ring, prime, seed, t))
                            for t in range(trials))
     else:
         expected_top = 0

@@ -150,20 +150,24 @@ def dense_smith_normal_form(M: list[list[int]]) -> SnfResult:
         return SnfResult(())
 
     def pick_pivot(t: int) -> tuple[int, int] | None:
+        # one pass over the trailing matrix lists each row's nonzero columns
+        # and counts the columns; keys are then compared in row-major order
+        nonzero = []
+        col_nnz = [0] * cols
+        for i in range(t, rows):
+            js = list(itertools.compress(range(t, cols), A[i][t:]))
+            for j in js:
+                col_nnz[j] += 1
+            nonzero.append((i, js))
         best = None
         where = None
-        row_nnz = [sum(1 for x in A[i][t:] if x) for i in range(rows)]
-        col_nnz = [sum(1 for i in range(t, rows) if A[i][j]) for j in range(cols)]
-        for i in range(t, rows):
-            if not row_nnz[i]:
-                continue
-            for j in range(t, cols):
-                v = A[i][j]
-                if v:
-                    key = (abs(v), row_nnz[i] + col_nnz[j])
-                    if best is None or key < best:
-                        best = key
-                        where = (i, j)
+        for i, js in nonzero:
+            row, row_nnz = A[i], len(js)
+            for j in js:
+                key = (abs(row[j]), row_nnz + col_nnz[j])
+                if best is None or key < best:
+                    best = key
+                    where = (i, j)
         return where
 
     t = 0
@@ -202,13 +206,14 @@ def dense_smith_normal_form(M: list[list[int]]) -> SnfResult:
         # pivot must divide the remaining submatrix
         v = A[t][t]
         bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if A[i][j] % v:
-                    bad = i
+        if abs(v) != 1:  # a unit divides everything
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if A[i][j] % v:
+                        bad = i
+                        break
+                if bad is not None:
                     break
-            if bad is not None:
-                break
         if bad is not None:
             A[t] = [a + b for a, b in zip(A[t], A[bad])]
             continue

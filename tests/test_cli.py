@@ -104,6 +104,41 @@ def test_prime_below_three_is_a_clear_usage_error():
             assert code == 2 and text == "usage error: prime must be an odd prime >= 3\n", argv
 
 
+def test_prime_past_the_primality_proof_bound_is_a_usage_error():
+    # 318665857834031151167461 = 399165290221 * 798330580441 passes Miller-Rabin
+    # at every base 2..37; it used to be reported as the prime of the run
+    for prime in ("318665857834031151167461", "3317044064679887385961981"):
+        code, text, _ = run(["cover-homology", "--genus", "2", "--k", "2", "--prime", prime])
+        assert code == 2 and text.startswith("usage error: prime must be below "), prime
+
+
+def test_export_and_homology_commands_share_usage_errors():
+    cases = [
+        ("cover", "cover-homology", ["--k", "2"]),
+        ("cover", "cover-homology", ["--genus", "0", "--k", "2"]),
+        ("q", "quotient-homology", ["--k", "2"]),
+        ("q", "quotient-homology", ["--genus", "0", "--k", "0"]),
+        ("q", "quotient-homology", ["--genus", "2", "--k", "0"]),
+        ("wedge", "wedge-homology", ["--k", "2"]),
+        ("wedge", "wedge-homology", ["--arity", "0", "--k", "2"]),
+        ("wedge", "wedge-homology", ["--arity", "2", "--k", "5"]),
+        ("cover", "cover-homology", ["--genus", "2", "--k", "-1"]),
+    ]
+    for case, command, flags in cases:
+        exported = run(["export", "--case", case, *flags])
+        assert exported[0] == 2 and exported[1].startswith("usage error: "), (case, flags)
+        assert run([command, *flags]) == exported, (case, flags)
+
+
+def test_count_method_builds_no_complex(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("--method count built a complex")
+
+    monkeypatch.setattr(cli, "build_cover_complex", refuse)
+    code, text, _ = run(["cover-homology", "--genus", "3", "--k", "3", "--method", "count"])
+    assert code == 0 and text == run(["betti", "--genus", "3", "--k", "3"])[1]
+
+
 def test_verify_all_rejects_k():
     # each suite of the battery picks its own k; a --k would be dropped silently
     code, text, _ = run(["verify", "--suite", "all", "--genus", "2", "--k", "3"])
@@ -235,6 +270,21 @@ def test_console_script_entry_point(tmp_path):
     proc = subprocess.run(launcher + ["betti", "--genus", "-3", "--k", "1"],
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 2
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path):
+    # exit 1 is reserved for a failed check; a missing directory is a usage error
+    out = tmp_path / "missing" / "report.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(pathlib.Path(sympow.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
+    for argv in (["betti", "--genus", "1", "--k", "2"],
+                 ["export", "--genus", "1", "--k", "1", "--case", "cover"]):
+        proc = subprocess.run([sys.executable, "-m", "sympow", *argv, "--out", str(out)],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage error: cannot write --out: ") and "Traceback" not in proc.stderr
+        assert not out.exists()
 
 
 def test_export_goldens():

@@ -328,8 +328,13 @@ def test_builders_match_element_oracle():
     for g in range(1, 4):
         for k in range(1, 8):
             q = build_Q_complex(g, k)
+            top, entries = q.params["top"], []
             for j in range(1, q.top_degree + 1):
-                _assert_same_entries(q.boundaries[j], _lambda_oracle(g, q.params["top"] - j), (g, k, j))
+                _assert_same_entries(q.boundaries[j], _lambda_oracle(g, top - j), (g, k, j))
+                _assert_same_entries(q.boundaries[j], lambda_matrix(g, top - j), (g, k, j))
+                entries += q.boundaries[j].entries.values()
+            # one coefficient table: equal entries are one object in every degree
+            assert len({id(v) for v in entries}) == len({v.canonical_str() for v in entries}), (g, k)
 
 
 def test_lambda_and_exterior_matrices_match_element_oracle():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sympow.groupring import (
     UnitSpecialization,
+    _is_prime,
     augmentation,
     finite_quotient,
     gr_add,
@@ -14,6 +15,7 @@ from sympow.groupring import (
     surface_ring,
     wedge_ring,
 )
+from sympow.homology import FAST_PRIME, VERIFY_PRIME
 from oracles import laurent_product, regular_representation
 
 R1 = surface_ring(1)  # variables x1, y1
@@ -107,6 +109,20 @@ def test_random_specialization_checks_prime_before_drawing():
         expected = random.Random(11)
         spec = random_specialization(R2, prime, random.Random(11))
         assert spec.values == tuple(expected.randrange(1, prime) for _ in range(R2.nvars))
+
+
+def test_primes_past_the_miller_rabin_bound_are_refused():
+    # strong pseudoprimes to every base 2..37: 399165290221 * 798330580441 is
+    # the least, and the next one passes the twelve-base test too
+    for composite in (318665857834031151167461, 3317044064679887385961981):
+        with pytest.raises(ValueError, match="prime must be below 318,665,857,834,031,151,167,461"):
+            _is_prime(composite)
+        with pytest.raises(ValueError, match="prime must be"):
+            UnitSpecialization(composite, (1, 1))
+    assert _is_prime(318665857834031151167441)  # the largest prime below the bound
+    assert _is_prime(FAST_PRIME) and _is_prime(VERIFY_PRIME)
+    UnitSpecialization(FAST_PRIME, (2, 3))
+    UnitSpecialization(VERIFY_PRIME, (2, 3))
 
 
 def test_finite_quotient_identity_and_n1():

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -6,18 +7,22 @@ import sympow.complexes as complexes
 import sympow.dga as dga
 import sympow.verify as verify
 from sympow.cli import run
-from sympow.complexes import exterior_boundary_matrix, lambda_matrix
+from sympow.complexes import SparseRingMatrix, exterior_boundary_matrix, lambda_matrix
 from sympow.dga import (
     boundary,
     dga_mul,
     ext_gen,
     lambda_element,
     monomial_elem,
+    sigma_element,
     surface_context,
 )
 from sympow.homology import (
     VERIFY_PRIME,
     _trial_specialization,
+    mod2_apply,
+    mod2_in_span,
+    mod2_nullspace,
     modp_matvec,
     modp_nullspace,
     modp_rank_of_columns,
@@ -156,6 +161,64 @@ def test_lemma_cohomology_refuses_oversized_witness_up_front(monkeypatch):
     assert code == 0, text
 
 
+def _nullspace_route(g, m):
+    """The witness before the stacked test: a basis of ker d_2m mod 2 on the N=2
+    cover, its lam-images, and lam applied to sigma_m placed at exponent 0."""
+    j, blocks = 2 * m, 4 ** g
+    d_cols, _ = exterior_boundary_matrix(g, j).mod2_columns(2)
+    lam_cols, _ = lambda_matrix(g, j).mod2_columns(2)
+    ker = mod2_nullspace(d_cols, len(d_cols))
+    index = {mono: i for i, mono in enumerate(complexes._exterior_basis(surface_context(g), j))}
+    sigma_bits = sum(1 << (index[mono] * blocks) for mono in sigma_element(g, m).terms)
+    images = [mod2_apply(lam_cols, v) for v in ker]
+    return ker, lam_cols, images, mod2_apply(lam_cols, sigma_bits)
+
+
+def _column(ring, basis, elem):
+    """``elem`` as a one-column matrix over ``basis``."""
+    index = {mono: i for i, mono in enumerate(basis)}
+    return SparseRingMatrix(ring, len(basis), 1, {(index[mono], 0): c for mono, c in elem.terms.items()})
+
+
+def _bits_as_column(ring, rows, bits):
+    """A one-column matrix whose N=2 base change has the bitset ``bits`` as column 0:
+    bit ``r*2^n + b`` becomes the term ``x^e`` of row r, ``e`` the binary digits of b."""
+    n, terms = ring.nvars, {}
+    while bits:
+        pos = bits.bit_length() - 1
+        bits ^= 1 << pos
+        r, b = divmod(pos, 2 ** n)
+        terms.setdefault(r, {})[tuple((b >> (n - 1 - i)) & 1 for i in range(n))] = 1
+    return SparseRingMatrix(ring, rows, 1, {(r, 0): ring.from_terms(t) for r, t in terms.items()})
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_stacked_witness_matches_the_nullspace_route(g):
+    ctx = surface_context(g)
+    lam = lambda_element(g)
+    rng = random.Random(g)
+    for m in range(1, g):
+        j = 2 * m
+        d, lam_j = exterior_boundary_matrix(g, j), lambda_matrix(g, j)
+        ker, lam_cols, images, old_target = _nullspace_route(g, m)
+        cls = _column(ctx.ring, complexes._exterior_basis(ctx, j + 1), dga_mul(lam, sigma_element(g, m)))
+        assert cls.mod2_columns(2)[0][0] == old_target, (g, m)
+        assert not mod2_in_span(images, old_target), (g, m)
+        assert not verify._lambda_ker_contains_mod2(d, lam_j, cls), (g, m)
+        # a planted lam*v with v in ker d (mod 2, on the cover) is in the span,
+        # and adding it to lam*sigma_m keeps the class outside
+        v = 0
+        while not mod2_apply(lam_cols, v):
+            v = 0
+            for w in rng.sample(ker, min(3, len(ker))):
+                v ^= w
+        planted = lam_j.compose(_bits_as_column(ctx.ring, d.cols, v))
+        assert planted.mod2_columns(2)[0][0] == mod2_apply(lam_cols, v)
+        assert verify._lambda_ker_contains_mod2(d, lam_j, planted), (g, m)
+        shifted = _bits_as_column(ctx.ring, cls.rows, old_target ^ mod2_apply(lam_cols, v))
+        assert not verify._lambda_ker_contains_mod2(d, lam_j, shifted), (g, m)
+
+
 def _nullspace_kernel_quotient_dim(g, k, spec):
     """dim K_k - dim lam*K_(k-1) through explicit kernel bases and their lam-images."""
     p = spec.prime
@@ -169,11 +232,12 @@ def test_kernel_quotient_dim_matches_nullspace_route():
     for g in (1, 2, 3):
         ring = surface_context(g).ring
         for k in range(2, 2 * g + 1):
+            maps = (exterior_boundary_matrix(g, k), exterior_boundary_matrix(g, k - 1), lambda_matrix(g, k - 1))
             for prime in (VERIFY_PRIME, 3, 5):
                 for seed in (0, 1, 7):
                     for t in range(3):
                         spec = _trial_specialization(ring, prime, seed, t)
-                        assert _kernel_quotient_dim(g, k, spec) == _nullspace_kernel_quotient_dim(g, k, spec), \
+                        assert _kernel_quotient_dim(*maps, spec) == _nullspace_kernel_quotient_dim(g, k, spec), \
                             (g, k, prime, seed, t)
 
 
