@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -51,7 +52,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``run`` and kept for the
+    process: ``parse_args`` returns a fresh namespace and keeps no state."""
     parser = _Parser(
         prog="sympow",
         description="Chain complexes and homology of symmetric powers of surfaces and their covers.",
@@ -71,8 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="homology route (default generic)")
         if ranks:
             p.add_argument("--N", type=int, default=None, help="finite cover order for the snf method")
-            p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--trials", type=int, default=None, help=f"(default {DEFAULT_TRIALS})")
+            p.add_argument("--seed", type=int, default=None, help="(default 0)")
             p.add_argument("--prime", type=int, default=None)
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--out", type=str, default=None)
@@ -115,6 +119,11 @@ def _require(args, flag: str) -> int:
     return value
 
 
+def _or(value: int | None, default: int) -> int:
+    """A rank flag's value, or its default when the flag was not given."""
+    return default if value is None else value
+
+
 def _validate(args) -> None:
     for name in ("k", "N", "trials", "prime", "threads"):
         v = getattr(args, name, None)
@@ -149,12 +158,16 @@ def _homology_report(args, kind: str) -> HomologyReport:
     method = args.method or "generic"
     if args.N is not None and method != "snf":
         raise UsageError("--N applies only to --method snf")
+    if method != "generic":
+        for flag in ("prime", "trials", "seed"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--{flag} applies only to --method generic")
     if method == "count":
         return _betti_report(args)
     complex_ = _complex(args, kind)
     if method == "generic":
-        rep = generic_homology(complex_, args.trials, args.seed,
-                               args.prime if args.prime is not None else FAST_PRIME,
+        rep = generic_homology(complex_, _or(args.trials, DEFAULT_TRIALS), _or(args.seed, 0),
+                               _or(args.prime, FAST_PRIME),
                                threads=args.threads)
     else:
         rep = integer_homology(base_change(complex_, args.N if args.N is not None else 1))
@@ -215,7 +228,7 @@ def _render_verify(reports, fmt: str) -> str:
 def run(argv: list[str]) -> tuple[int, str, str | None]:
     """Parse argv and produce (exit_code, report_text, out_path); no I/O."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         out = args.out
         _validate(args)
         if args.command == "betti":
@@ -228,11 +241,10 @@ def run(argv: list[str]) -> tuple[int, str, str | None]:
         if args.command == "verify":
             if args.suite == "all" and args.k is not None:
                 raise UsageError("--k does not apply to --suite all (each suite uses its own k)")
-            prime = args.prime if args.prime is not None else VERIFY_PRIME
             n_list = (1, 2) if args.N is None else tuple(sorted({1, args.N}))
             reports = run_suite(args.suite, g=args.genus, n=args.arity, k=args.k,
-                                trials=args.trials, seed=args.seed, prime=prime,
-                                N_list=n_list)
+                                trials=_or(args.trials, DEFAULT_TRIALS), seed=_or(args.seed, 0),
+                                prime=_or(args.prime, VERIFY_PRIME), N_list=n_list)
             code = 0 if all(r.passed for r in reports) else 1
             return code, _render_verify(reports, args.format), out
         if args.command == "export":

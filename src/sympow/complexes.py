@@ -44,7 +44,6 @@ from .dga import (
     coefficient_table,
     lambda_image,
     monomial_boundary,
-    monomial_sort_key,
     monomial_str,
     surface_context,
     wedge_context,
@@ -109,20 +108,31 @@ class SparseRingMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def specialize(self, spec: UnitSpecialization) -> list[list[int]]:
-        """Dense matrix of entrywise evaluations mod spec.prime.
+    def specialize_rows(self, spec: UnitSpecialization) -> list[dict[int, int]]:
+        """Rows ``{col: value}`` of the entrywise evaluations mod spec.prime.
 
         Built boundary matrices share a few entry objects many times (the 8860
         entries of ``cover(5,5)`` are 20 objects), so each distinct entry is
-        evaluated once, keyed by ``id`` as in ``mod2_columns``.
+        evaluated once, keyed by ``id`` as in ``mod2_columns``.  An entry that
+        evaluates to 0 (``1 - x_i`` at ``x_i = 1``) is not stored, since the
+        rank kernel takes every stored value for a pivot candidate.
         """
-        M = [[0] * self.cols for _ in range(self.rows)]
+        rows: list[dict[int, int]] = [{} for _ in range(self.rows)]
         values: dict[int, int] = {}
         for (r, c), v in self.entries.items():
             x = values.get(id(v))
             if x is None:
                 x = values[id(v)] = v.specialize(spec)
-            M[r][c] = x
+            if x:
+                rows[r][c] = x
+        return rows
+
+    def specialize(self, spec: UnitSpecialization) -> list[list[int]]:
+        """Dense view of ``specialize_rows(spec)``, for the dense mod-p helpers."""
+        M = [[0] * self.cols for _ in range(self.rows)]
+        for out, row in zip(M, self.specialize_rows(spec)):
+            for c, x in row.items():
+                out[c] = x
         return M
 
     def check_base_change_size(self, N: int, name: str = "a matrix") -> None:
@@ -269,13 +279,15 @@ def _boundary_matrices(ctx: DgaContext, modules: list[BasedFreeModule],
 
 
 def _exterior_basis(ctx: DgaContext, size: int) -> tuple[Monomial, ...]:
+    """The ``size``-subsets of the generators in ``monomial_sort_key`` order:
+    ``combinations`` yields the index tuples in lexicographic order."""
     masks = []
     for combo in itertools.combinations(range(ctx.ngens), size):
         mask = 0
         for i in combo:
             mask |= 1 << i
         masks.append((mask, 0))
-    return tuple(sorted(masks, key=monomial_sort_key))
+    return tuple(masks)
 
 
 def build_wedge_complex(n: int, k: int) -> ChainComplex:
@@ -290,16 +302,17 @@ def build_wedge_complex(n: int, k: int) -> ChainComplex:
 
 
 def cover_basis(g: int, k: int, degree: int) -> tuple[Monomial, ...]:
-    """All monomials of internal degree ``degree`` and weight <= k."""
+    """All monomials of internal degree ``degree`` and weight <= k, in
+    ``monomial_sort_key`` order: exterior size ``degree - 2s`` grows as the
+    gamma index ``s`` falls, and each size is enumerated in order."""
     ctx = surface_context(g)
     out = []
-    for s in range(degree // 2 + 1):
+    for s in range(degree // 2, -1, -1):
         ext = degree - 2 * s
-        if ext < 0 or ext > ctx.ngens or ext + s > k:
+        if ext > ctx.ngens or ext + s > k:
             continue
-        for mono in _exterior_basis(ctx, ext):
-            out.append((mono[0], s))
-    return tuple(sorted(out, key=monomial_sort_key))
+        out.extend((mask, s) for mask, _ in _exterior_basis(ctx, ext))
+    return tuple(out)
 
 
 def build_cover_complex(g: int, k: int) -> ChainComplex:

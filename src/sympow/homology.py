@@ -6,7 +6,10 @@ random unit specializations mod a large prime: matrix rank can only drop
 under specialization, so ``generic_rank`` takes the maximum over trials;
 homology dimension can only jump up, so ``generic_homology`` takes the
 minimum.  Both are correct semicontinuous bounds and equal the exact
-fraction-field values with probability >= 1 - deg/p per trial.
+fraction-field values with probability >= 1 - deg/p per trial.  Both rank the
+``{col: value}`` rows of ``SparseRingMatrix.specialize_rows`` with
+``_sparse_rank``, so the generic route builds no dense matrix; the dense
+``modp_rank`` serves the remaining dense callers.
 
 Certified early stop.  Both engines stop once a trial proves its own answer
 exact, and report what running every trial would: ``generic_rank`` when a
@@ -512,7 +515,7 @@ def generic_rank(M: SparseRingMatrix, trials: int = DEFAULT_TRIALS, seed: int = 
     best = 0
     for t in range(trials):
         spec = _trial_specialization(M.ring, prime, seed, t)
-        best = max(best, modp_rank(M.specialize(spec), prime))
+        best = max(best, _sparse_rank(M.specialize_rows(spec), prime))
         if best == full:
             break  # no trial can exceed full rank
     return best
@@ -547,8 +550,8 @@ def generic_homology(c: ChainComplex, trials: int = DEFAULT_TRIALS, seed: int = 
     dims: list[int] | None = None
     for t in range(trials):
         spec = _trial_specialization(c.ctx.ring, prime, seed, t)
-        ranks = _cleared_ranks((b.specialize(spec) for b in c.boundaries[1:]),
-                               lambda M, pivots: modp_rank(M, prime, pivots))
+        ranks = _cleared_ranks((b.specialize_rows(spec) for b in c.boundaries[1:]),
+                               lambda rows, pivots: _sparse_rank(rows, prime, pivots))
         trial = [c.modules[i].rank - ranks[i] - ranks[i + 1] for i in range(n)]
         dims = trial if dims is None else list(map(min, dims, trial))
         if sum(1 for d in trial if d) <= 1:

@@ -29,7 +29,7 @@ def test_tracer_installs_and_keeps_stdout(monkeypatch):
     assert traced == plain
     assert (cli.run, homology.modp_rank) == originals
     assert cli.run(argv) == plain
-    assert tracer.stats["homology.modp_rank"]["calls"] > 0
+    assert tracer.stats["homology.generic_homology"]["calls"] > 0
 
 
 def test_tracer_passes_the_pivot_list_to_integer_rank(monkeypatch):

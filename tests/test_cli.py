@@ -331,3 +331,28 @@ def test_snf_cover_genus3_k2_N2():
     ranks = [h["rank"] for h in payload["homology"]]
     assert ranks == integer_free_ranks(base_change(build_cover_complex(3, 2), 2)) == [1, 6, 394, 6, 1]
     assert all(h["torsion"] == [] for h in payload["homology"])
+
+
+def test_rank_flags_rejected_off_the_generic_route():
+    # snf and count use no prime, trials or seed; an explicit one is a usage error
+    routes = (["cover-homology", "--genus", "1", "--k", "1", "--method", "snf"],
+              ["cover-homology", "--genus", "1", "--k", "1", "--method", "count"],
+              ["wedge-homology", "--arity", "3", "--k", "2", "--method", "snf"],
+              ["quotient-homology", "--genus", "1", "--k", "1", "--method", "snf"])
+    for route in routes:
+        assert run(route)[0] == 0, route
+        for flag, value in (("--prime", "7"), ("--trials", "9"), ("--seed", "0")):
+            code, text, out = run(route + [flag, value])
+            assert (code, out) == (2, None) and text.startswith("usage error: ") and flag in text, \
+                (route, flag)
+
+
+def test_cached_parser_keeps_no_state_between_runs():
+    argv = ["cover-homology", "--genus", "2", "--k", "2"]
+    assert json.loads(run(argv + ["--seed", "3", "--trials", "2"])[1])["seed"] == 3
+    payload = json.loads(run(argv)[1])
+    assert (payload["seed"], payload["trials"], payload["prime"]) == (0, 5, 1000003)
+    assert run(argv + ["--bogus"])[0] == 2
+    assert run(["verify", "--suite", "dga", "--genus", "2", "--k", "2", "--format", "text"])[0] == 0
+    assert json.loads(run(argv)[1]) == payload
+    assert cli._parser() is cli._parser()

@@ -212,6 +212,34 @@ def test_cover_bases_nest_with_k():
                 assert small <= set(cover_basis(g, k + 1, d))
 
 
+def test_bases_are_enumerated_in_sort_key_order():
+    # oracle: the sorted enumeration the builders used before
+    from sympow.complexes import cover_basis
+
+    for g in range(1, 6):
+        ctx = surface_context(g)
+        for size in range(2 * g + 1):
+            basis = _exterior_basis(ctx, size)
+            assert basis == tuple(sorted(basis, key=dga.monomial_sort_key))
+        for k in range(8):
+            for d in range(2 * k + 1):
+                basis = cover_basis(g, k, d)
+                expected = [(mask, s) for s in range(d // 2 + 1) if d - 2 * s <= 2 * g and d - s <= k
+                            for mask, _ in _exterior_basis(ctx, d - 2 * s)]
+                assert basis == tuple(sorted(expected, key=dga.monomial_sort_key))
+
+
+def test_sparse_ring_matrix_validates_every_entry():
+    ring = surface_ring(1)
+    one = ring.one()
+    SparseRingMatrix(ring, 2, 3, {(0, 0): one, (1, 2): one})
+    for key in ((-1, 0), (0, -1), (2, 0), (0, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            SparseRingMatrix(ring, 2, 3, {(0, 0): one, key: one})
+    with pytest.raises(ValueError, match="nonzero"):
+        SparseRingMatrix(ring, 2, 3, {(0, 0): one, (1, 1): ring.zero()})
+
+
 def test_specialized_wedge_ranks():
     from sympow.homology import modp_rank
 

@@ -470,12 +470,12 @@ def _recording(monkeypatch, name):
 
 
 def test_clearing_drops_the_pivot_rows_of_the_previous_boundary(monkeypatch):
-    # each d_(i+1) reaches modp_rank with rows(d_(i+1)) - rank(d_i) rows
+    # each d_(i+1) reaches the F_p rank kernel with rows(d_(i+1)) - rank(d_i) rows
     for c in (build_cover_complex(3, 3), build_Q_complex(3, 3), build_wedge_complex(6, 3)):
         prime, seed = homology.FAST_PRIME, 1
         spec = homology._trial_specialization(c.ctx.ring, prime, seed, 0)
         full = [0] + [modp_rank(b.specialize(spec), prime) for b in c.boundaries[1:]]
-        seen = _recording(monkeypatch, "modp_rank")
+        seen = _recording(monkeypatch, "_sparse_rank")
         generic_homology(c, 1, seed, prime)
         monkeypatch.undo()
         assert seen == [b.rows - full[i - 1] for i, b in enumerate(c.boundaries[1:], start=1)]
@@ -506,6 +506,21 @@ def test_specialize_deduplicated_matches_entrywise():
                 entrywise = [[M.entry(r, col).specialize(spec) for col in range(M.cols)]
                              for r in range(M.rows)]
                 assert M.specialize(spec) == entrywise
+
+
+def test_specialize_rows_store_the_nonzero_evaluations():
+    # at the all-ones point every 1 - x_i vanishes, and a vanished entry is absent
+    for c in (build_cover_complex(3, 3), build_Q_complex(3, 3), build_wedge_complex(6, 3)):
+        prime = homology.FAST_PRIME
+        ones = UnitSpecialization(prime, (1,) * c.ctx.ring.nvars)
+        for spec in (random_specialization(c.ctx.ring, prime, random.Random(5)), ones):
+            for M in c.boundaries[1:]:
+                entrywise = [{col: x for col in range(M.cols) if (x := M.entry(r, col).specialize(spec))}
+                             for r in range(M.rows)]
+                assert M.specialize_rows(spec) == entrywise
+        # every entry of these complexes vanishes under the augmentation
+        assert any(b.entries for b in c.boundaries[1:])
+        assert not any(any(b.specialize_rows(ones)) for b in c.boundaries[1:])
 
 
 def test_euler_conservation_per_method():
