@@ -3,7 +3,7 @@
 Commands: betti, cover-homology, quotient-homology, wedge-homology, verify,
 export.  Reports go to stdout or ``--out`` as JSON (canonical), CSV, or
 aligned text.  Identical argv (including --seed) produces byte-identical
-output, independently of --threads.
+output.
 
 Exit codes: 0 all checks pass / report produced, 1 a verification check
 failed, 2 usage error.
@@ -16,7 +16,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 
 from .complexes import (
@@ -80,8 +79,6 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--prime", type=int, default=None)
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--threads", type=int, default=os.cpu_count(),
-                       help="accepted for compatibility; trials run serially (does not affect output)")
 
     p = sub.add_parser("betti", help="Betti numbers of the k-th symmetric power")
     add_common(p, "genus", ranks=False)
@@ -125,7 +122,7 @@ def _or(value: int | None, default: int) -> int:
 
 
 def _validate(args) -> None:
-    for name in ("k", "N", "trials", "prime", "threads"):
+    for name in ("k", "N", "trials", "prime"):
         v = getattr(args, name, None)
         if v is not None and v < 0:
             raise UsageError(f"--{name} must be nonnegative")
@@ -167,8 +164,7 @@ def _homology_report(args, kind: str) -> HomologyReport:
     complex_ = _complex(args, kind)
     if method == "generic":
         rep = generic_homology(complex_, _or(args.trials, DEFAULT_TRIALS), _or(args.seed, 0),
-                               _or(args.prime, FAST_PRIME),
-                               threads=args.threads)
+                               _or(args.prime, FAST_PRIME))
     else:
         rep = integer_homology(base_change(complex_, args.N if args.N is not None else 1))
     if kind == "q":

@@ -25,8 +25,8 @@ as their oracle.
 
 Finite covers: ``base_change`` gives each boundary as ``{col: value}`` rows,
 built term by term from the entries, and refuses, from the shapes alone, any
-boundary of more than ``MAX_DENSE_CELLS`` cells; ``SparseRingMatrix.mod2_columns``
-gives the mod-2 columns of a base change as bitsets.
+boundary of more than ``MAX_DENSE_CELLS`` cells.  ``first_order_rows`` gives
+F_2 rows of a matrix over ``F_2[pi]/I^2``, in blocks of ``1 + m``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Iterable
 
 from .dga import (
@@ -113,7 +113,7 @@ class SparseRingMatrix:
 
         Built boundary matrices share a few entry objects many times (the 8860
         entries of ``cover(5,5)`` are 20 objects), so each distinct entry is
-        evaluated once, keyed by ``id`` as in ``mod2_columns``.  An entry that
+        evaluated once, keyed by ``id``.  An entry that
         evaluates to 0 (``1 - x_i`` at ``x_i = 1``) is not stored, since the
         rank kernel takes every stored value for a pivot candidate.
         """
@@ -167,29 +167,32 @@ class SparseRingMatrix:
                         rows[r0 + t][j] = coeff
         return rows
 
-    def mod2_columns(self, N: int) -> tuple[list[int], int]:
-        """The columns of ``self.base_change(N)`` mod 2, built from the entries alone.
-
-        Column ``c*N^m + b`` of the base change holds, for each term ``c_e x^e``
-        of entry (r, c), the coefficient ``c_e`` in row ``r*N^m + index(b + e
-        mod N)``; mod 2 every odd term flips that one bit.  Returns the column
-        bitsets and the row count ``rows * N^m``.
+    def first_order_rows(self) -> list[dict[int, int]]:
+        """Rows ``{col: 1}`` over F_2 of the matrix over ``F_2[pi]/I^2`` (``I`` the
+        augmentation ideal), on the basis ``1, x_1 - 1, .., x_n - 1``.  Mod ``I^2``,
+        ``x^e = 1 + sum e_i (x_i - 1)``, negative ``e_i`` included, so entry
+        ``sum c x^e`` at (r, c) becomes the block ``[[a, 0], [l, a I]]`` of its
+        multiplication map, ``a = sum c`` and ``l_i = sum c e_i`` mod 2, at rows
+        ``r*(1+n)..`` and columns ``c*(1+n)..``: a ring homomorphism.  Each
+        distinct entry object is evaluated once, as in ``specialize_rows``.
         """
-        bs = N ** self.ring.nvars
-        out = [0] * (self.cols * bs)
-        patterns: dict[int, list[int]] = {}  # keyed by id: built entries share objects
+        bs = 1 + self.ring.nvars
+        rows: list[dict[int, int]] = [{} for _ in range(self.rows * bs)]
+        values: dict[int, tuple[int, list[int]]] = {}
         for (r, c), v in self.entries.items():
-            pattern = patterns.get(id(v))
-            if pattern is None:
-                pattern = patterns[id(v)] = [0] * bs
-                for exps, coeff in v.terms.items():
-                    if coeff & 1:
-                        for b, t in enumerate(_translation(exps, N)):
-                            pattern[b] ^= 1 << t
-            shift, c0 = r * bs, c * bs
-            for b in range(bs):
-                out[c0 + b] ^= pattern[b] << shift
-        return out, self.rows * bs
+            value = values.get(id(v))
+            if value is None:
+                coeffs = v.terms.values()
+                ell = (sum(map(mul, exps, coeffs)) for exps in zip(*v.terms))
+                value = values[id(v)] = (sum(coeffs) & 1, [i for i, x in enumerate(ell, 1) if x & 1])
+            a, ell = value
+            r0, c0 = r * bs, c * bs
+            if a:
+                for i in range(bs):
+                    rows[r0 + i][c0 + i] = 1
+            for i in ell:
+                rows[r0 + i][c0] = 1
+        return rows
 
 
 @dataclass

@@ -522,14 +522,12 @@ def generic_rank(M: SparseRingMatrix, trials: int = DEFAULT_TRIALS, seed: int = 
 
 
 def generic_homology(c: ChainComplex, trials: int = DEFAULT_TRIALS, seed: int = 0,
-                     prime: int = FAST_PRIME, threads: int | None = None) -> HomologyReport:
+                     prime: int = FAST_PRIME) -> HomologyReport:
     """Fraction-field homology dimensions via rank-nullity on specializations.
 
     Each trial uses one consistent specialization for every boundary and
     ranks the boundaries with clearing (``_cleared_ranks``), which changes no
-    rank; the per-degree results are aggregated by minimum over trials.  Trials run
-    serially: ``threads`` is accepted for compatibility and changes nothing
-    (a thread pool only adds lock contention to pure-Python elimination).
+    rank; the per-degree results are aggregated by minimum over trials.
 
     Trials stop after the first one whose dimensions are zero in every degree
     but at most one: that trial equals the fraction-field dimensions ``gen``,

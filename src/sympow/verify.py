@@ -5,16 +5,16 @@ passes iff every check passes.  Two kinds of evidence appear:
 
 * fraction-field shadows: generic dimensions computed through random unit
   specializations (seeded, reproducible);
-* integral witnesses on finite covers: exact integer or mod-2 computations
-  after base change to Z[(Z/N)^m], which retain torsion phenomena that any
-  field-valued specialization provably kills.
+* integral witnesses: exact integer computations after base change to
+  Z[(Z/N)^m], and exact F_2 computations over F_2[pi]/I^2, which retain
+  torsion phenomena that any field-valued specialization provably kills.
 
 The second kind is what certifies the odd cohomology classes lam*sigma_m
 of the kernel complex: those classes are copies of Z with trivial deck
 action, so they vanish after tensoring with any field, but a relation
 lam*sigma_m = lam*v with v in ker(d) over the group ring would descend to
-every finite cover; its failure mod 2 on the N=2 cover is therefore an
-exact proof of nontriviality.
+F_2[pi]/I^2 = F_2[(Z/2)^m]/I^2 (I the augmentation ideal), a quotient of the
+N=2 cover's algebra; its failure there is an exact proof of nontriviality.
 """
 
 from __future__ import annotations
@@ -49,20 +49,16 @@ from .groupring import UnitSpecialization
 from .homology import (
     DEFAULT_TRIALS,
     VERIFY_PRIME,
+    _sparse_rank,
     _trial_specialization,
     betti_symmetric_power,
     euler_characteristic,
     generic_homology,
     integer_free_ranks,
     integer_homology,
-    mod2_in_span,
     modp_matvec,
     modp_rank,
 )
-
-# Most bits of d_2m and lam_2m column bitsets on the N=2 cover that the
-# lemma-cohomology witness may build (g=4 needs 5.1e8, g=5 would need 8.2e10).
-MAX_WITNESS_BITS = 1_000_000_000
 
 
 @dataclass
@@ -277,15 +273,19 @@ def verify_lemma_q(g: int, k: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
     return report
 
 
-def _lambda_ker_contains_mod2(d: SparseRingMatrix, lam: SparseRingMatrix,
-                              target: SparseRingMatrix) -> bool:
-    """Whether column 0 of ``target`` lies in ``lam * ker d`` over F_2 on the N=2 cover:
+def _lambda_ker_contains(d: SparseRingMatrix, lam: SparseRingMatrix,
+                         target: SparseRingMatrix) -> bool:
+    """Whether column 0 of ``target`` lies in ``lam * ker d`` over F_2[pi]/I^2:
     ``t`` is in ``lam * ker d`` iff ``(0; t)`` is in the column span of the stacked
-    ``[d; lam]``, the identity behind ``theorem-main``'s ``rank[d; lam] - rank d``."""
-    entries = dict(d.entries)
-    entries.update(((r + d.rows, c), v) for (r, c), v in lam.entries.items())
-    stacked, _ = SparseRingMatrix(d.ring, d.rows + lam.rows, d.cols, entries).mod2_columns(2)
-    return mod2_in_span(stacked, target.mod2_columns(2)[0][0] << d.rows * 2 ** d.ring.nvars)
+    ``[d; lam]``, the identity behind ``theorem-main``'s ``rank[d; lam] - rank d``,
+    that is iff adjoining ``(0; t)`` as a column keeps the rank."""
+    stacked = d.first_order_rows() + lam.first_order_rows()
+    rank = _sparse_rank([dict(row) for row in stacked], 2)
+    bs = 1 + d.ring.nvars
+    for i, row in enumerate(target.first_order_rows(), d.rows * bs):
+        if 0 in row:
+            stacked[i][d.cols * bs] = 1
+    return _sparse_rank(stacked, 2) == rank
 
 
 def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
@@ -298,10 +298,10 @@ def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
 
     * symbolic identities d(sigma_m) = -lam * sigma_{m-1} and
       lam * (lam * sigma_m) = 0 (cycle check);
-    * exact nontriviality on the N=2 cover mod 2: lam*sigma_m is not in
-      lam * ker(d_{2m}) over F_2[(Z/2)^{2g}], so adjoining it grows the
-      coboundary space (rank-increase check); any relation over the group
-      ring would descend, so the class is nonzero integrally;
+    * exact nontriviality over F_2[pi]/I^2, a quotient of the N=2 cover's
+      algebra: lam*sigma_m is not in lam * ker(d_{2m}) there, so adjoining
+      it grows the rank of the stacked [d; lam] (rank-increase check); any
+      relation over the group ring would descend, so the class is nonzero;
     * the integral shadow of the full lam-complex: over Z[(Z/N)^{2g}] its
       cohomology is torsion-free of rank binom(2g, i) in position i, the
       base-change fingerprint of "exact except a single Z at the top";
@@ -311,12 +311,6 @@ def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
     """
     if g < 2:
         raise ValueError("genus must be >= 2")
-    n, blocks = 2 * g, 4 ** g
-    bits = max(blocks * blocks * math.comb(n, 2 * m) * (math.comb(n, 2 * m - 1) + math.comb(n, 2 * m + 1))
-               for m in range(1, g))
-    if bits > MAX_WITNESS_BITS:
-        raise ValueError(f"the mod-2 witness of lemma-cohomology at g={g} would need {bits:,} bits "
-                         f"of column bitsets, over the limit of {MAX_WITNESS_BITS:,}")
     report = VerifyReport("lemma-cohomology",
                           {"g": g, "trials": trials, "seed": seed, "prime": prime})
     lam = lambda_element(g)
@@ -366,17 +360,17 @@ def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
                f"trial {bad[0]}: lam*sigma_{bad[1]} not in ker of next lam-map" if bad else
                f"{trials} specializations")
 
-    # exact nontriviality witness on the N=2 cover, mod 2
+    # exact nontriviality witness over F_2[pi]/I^2
     bad = None
     detail_parts = []
     for m in range(1, g):
         j = 2 * m
-        if _lambda_ker_contains_mod2(exterior_boundary_matrix(g, j), full_q.boundaries[2 * g - j], classes[m]):
+        if _lambda_ker_contains(exterior_boundary_matrix(g, j), full_q.boundaries[2 * g - j], classes[m]):
             bad = m
             break
-        detail_parts.append(f"position {2 * m + 1}: lam*sigma_{m} outside lam*ker(d_{j}) on the N=2 cover")
+        detail_parts.append(f"position {2 * m + 1}: lam*sigma_{m} outside lam*ker(d_{j}) over F_2[pi]/I^2")
     report.add("lambda-sigma-nonzero-finite-cover", bad is None,
-               f"lam*sigma_{bad} is a coboundary on the N=2 cover" if bad else
+               f"lam*sigma_{bad} lies in lam*ker(d_{2 * bad}) over F_2[pi]/I^2" if bad else
                "; ".join(detail_parts))
 
     # integral shadow of the full lam-complex (torsion-free Tor pattern)

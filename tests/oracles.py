@@ -6,10 +6,12 @@ enumeration for regular representations, the group-ring product on plain
 dicts of exponent tuples, the dense base change that the
 library's sparse rows replaced, sympy for Smith normal forms, the dense
 elimination loops that the library's sparse rank kernel and sparse Smith
-normal form replaced, and the every-trial generic homology loop that its
-certified early stop replaced.  ``sparse_rows`` and ``dense_matrix`` convert
-between the dense matrices of the oracles and the library's ``{col: value}``
-rows.
+normal form replaced, the every-trial generic homology loop that its
+certified early stop replaced, the mod-2 bitset witness on the N=2 cover
+that the ``lemma-cohomology`` span test over F_2[pi]/I^2 replaced, and that
+span test by enumeration over truncated power series.  ``sparse_rows`` and
+``dense_matrix`` convert between the dense matrices of the oracles and the
+library's ``{col: value}`` rows; ``random_laurent_matrix`` draws test input.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from sympow.groupring import random_specialization
-from sympow.homology import SnfResult
+from sympow.complexes import SparseRingMatrix
+from sympow.groupring import _translation, random_specialization
+from sympow.homology import SnfResult, mod2_in_span
 
 
 def _series_mul(A, B, k):
@@ -306,3 +309,98 @@ def all_trials_generic_homology(c, trials: int, seed: int, prime: int) -> list[i
         trial = [c.modules[i].rank - ranks[i] - ranks[i + 1] for i in range(n)]
         dims = trial if dims is None else [min(a, b) for a, b in zip(dims, trial)]
     return dims
+
+
+def mod2_columns(M: SparseRingMatrix, N: int) -> tuple[list[int], int]:
+    """The columns of ``M.base_change(N)`` mod 2, built from the entries alone.
+
+    Column ``c*N^m + b`` of the base change holds, for each term ``c_e x^e``
+    of entry (r, c), the coefficient ``c_e`` in row ``r*N^m + index(b + e
+    mod N)``; mod 2 every odd term flips that one bit.  Returns the column
+    bitsets and the row count ``rows * N^m``.
+    """
+    bs = N ** M.ring.nvars
+    out = [0] * (M.cols * bs)
+    patterns: dict[int, list[int]] = {}  # keyed by id: built entries share objects
+    for (r, c), v in M.entries.items():
+        pattern = patterns.get(id(v))
+        if pattern is None:
+            pattern = patterns[id(v)] = [0] * bs
+            for exps, coeff in v.terms.items():
+                if coeff & 1:
+                    for b, t in enumerate(_translation(exps, N)):
+                        pattern[b] ^= 1 << t
+        shift, c0 = r * bs, c * bs
+        for b in range(bs):
+            out[c0 + b] ^= pattern[b] << shift
+    return out, M.rows * bs
+
+
+def lambda_ker_contains_mod2(d: SparseRingMatrix, lam: SparseRingMatrix,
+                             target: SparseRingMatrix) -> bool:
+    """Whether column 0 of ``target`` lies in ``lam * ker d`` over F_2 on the N=2
+    cover: whether ``(0; t)`` is in the span of the column bitsets of ``[d; lam]``."""
+    entries = dict(d.entries)
+    entries.update(((r + d.rows, c), v) for (r, c), v in lam.entries.items())
+    stacked, _ = mod2_columns(SparseRingMatrix(d.ring, d.rows + lam.rows, d.cols, entries), 2)
+    return mod2_in_span(stacked, mod2_columns(target, 2)[0][0] << d.rows * 2 ** d.ring.nvars)
+
+
+def random_laurent_matrix(ring, rows: int, cols: int, rng: random.Random,
+                          density: float = 0.6) -> SparseRingMatrix:
+    """A sparse matrix of random Laurent polynomials, exponents in -2..2."""
+    entries = {}
+    for r, c in itertools.product(range(rows), range(cols)):
+        if rng.random() < density:
+            terms: dict[tuple[int, ...], int] = {}
+            for _ in range(rng.randint(1, 3)):
+                e = tuple(rng.randint(-2, 2) for _ in range(ring.nvars))
+                terms[e] = terms.get(e, 0) + rng.choice([-3, -2, -1, 1, 2, 3])
+            v = ring.from_terms(terms)
+            if v:
+                entries[(r, c)] = v
+    return SparseRingMatrix(ring, rows, cols, entries)
+
+
+def _first_order_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Product in Z[y_1..y_n]/(y)^2 of ``(a_0, a_1..a_n) = a_0 + sum a_i y_i``."""
+    return (a[0] * b[0],) + tuple(a[0] * y + b[0] * x for x, y in zip(a[1:], b[1:]))
+
+
+def first_order_value(elem) -> tuple[int, ...]:
+    """A group-ring element in F_2[pi]/I^2, as ``(a, l_1..l_n)`` mod 2 on the basis
+    ``1, x_1 - 1, .., x_n - 1``: every ``x_i`` is the series ``1 + y_i``, its inverse
+    ``1 - y_i``, and monomials are products of them truncated at degree one."""
+    n = elem.ring.nvars
+    total = [0] * (n + 1)
+    for exps, coeff in elem.terms.items():
+        value = (coeff,) + (0,) * n
+        for i, e in enumerate(exps):
+            factor = tuple([1] + [(1 if e > 0 else -1) if j == i else 0 for j in range(n)])
+            for _ in range(abs(e)):
+                value = _first_order_mul(value, factor)
+        total = [t + v for t, v in zip(total, value)]
+    return tuple(t % 2 for t in total)
+
+
+def brute_force_lambda_ker_contains(d: SparseRingMatrix, lam: SparseRingMatrix,
+                                    target: SparseRingMatrix) -> bool:
+    """Whether some ``v`` in ``(F_2[pi]/I^2)^cols`` has ``d v = 0`` and ``lam v`` equal
+    to column 0 of ``target``, by trying every ``v``."""
+    n = d.ring.nvars
+    zero = (0,) * (n + 1)
+
+    def apply(M, v):
+        out = []
+        for r in range(M.rows):
+            acc = zero
+            for c in range(M.cols):
+                p = _first_order_mul(first_order_value(M.entry(r, c)), v[c])
+                acc = tuple((x + y) % 2 for x, y in zip(acc, p))
+            out.append(acc)
+        return out
+
+    want = [first_order_value(target.entry(r, 0)) for r in range(target.rows)]
+    elements = list(itertools.product((0, 1), repeat=n + 1))
+    return any(apply(d, v) == [zero] * d.rows and apply(lam, v) == want
+               for v in itertools.product(elements, repeat=d.cols))

@@ -189,10 +189,11 @@ def test_count_method_is_cover_homology_only():
     for argv in (["quotient-homology", "--genus", "2", "--k", "2", "--method", "snf"],
                  ["wedge-homology", "--arity", "3", "--k", "2", "--method", "snf", "--N", "2"]):
         assert run(argv)[0] == 0, argv
-    # --threads is accepted everywhere it was and changes nothing
+    # there is no --threads flag: specialization trials run serially
     for argv in (["betti", "--genus", "2", "--k", "2"],
                  ["wedge-homology", "--arity", "3", "--k", "2", "--seed", "1"]):
-        assert run(argv + ["--threads", "1"]) == run(argv), argv
+        code, text, _ = run(argv + ["--threads", "1"])
+        assert code == 2 and text.startswith("usage error: "), argv
 
 
 def test_homology_method_defaults_to_generic():
@@ -241,11 +242,10 @@ def test_export_text_and_out_file(tmp_path):
     assert code == 0 and "case=q g=2 k=2" in text.splitlines()[0]
 
 
-def test_determinism_across_runs_and_threads():
+def test_determinism_across_runs():
     argv = ["cover-homology", "--genus", "2", "--k", "2", "--method", "generic",
             "--trials", "4", "--seed", "3"]
-    runs = [run(argv + ["--threads", str(t)])[1] for t in (1, 2, 8)]
-    runs.append(run(argv)[1])
+    runs = [run(argv)[1] for _ in range(3)]
     assert len(set(runs)) == 1
     argv = ["verify", "--suite", "theorem-main", "--genus", "2", "--k", "2", "--seed", "5"]
     assert run(argv)[1] == run(argv)[1]

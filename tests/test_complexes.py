@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -21,8 +22,16 @@ from sympow.complexes import (
 )
 from sympow.dga import boundary, dga_mul, lambda_element, monomial_elem, monomial_str, surface_context
 from sympow.groupring import UnitSpecialization, surface_ring, wedge_ring
-from sympow.homology import integer_homology, mod2_columns
-from oracles import dense_base_change, dense_matrix, gf_betti
+from sympow import homology
+from sympow.homology import integer_homology
+from oracles import (
+    dense_base_change,
+    dense_matrix,
+    first_order_value,
+    gf_betti,
+    mod2_columns,
+    random_laurent_matrix,
+)
 
 
 def test_wedge_examples():
@@ -391,15 +400,15 @@ def test_builders_read_the_patched_boundary_convention(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Sparse mod-2 columns of a base change
+# Sparse mod-2 columns of a base change (the oracle of the lemma-cohomology witness)
 
 
 def _assert_mod2_matches_dense(M, N, label):
-    cols, rows = M.mod2_columns(N)
+    cols, rows = mod2_columns(M, N)
     bs = N ** M.ring.nvars
     assert rows == M.rows * bs, label
     if M.rows:
-        assert (cols, rows) == mod2_columns(dense_matrix(M.base_change(N), M.cols * bs)), label
+        assert (cols, rows) == homology.mod2_columns(dense_matrix(M.base_change(N), M.cols * bs)), label
     else:  # the dense route sees no rows, hence no columns either
         assert cols == [0] * (M.cols * bs), label
 
@@ -421,8 +430,49 @@ def test_mod2_columns_terms_colliding_mod_N():
         # at N=2 both terms of v land in the same cell, and their odd parities cancel
         M = SparseRingMatrix(ring, 2, 2, {(1, 0): v, (0, 1): ring.one() * 2 - x1})
         _assert_mod2_matches_dense(M, 2, v)
-        cols, _ = M.mod2_columns(2)
+        cols, _ = mod2_columns(M, 2)
         assert cols[:4] == [0, 0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# Rows over F_2[pi]/I^2
+
+
+def _f2_product(A, B, ncols):
+    """Product over F_2 of two matrices given as ``{col: 1}`` rows."""
+    out = []
+    for row in A:
+        acc = [0] * ncols
+        for m in row:
+            for c in B[m]:
+                acc[c] ^= 1
+        out.append({c: 1 for c, x in enumerate(acc) if x})
+    return out
+
+
+def test_first_order_rows_of_a_monomial():
+    ring = surface_ring(2)
+    e = (3, -1, -2, 0)
+    rows = SparseRingMatrix(ring, 1, 1, {(0, 0): ring.monomial(e)}).first_order_rows()
+    assert rows == [{0: 1}] + [{0: 1, i: 1} if e[i - 1] % 2 else {i: 1} for i in range(1, 5)]
+    # 1 - x_1 lies in I: only its first-order coordinate survives
+    rows = SparseRingMatrix(ring, 1, 1, {(0, 0): ring.one() - ring.gen(0)}).first_order_rows()
+    assert rows == [{}, {0: 1}, {}, {}, {}]
+
+
+def test_first_order_rows_is_a_ring_homomorphism():
+    rng = random.Random(3)
+    for g, (a, b, c) in ((1, (2, 3, 2)), (2, (3, 2, 3))):
+        ring = surface_ring(g)
+        bs = 1 + ring.nvars
+        for _ in range(10):
+            A = random_laurent_matrix(ring, a, b, rng)
+            B = random_laurent_matrix(ring, b, c, rng)
+            rows_a = A.first_order_rows()
+            assert A.compose(B).first_order_rows() == _f2_product(rows_a, B.first_order_rows(), c * bs)
+            # column col*(1+n) holds entry (r, col) in the basis 1, x_1 - 1, .., x_n - 1
+            for (r, col), v in A.entries.items():
+                assert tuple(rows_a[r * bs + i].get(col * bs, 0) for i in range(bs)) == first_order_value(v)
 
 
 # ---------------------------------------------------------------------------

@@ -321,13 +321,6 @@ def test_generic_homology_examples():
     assert dims[0] == 3 and all(d == 0 for d in dims[1:])
 
 
-def test_generic_homology_thread_invariance():
-    base = generic_homology(build_cover_complex(2, 2), 4, 9)
-    threaded = generic_homology(build_cover_complex(2, 2), 4, 9, threads=4)
-    assert base.ranks() == threaded.ranks()
-    assert base.to_json_dict() == threaded.to_json_dict()
-
-
 def _count_trials(monkeypatch, ones_at=None):
     """Record the trial index of every specialization drawn; trial ``ones_at``,
     if given, sets every variable to 1."""
