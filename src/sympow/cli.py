@@ -132,6 +132,27 @@ def _validate(args) -> None:
         raise UsageError("--N must be >= 1")
 
 
+# The flags each verify suite reads: ``run_suite`` passes it nothing else.
+# ``all`` reads every flag but --k, since each suite of the battery picks its own k.
+_SUITE_FLAGS = {
+    "dga": ("genus", "k", "seed"),
+    "lemma-torus": ("arity", "k", "trials", "seed", "prime"),
+    "lemma-q": ("genus", "k", "trials", "seed", "prime"),
+    "lemma-cohomology": ("genus", "trials", "seed", "prime"),
+    "theorem-main": ("genus", "k", "N", "trials", "seed", "prime"),
+    "nonfg": ("genus", "k"),
+    "mattuck": ("genus", "k", "trials", "seed", "prime"),
+    "all": ("genus", "arity", "N", "trials", "seed", "prime"),
+}
+
+
+def _check_suite_flags(args) -> None:
+    """Refuse a flag that ``--suite`` never reads, instead of ignoring it."""
+    for flag in ("genus", "arity", "k", "N", "trials", "seed", "prime"):
+        if getattr(args, flag) is not None and flag not in _SUITE_FLAGS[args.suite]:
+            raise UsageError(f"--{flag} does not apply to --suite {args.suite}")
+
+
 def _complex(args, case: str) -> ChainComplex:
     """The complex of ``case`` (cover, wedge or q) at the parsed flags, after the
     usage checks that the homology commands and ``export`` share."""
@@ -235,8 +256,7 @@ def run(argv: list[str]) -> tuple[int, str, str | None]:
             rep = _homology_report(args, kind)
             return 0, _render_homology(rep, args.format), out
         if args.command == "verify":
-            if args.suite == "all" and args.k is not None:
-                raise UsageError("--k does not apply to --suite all (each suite uses its own k)")
+            _check_suite_flags(args)
             n_list = (1, 2) if args.N is None else tuple(sorted({1, args.N}))
             reports = run_suite(args.suite, g=args.genus, n=args.arity, k=args.k,
                                 trials=_or(args.trials, DEFAULT_TRIALS), seed=_or(args.seed, 0),

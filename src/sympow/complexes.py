@@ -19,9 +19,12 @@ Cases:
 The builders are table-driven: one ``dga.coefficient_table`` per call holds
 each generator's boundary and lam coefficient with its negative, and each
 source monomial's image comes from ``dga.monomial_boundary`` or
-``dga.lambda_image``, so no group-ring arithmetic runs per entry.
-``operator_matrix`` builds the same matrices element by element and stays
-as their oracle.
+``dga.lambda_image``, so no group-ring arithmetic runs per entry.  Each
+boundary is rule-backed: it keeps its bases, its rule and the table made at
+build time, and builds its entries only on first access.
+``specialize_rows`` runs the rule on the table evaluated at a point, so the
+generic route builds no entry at all.  ``operator_matrix`` builds the same
+matrices element by element and stays as their oracle.
 
 Finite covers: ``base_change`` gives each boundary as ``{col: value}`` rows,
 built term by term from the entries, and refuses, from the shapes alone, any
@@ -35,9 +38,10 @@ import itertools
 import json
 from dataclasses import dataclass
 from operator import itemgetter, mul
-from typing import Callable, Iterable
+from typing import Callable, Iterator
 
 from .dga import (
+    CoefficientTable,
     DgaContext,
     DgaElement,
     Monomial,
@@ -49,6 +53,10 @@ from .dga import (
     wedge_context,
 )
 from .groupring import GroupRingElement, LaurentRing, UnitSpecialization, _translation
+
+# A monomial rule: the (monomial, coefficient) pairs of one source monomial's
+# image, with coefficients drawn from a coefficient table.
+Rule = Callable[[Monomial, CoefficientTable], list[tuple[Monomial, object]]]
 
 # Largest base-changed matrix (rows x cols cells) allowed: the cell count
 # bounds what elimination on its rows can fill in.
@@ -66,9 +74,16 @@ class BasedFreeModule:
 
 
 class SparseRingMatrix:
-    """Sparse matrix with group-ring entries; rows = target, cols = source."""
+    """Sparse matrix with group-ring entries; rows = target, cols = source.
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    ``SparseRingMatrix(ring, rows, cols, entries)`` holds explicit entries and
+    checks that each is in range and nonzero.  The table-driven builders
+    return rule-backed matrices instead (``from_rule``): they keep the source
+    and target bases, the monomial rule and the coefficient table, and build
+    ``entries`` from them on first access.
+    """
+
+    __slots__ = ("ring", "rows", "cols", "_entries", "_rule")
 
     def __init__(self, ring: LaurentRing, rows: int, cols: int,
                  entries: dict[tuple[int, int], GroupRingElement]):
@@ -80,7 +95,29 @@ class SparseRingMatrix:
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self._entries = entries
+        self._rule = None
+
+    @classmethod
+    def from_rule(cls, ring: LaurentRing, src: tuple[Monomial, ...], tgt: tuple[Monomial, ...],
+                  image: Rule, table: CoefficientTable) -> SparseRingMatrix:
+        """Matrix sending ``src[c]`` to the pairs ``image(src[c], table)`` over ``tgt``.
+
+        Nothing is evaluated here; its entries are in range and nonzero by
+        construction, so they skip the constructor's checks.
+        """
+        m = cls.__new__(cls)
+        m.ring, m.rows, m.cols = ring, len(tgt), len(src)
+        m._entries = None
+        m._rule = (src, tgt, image, table)
+        return m
+
+    @property
+    def entries(self) -> dict[tuple[int, int], GroupRingElement]:
+        """``{(r, c): entry}`` in column-major order; a rule-backed matrix builds it once."""
+        if self._entries is None:
+            self._entries = _image_matrix(*self._rule)
+        return self._entries
 
     def entry(self, r: int, c: int) -> GroupRingElement:
         return self.entries.get((r, c), self.ring.zero())
@@ -111,13 +148,27 @@ class SparseRingMatrix:
     def specialize_rows(self, spec: UnitSpecialization) -> list[dict[int, int]]:
         """Rows ``{col: value}`` of the entrywise evaluations mod spec.prime.
 
-        Built boundary matrices share a few entry objects many times (the 8860
-        entries of ``cover(5,5)`` are 20 objects), so each distinct entry is
-        evaluated once, keyed by ``id``.  An entry that
-        evaluates to 0 (``1 - x_i`` at ``x_i = 1``) is not stored, since the
-        rank kernel takes every stored value for a pivot candidate.
+        A rule-backed matrix evaluates only its coefficient table
+        (``_evaluate_table``) and runs its rule over the bases on that table
+        of ints, as ``_image_matrix`` runs it on the table itself (the rule
+        only moves the table's values about), so no entry is built.  Explicit
+        entries are evaluated once per distinct object, keyed by ``id``.  A
+        value of 0 (``1 - x_i`` at ``x_i = 1``) is not stored, since the rank
+        kernel takes every stored value for a pivot candidate.
         """
         rows: list[dict[int, int]] = [{} for _ in range(self.rows)]
+        if self._rule is not None:
+            src, tgt, image, table = self._rule
+            ints = _evaluate_table(table, spec)
+            get = {m: i for i, m in enumerate(tgt)}.get
+            for c, mono in enumerate(src):
+                for m, x in image(mono, ints):
+                    r = get(m)
+                    if r is None:
+                        raise ValueError(f"operator image leaves the target basis: {m}")
+                    if x:
+                        rows[r][c] = x
+            return rows
         values: dict[int, int] = {}
         for (r, c), v in self.entries.items():
             x = values.get(id(v))
@@ -231,30 +282,51 @@ class IntegerChainComplex:
     boundaries: list[list[dict[int, int]] | None]
 
 
-def _image_matrix(src: tuple[Monomial, ...], tgt: tuple[Monomial, ...], ring: LaurentRing,
-                  image: Callable[[Monomial], Iterable[tuple[Monomial, GroupRingElement]]]) -> SparseRingMatrix:
-    """Matrix of a monomial-wise operator given by each source monomial's image pairs.
+# The last table evaluated, the point and the values: one slot, read and
+# written whole.
+_last_evaluation: list[tuple] = [(None, None, ())]
+
+
+def _evaluate_table(table: CoefficientTable, spec: UnitSpecialization) -> tuple:
+    """The table with each object replaced by its value at ``spec``.
+
+    The boundaries of a complex share one table and are specialized at one
+    point in turn, so the last evaluation is kept; it holds its table, whose
+    identity is therefore not reused.  Each pair of a table is ``(c, -c)``.
+    """
+    last_table, last_spec, ints = _last_evaluation[0]
+    if last_table is not table or last_spec != spec:
+        p = spec.prime
+        ints = tuple(tuple((x, -x % p) for x in (c.specialize(spec) for c, _ in part))
+                     for part in table)
+        _last_evaluation[0] = (table, spec, ints)
+    return ints
+
+
+def _image_matrix(src: tuple[Monomial, ...], tgt: tuple[Monomial, ...], image: Rule,
+                  table: CoefficientTable) -> dict[tuple[int, int], GroupRingElement]:
+    """Entries of the matrix sending ``src[c]`` to the pairs ``image(src[c], table)``.
 
     Column-major, rows ascending within a column: the layout of
-    ``operator_matrix``.  The coefficient objects become the entries as they
-    are (group-ring elements are immutable), so every entry of a matrix built
-    from a coefficient table is one of the table's few objects.
+    ``operator_matrix``.  Every pair must land in ``tgt``; zero coefficients
+    are not stored.  The coefficient objects become the entries as they are
+    (group-ring elements are immutable), so every entry is one of the
+    table's few objects.
     """
     index = {m: i for i, m in enumerate(tgt)}
     entries: dict[tuple[int, int], GroupRingElement] = {}
     for c, mono in enumerate(src):
         column = []
-        for m, coeff in image(mono):
-            if not coeff:
-                continue
+        for m, coeff in image(mono, table):
             r = index.get(m)
             if r is None:
                 raise ValueError(f"operator image leaves the target basis: {m}")
-            column.append((r, coeff))
+            if coeff:
+                column.append((r, coeff))
         column.sort(key=itemgetter(0))
         for r, coeff in column:
             entries[(r, c)] = coeff
-    return SparseRingMatrix(ring, len(tgt), len(src), entries)
+    return entries
 
 
 def operator_matrix(src: tuple[Monomial, ...], tgt: tuple[Monomial, ...],
@@ -272,12 +344,12 @@ def operator_matrix(src: tuple[Monomial, ...], tgt: tuple[Monomial, ...],
 
 
 def _boundary_matrices(ctx: DgaContext, modules: list[BasedFreeModule],
-                       image=monomial_boundary) -> list[SparseRingMatrix | None]:
-    """``[None, d_1, .., d_top]`` from one coefficient table: ``d_i`` sends each
+                       image: Rule = monomial_boundary) -> list[SparseRingMatrix | None]:
+    """``[None, d_1, .., d_top]`` over one coefficient table: ``d_i`` sends each
     monomial ``m`` of ``modules[i]`` to ``image(m, table)`` in ``modules[i - 1]``."""
     table = coefficient_table(ctx)
-    return [None] + [_image_matrix(modules[i].basis, modules[i - 1].basis, ctx.ring,
-                                   lambda m: image(m, table))
+    return [None] + [SparseRingMatrix.from_rule(ctx.ring, modules[i].basis, modules[i - 1].basis,
+                                                image, table)
                      for i in range(1, len(modules))]
 
 
@@ -344,10 +416,9 @@ def build_cover_complex(g: int, k: int) -> ChainComplex:
 def lambda_matrix(g: int, size: int) -> SparseRingMatrix:
     """Matrix of left multiplication by lam from exterior degree ``size`` to ``size + 1``."""
     ctx = surface_context(g)
-    table = coefficient_table(ctx)
     src = _exterior_basis(ctx, size)
     tgt = _exterior_basis(ctx, size + 1)
-    return _image_matrix(src, tgt, ctx.ring, lambda m: lambda_image(m, table))
+    return SparseRingMatrix.from_rule(ctx.ring, src, tgt, lambda_image, coefficient_table(ctx))
 
 
 def exterior_boundary_matrix(g: int, size: int) -> SparseRingMatrix:
@@ -359,10 +430,9 @@ def exterior_boundary_matrix(g: int, size: int) -> SparseRingMatrix:
     if size < 1:
         raise ValueError("size must be >= 1")
     ctx = surface_context(g)
-    table = coefficient_table(ctx)
     src = _exterior_basis(ctx, size)
     tgt = _exterior_basis(ctx, size - 1)
-    return _image_matrix(src, tgt, ctx.ring, lambda m: monomial_boundary(m, table))
+    return SparseRingMatrix.from_rule(ctx.ring, src, tgt, monomial_boundary, coefficient_table(ctx))
 
 
 def build_Q_complex(g: int, k: int) -> ChainComplex:
@@ -413,6 +483,20 @@ def _header_params(c: ChainComplex) -> tuple[str, int, int]:
     return tag, gval, c.params["k"]
 
 
+def _export_cells(mat: SparseRingMatrix) -> Iterator[tuple[int, int, str]]:
+    """``(row, col, canonical_str)`` of each entry in column-major order.  Each
+    distinct entry object is printed once, keyed by ``id`` as in
+    ``specialize_rows``: a built boundary's entries are a few table objects."""
+    entries = mat.entries
+    texts: dict[int, str] = {}
+    for r, col in sorted(entries, key=itemgetter(1, 0)):
+        v = entries[(r, col)]
+        text = texts.get(id(v))
+        if text is None:
+            text = texts[id(v)] = v.canonical_str()
+        yield r, col, text
+
+
 def export_text(c: ChainComplex) -> str:
     tag, gval, k = _header_params(c)
     lines = [f"SYMPOW-COMPLEX v1 case={tag} g={gval} k={k} degrees={c.top_degree + 1}"]
@@ -423,8 +507,7 @@ def export_text(c: ChainComplex) -> str:
     for i in range(1, len(c.modules)):
         mat = c.boundaries[i]
         lines.append(f"BOUNDARY {i} entries={len(mat.entries)}")
-        for (r, col) in sorted(mat.entries, key=lambda rc: (rc[1], rc[0])):
-            lines.append(f"{r} {col} {mat.entries[(r, col)].canonical_str()}")
+        lines.extend(f"{r} {col} {text}" for r, col, text in _export_cells(mat))
     return "\n".join(lines) + "\n"
 
 
@@ -448,10 +531,7 @@ def export_json_dict(c: ChainComplex) -> dict:
         "boundaries": [
             {
                 "degree": i,
-                "entries": [
-                    [r, col, c.boundaries[i].entries[(r, col)].canonical_str()]
-                    for (r, col) in sorted(c.boundaries[i].entries, key=lambda rc: (rc[1], rc[0]))
-                ],
+                "entries": [[r, col, text] for r, col, text in _export_cells(c.boundaries[i])],
             }
             for i in range(1, len(c.modules))
         ],

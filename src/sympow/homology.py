@@ -8,7 +8,9 @@ homology dimension can only jump up, so ``generic_homology`` takes the
 minimum.  Both are correct semicontinuous bounds and equal the exact
 fraction-field values with probability >= 1 - deg/p per trial.  Both rank the
 ``{col: value}`` rows of ``SparseRingMatrix.specialize_rows`` with
-``_sparse_rank``, so the generic route builds no dense matrix; the dense
+``_sparse_rank``; on the builders' rule-backed matrices those rows come
+straight from the bases and the evaluated coefficient table, so the generic
+route builds neither a dense matrix nor the group-ring entries.  The dense
 ``modp_rank`` serves the remaining dense callers.
 
 Certified early stop.  Both engines stop once a trial proves its own answer

@@ -7,6 +7,8 @@ import subprocess
 import sys
 import tracemalloc
 
+import pytest
+
 import sympow
 import sympow.cli as cli
 from sympow.cli import run
@@ -143,6 +145,52 @@ def test_verify_all_rejects_k():
     # each suite of the battery picks its own k; a --k would be dropped silently
     code, text, _ = run(["verify", "--suite", "all", "--genus", "2", "--k", "3"])
     assert code == 2 and "usage error" in text and "--k" in text
+
+
+# Each suite at small sizes with every flag it reads, and the report key of each flag.
+_SUITE_ARGV = {
+    "dga": "--genus 1 --k 2 --seed 3",
+    "lemma-torus": "--arity 3 --k 2 --trials 2 --seed 3 --prime 1000003",
+    "lemma-q": "--genus 1 --k 1 --trials 2 --seed 3 --prime 1000003",
+    "lemma-cohomology": "--genus 2 --trials 2 --seed 3 --prime 1000003",
+    "theorem-main": "--genus 1 --k 2 --N 2 --trials 2 --seed 3 --prime 1000003",
+    "nonfg": "--genus 2 --k 2",
+    "mattuck": "--genus 1 --k 3 --trials 2 --seed 3 --prime 1000003",
+}
+_REPORT_KEY = {"genus": "g", "arity": "n", "k": "k", "N": "N_list",
+               "trials": "trials", "seed": "seed", "prime": "prime"}
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITE_ARGV))
+def test_verify_suite_takes_only_the_flags_it_reads(suite):
+    argv = ["verify", "--suite", suite] + _SUITE_ARGV[suite].split()
+    code, text, _ = run(argv)
+    assert code == 0, text
+    given = [a[2:] for a in argv[3:] if a.startswith("--")]
+    payload = json.loads(text)
+    # every flag it takes shows in its report, and its report shows no other
+    assert set(payload) - {"suite", "checks", "pass"} == {_REPORT_KEY[f] for f in given}
+    for flag in sorted(set(_REPORT_KEY) - set(given)):
+        value = "3" if flag != "prime" else "7"
+        code, text, _ = run(argv + [f"--{flag}", value])
+        assert (code, text) == (2, f"usage error: --{flag} does not apply to --suite {suite}\n"), flag
+
+
+def test_verify_flags_once_ignored_are_usage_errors():
+    for args in ("dga --genus 2 --N 3", "dga --genus 2 --trials 9 --prime 7",
+                 "nonfg --genus 3 --k 2 --seed 5", "lemma-q --genus 2 --k 2 --N 3",
+                 "lemma-torus --genus 3 --k 2", "lemma-cohomology --genus 3 --k 5"):
+        code, text, _ = run(["verify", "--suite"] + args.split())
+        assert code == 2 and "does not apply to --suite" in text, args
+
+
+def test_verify_all_takes_every_flag_but_k():
+    code, text, _ = run(["verify", "--suite", "all", "--genus", "2", "--arity", "3", "--N", "2",
+                         "--trials", "2", "--seed", "3", "--prime", "1000003"])
+    assert code == 0, text
+    by_suite = {r["suite"]: r for r in json.loads(text)["suites"]}
+    assert by_suite["lemma-torus"]["n"] == 3 and by_suite["theorem-main"]["N_list"] == [1, 2]
+    assert all(r.get("seed", 3) == 3 and r.get("g", 2) == 2 for r in by_suite.values())
 
 
 def test_N_rejected_outside_snf():

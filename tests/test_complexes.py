@@ -21,7 +21,8 @@ from sympow.complexes import (
     operator_matrix,
 )
 from sympow.dga import boundary, dga_mul, lambda_element, monomial_elem, monomial_str, surface_context
-from sympow.groupring import UnitSpecialization, surface_ring, wedge_ring
+from sympow.groupring import (UnitSpecialization, random_specialization, surface_ring,
+                              wedge_ring)
 from sympow import homology
 from sympow.homology import integer_homology
 from oracles import (
@@ -320,6 +321,25 @@ def test_export_cover_golden():
     )
 
 
+def test_export_prints_each_entry_object_once(monkeypatch):
+    from sympow.groupring import GroupRingElement
+
+    c = build_cover_complex(2, 3)
+    expected = export_text(c), export_json(c)
+    calls = []
+    orig = GroupRingElement.canonical_str
+
+    def counting(self):
+        calls.append(id(self))
+        return orig(self)
+
+    monkeypatch.setattr(GroupRingElement, "canonical_str", counting)
+    assert (export_text(c), export_json(c)) == expected
+    # once per distinct object of each boundary, in each of the two formats
+    distinct = sum(len({id(v) for v in b.entries.values()}) for b in c.boundaries[1:])
+    assert len(calls) == 2 * distinct < 2 * sum(len(b.entries) for b in c.boundaries[1:])
+
+
 def test_export_json_mirror():
     c = build_cover_complex(1, 1)
     payload = json.loads(export_json(c))
@@ -397,6 +417,133 @@ def test_builders_read_the_patched_boundary_convention(monkeypatch):
     c = build_cover_complex(2, 2)
     assert any(not c.boundaries[i - 1].compose(c.boundaries[i]).is_zero()
                for i in range(2, c.top_degree + 1))
+
+
+# ---------------------------------------------------------------------------
+# Rule-backed matrices: rows from the evaluated table against the entries
+
+
+_RULE_PRIMES = (3, 7, 1000003, 2147483647)
+
+
+def _entry_rows(M, spec):
+    """The by-``id`` rows of M's materialized entries, through a hand-built copy."""
+    return SparseRingMatrix(M.ring, M.rows, M.cols, M.entries).specialize_rows(spec)
+
+
+def _rule_specs(ring, rng):
+    yield UnitSpecialization(1000003, (1,) * ring.nvars)  # the augmentation point
+    for p in _RULE_PRIMES:
+        yield random_specialization(ring, p, rng)
+
+
+def test_rule_rows_match_entry_rows():
+    rng = random.Random(13)
+    complexes = [build_cover_complex(g, k) for g in range(1, 4) for k in range(0, 2 * g + 2)]
+    complexes += [build_Q_complex(g, k) for g in range(1, 4) for k in range(1, 2 * g + 1)]
+    complexes += [build_wedge_complex(n, k) for n in range(1, 7) for k in range(0, n + 1)]
+    for c in complexes:
+        for i in range(1, c.top_degree + 1):
+            M = c.boundaries[i]
+            for spec in _rule_specs(c.ctx.ring, rng):
+                assert M._rule is not None
+                assert M.specialize_rows(spec) == _entry_rows(M, spec), (c.case, c.params, i, spec)
+
+
+def test_rule_rows_of_lambda_and_exterior_matrices_match_entry_rows():
+    rng = random.Random(14)
+    for g in range(1, 4):
+        ring = surface_ring(g)
+        mats = [lambda_matrix(g, size) for size in range(0, 2 * g + 1)]
+        mats += [exterior_boundary_matrix(g, size) for size in range(1, 2 * g + 1)]
+        for M in mats:
+            for spec in _rule_specs(ring, rng):
+                assert M.specialize_rows(spec) == _entry_rows(M, spec), (g, M.rows, M.cols, spec)
+
+
+def test_generic_homology_builds_no_entries(monkeypatch):
+    from sympow import complexes
+
+    calls = []
+    orig = complexes._image_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(complexes, "_image_matrix", counting)
+    c = build_cover_complex(3, 3)
+    assert homology.generic_homology(c, 5, 0, 1000003).ranks() == [0, 0, 0, 4, 0, 0, 0]
+    assert calls == []
+    # the wrapper does see a materialization, and only one per matrix
+    c.boundaries[2].entries
+    c.boundaries[2].entries
+    assert len(calls) == 1
+
+
+def test_boundaries_of_a_complex_evaluate_its_table_once_per_point(monkeypatch):
+    from sympow.groupring import GroupRingElement
+
+    calls = []
+    orig = GroupRingElement.specialize
+
+    def counting(self, spec):
+        calls.append(spec)
+        return orig(self, spec)
+
+    monkeypatch.setattr(GroupRingElement, "specialize", counting)
+    c, rng = build_cover_complex(2, 3), random.Random(16)
+    twin = build_cover_complex(2, 3)  # an equal table that is another object
+    specs = [random_specialization(c.ctx.ring, 1000003, rng) for _ in range(2)]
+    for spec in specs + specs[:1]:
+        for M in c.boundaries[1:] + twin.boundaries[1:]:
+            M.specialize_rows(spec)
+    # one value per (c, -c) pair of the table: 4 boundary and 4 lam coefficients
+    assert len(calls) == 3 * 2 * 8
+
+
+def test_patched_convention_reaches_rule_rows(monkeypatch):
+    orig = dga._ext_boundary_coeff
+
+    def flipped(ctx, i):
+        if ctx.case == "surface" and i == ctx.size:  # the first f-generator
+            return ctx.ring.gen(i) - ctx.ring.one()
+        return orig(ctx, i)
+
+    rng = random.Random(15)
+    before = build_cover_complex(2, 2)  # its table was made before the patch
+    monkeypatch.setattr(dga, "_ext_boundary_coeff", flipped)
+    after = build_cover_complex(2, 2)
+    ctx = after.ctx
+    moved = 0
+    for i in range(1, after.top_degree + 1):
+        oracle = _boundary_oracle(ctx, after.modules[i].basis, after.modules[i - 1].basis)
+        for spec in _rule_specs(ctx.ring, rng):
+            rows = after.boundaries[i].specialize_rows(spec)
+            assert rows == _entry_rows(oracle, spec), (i, spec)
+            moved += rows != before.boundaries[i].specialize_rows(spec)
+    assert moved  # the patch changed some rows, and the earlier build kept its own table
+    monkeypatch.undo()
+    ctx = before.ctx
+    for i in range(1, before.top_degree + 1):
+        oracle = _boundary_oracle(ctx, before.modules[i].basis, before.modules[i - 1].basis)
+        spec = random_specialization(ctx.ring, 1000003, rng)
+        assert before.boundaries[i].specialize_rows(spec) == _entry_rows(oracle, spec), i
+
+
+def test_image_outside_the_target_basis_raises_on_both_paths():
+    from sympow.dga import coefficient_table, monomial_boundary
+
+    ctx = surface_context(2)
+    src, tgt = _exterior_basis(ctx, 2), _exterior_basis(ctx, 1)[:-1]  # drops the last generator
+    for spec in (UnitSpecialization(7, (1,) * 4), UnitSpecialization(1000003, (2, 3, 5, 7))):
+        M = SparseRingMatrix.from_rule(ctx.ring, src, tgt, monomial_boundary, coefficient_table(ctx))
+        with pytest.raises(ValueError, match="leaves the target basis"):
+            M.specialize_rows(spec)
+        with pytest.raises(ValueError, match="leaves the target basis"):
+            M.entries
+    with pytest.raises(ValueError, match="leaves the target basis"):
+        operator_matrix(src, tgt, ctx.ring, lambda m: boundary(monomial_elem(ctx, m[0], m[1])))
 
 
 # ---------------------------------------------------------------------------
