@@ -30,14 +30,13 @@ from .complexes import (
 from .homology import (
     DEFAULT_TRIALS,
     FAST_PRIME,
-    VERIFY_PRIME,
     DegreeEntry,
     HomologyReport,
     betti_symmetric_power,
     generic_homology,
     integer_homology,
 )
-from .verify import SUITE_ORDER, run_suite
+from .verify import SUITE_ORDER, SUITES, run_suite
 
 
 class UsageError(Exception):
@@ -132,24 +131,16 @@ def _validate(args) -> None:
         raise UsageError("--N must be >= 1")
 
 
-# The flags each verify suite reads: ``run_suite`` passes it nothing else.
-# ``all`` reads every flag but --k, since each suite of the battery picks its own k.
-_SUITE_FLAGS = {
-    "dga": ("genus", "k", "seed"),
-    "lemma-torus": ("arity", "k", "trials", "seed", "prime"),
-    "lemma-q": ("genus", "k", "trials", "seed", "prime"),
-    "lemma-cohomology": ("genus", "trials", "seed", "prime"),
-    "theorem-main": ("genus", "k", "N", "trials", "seed", "prime"),
-    "nonfg": ("genus", "k"),
-    "mattuck": ("genus", "k", "trials", "seed", "prime"),
-    "all": ("genus", "arity", "N", "trials", "seed", "prime"),
-}
-
-
 def _check_suite_flags(args) -> None:
-    """Refuse a flag that ``--suite`` never reads, instead of ignoring it."""
+    """Refuse a flag that ``--suite`` never reads (``verify.SUITES``), instead of
+    ignoring it.  ``all`` reads every flag but --k, since each suite of the
+    battery picks its own k."""
+    if args.suite == "all":
+        reads = {flag for _, defaults in SUITES.values() for flag in defaults} - {"k"}
+    else:
+        reads = SUITES[args.suite][1]
     for flag in ("genus", "arity", "k", "N", "trials", "seed", "prime"):
-        if getattr(args, flag) is not None and flag not in _SUITE_FLAGS[args.suite]:
+        if getattr(args, flag) is not None and flag not in reads:
             raise UsageError(f"--{flag} does not apply to --suite {args.suite}")
 
 
@@ -257,13 +248,15 @@ def run(argv: list[str]) -> tuple[int, str, str | None]:
             return 0, _render_homology(rep, args.format), out
         if args.command == "verify":
             _check_suite_flags(args)
-            n_list = (1, 2) if args.N is None else tuple(sorted({1, args.N}))
+            n_list = None if args.N is None else tuple(sorted({1, args.N}))
             reports = run_suite(args.suite, g=args.genus, n=args.arity, k=args.k,
-                                trials=_or(args.trials, DEFAULT_TRIALS), seed=_or(args.seed, 0),
-                                prime=_or(args.prime, VERIFY_PRIME), N_list=n_list)
+                                trials=args.trials, seed=args.seed, prime=args.prime, N_list=n_list)
             code = 0 if all(r.passed for r in reports) else 1
             return code, _render_verify(reports, args.format), out
         if args.command == "export":
+            other = "genus" if args.case == "wedge" else "arity"
+            if getattr(args, other) is not None:
+                raise UsageError(f"--{other} does not apply to --case {args.case}")
             complex_ = _complex(args, args.case)
             text = export_text(complex_) if args.format == "text" else export_json(complex_)
             return 0, text, out

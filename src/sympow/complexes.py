@@ -21,15 +21,17 @@ each generator's boundary and lam coefficient with its negative, and each
 source monomial's image comes from ``dga.monomial_boundary`` or
 ``dga.lambda_image``, so no group-ring arithmetic runs per entry.  Each
 boundary is rule-backed: it keeps its bases, its rule and the table made at
-build time, and builds its entries only on first access.
-``specialize_rows`` runs the rule on the table evaluated at a point, so the
-generic route builds no entry at all.  ``operator_matrix`` builds the same
-matrices element by element and stays as their oracle.
+build time.  ``operator_matrix`` builds the same matrices element by element
+and stays as their oracle.
 
-Finite covers: ``base_change`` gives each boundary as ``{col: value}`` rows,
-built term by term from the entries, and refuses, from the shapes alone, any
-boundary of more than ``MAX_DENSE_CELLS`` cells.  ``first_order_rows`` gives
-F_2 rows of a matrix over ``F_2[pi]/I^2``, in blocks of ``1 + m``.
+Every view of a matrix is one walk, ``SparseRingMatrix._rows``, with a
+coefficient function: the value at a point (``specialize_rows``), the
+summed-mod-N block over ``Z[(Z/N)^m]`` (``base_change``), the block over
+``F_2[pi]/I^2`` (``first_order_rows``), the entry itself (``entries``) and
+its text (export).  A rule-backed matrix maps only its table and runs the
+rule over the bases, so no view but ``entries`` builds the entries; only
+``compose``, ``entry`` and the tests read them.  ``base_change`` refuses,
+from the shapes alone, any boundary of more than ``MAX_DENSE_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from operator import itemgetter, mul
-from typing import Callable, Iterator
+from operator import mul
+from typing import Callable
 
 from .dga import (
     CoefficientTable,
@@ -80,7 +82,7 @@ class SparseRingMatrix:
     checks that each is in range and nonzero.  The table-driven builders
     return rule-backed matrices instead (``from_rule``): they keep the source
     and target bases, the monomial rule and the coefficient table, and build
-    ``entries`` from them on first access.
+    ``entries`` from them only when it is read.
     """
 
     __slots__ = ("ring", "rows", "cols", "_entries", "_rule")
@@ -116,14 +118,14 @@ class SparseRingMatrix:
     def entries(self) -> dict[tuple[int, int], GroupRingElement]:
         """``{(r, c): entry}`` in column-major order; a rule-backed matrix builds it once."""
         if self._entries is None:
-            self._entries = _image_matrix(*self._rule)
+            self._entries = _column_major(self._rows("entries", lambda v: v))
         return self._entries
 
     def entry(self, r: int, c: int) -> GroupRingElement:
         return self.entries.get((r, c), self.ring.zero())
 
     def compose(self, other: SparseRingMatrix) -> SparseRingMatrix:
-        """self @ other, for checking d o d = 0."""
+        """self @ other, for checking d o d = 0; its entries are column-major."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         acc: dict[tuple[int, int], GroupRingElement] = {}
@@ -140,43 +142,53 @@ class SparseRingMatrix:
                     acc[key] = cur
                 else:
                     acc.pop(key, None)
-        return SparseRingMatrix(self.ring, self.rows, other.cols, acc)
+        entries = dict(sorted(acc.items(), key=lambda cell: cell[0][::-1]))
+        return SparseRingMatrix(self.ring, self.rows, other.cols, entries)
 
     def is_zero(self) -> bool:
         return not self.entries
 
-    def specialize_rows(self, spec: UnitSpecialization) -> list[dict[int, int]]:
-        """Rows ``{col: value}`` of the entrywise evaluations mod spec.prime.
+    def _rows(self, key: object, value: Callable[[GroupRingElement], object],
+              negate: Callable[[object], object] | None = None) -> list[dict[int, object]]:
+        """Rows ``{col: value(entry)}``; a falsy value is not stored.
 
-        A rule-backed matrix evaluates only its coefficient table
-        (``_evaluate_table``) and runs its rule over the bases on that table
-        of ints, as ``_image_matrix`` runs it on the table itself (the rule
-        only moves the table's values about), so no entry is built.  Explicit
-        entries are evaluated once per distinct object, keyed by ``id``.  A
-        value of 0 (``1 - x_i`` at ``x_i = 1``) is not stored, since the rank
-        kernel takes every stored value for a pivot candidate.
+        A rule-backed matrix maps only its coefficient table (``_map_table``,
+        once per ``key``) and runs its rule over the bases on the mapped
+        table, as it would on the table itself: the rule only moves the
+        table's values about, so no entry is built.  ``negate``, when given,
+        derives the value of each pair's ``-c`` from that of ``c``.  Explicit
+        entries are mapped once per distinct object, keyed by ``id``.
         """
-        rows: list[dict[int, int]] = [{} for _ in range(self.rows)]
+        rows: list[dict[int, object]] = [{} for _ in range(self.rows)]
         if self._rule is not None:
             src, tgt, image, table = self._rule
-            ints = _evaluate_table(table, spec)
+            mapped = _map_table(table, key, value, negate)
             get = {m: i for i, m in enumerate(tgt)}.get
             for c, mono in enumerate(src):
-                for m, x in image(mono, ints):
+                for m, x in image(mono, mapped):
                     r = get(m)
                     if r is None:
                         raise ValueError(f"operator image leaves the target basis: {m}")
                     if x:
                         rows[r][c] = x
             return rows
-        values: dict[int, int] = {}
+        values: dict[int, object] = {}
         for (r, c), v in self.entries.items():
             x = values.get(id(v))
             if x is None:
-                x = values[id(v)] = v.specialize(spec)
+                x = values[id(v)] = value(v)
             if x:
                 rows[r][c] = x
         return rows
+
+    def specialize_rows(self, spec: UnitSpecialization) -> list[dict[int, int]]:
+        """Rows ``{col: value}`` of the entrywise evaluations mod spec.prime.
+
+        A value of 0 (``1 - x_i`` at ``x_i = 1``) is not stored, since the
+        rank kernel takes every stored value for a pivot candidate.
+        """
+        p = spec.prime
+        return self._rows(spec, lambda v: v.specialize(spec), lambda x: -x % p)
 
     def specialize(self, spec: UnitSpecialization) -> list[list[int]]:
         """Dense view of ``specialize_rows(spec)``, for the dense mod-p helpers."""
@@ -198,25 +210,22 @@ class SparseRingMatrix:
     def base_change(self, N: int) -> list[dict[int, int]]:
         """Rows ``{col: value}`` of the entrywise ``finite_quotient`` blocks; ranks multiply by N^m.
 
-        Term ``c_e x^e`` of entry (r, c) puts ``c_e`` in column ``c*N^m + b``
-        of row ``r*N^m + index(b + e mod N)`` for every b.  Terms are first
+        Term ``c_e x^e`` of an entry puts ``c_e`` at column ``b`` and row
+        ``index(b + e mod N)`` of its block, for every b.  Terms are first
         summed by ``e mod N``, so terms that meet add, a zero sum is dropped,
         and every cell is written at most once.
         """
         self.check_base_change_size(N)
-        bs = N ** self.ring.nvars
-        rows: list[dict[int, int]] = [{} for _ in range(self.rows * bs)]
-        for (r, c), v in self.entries.items():
+
+        def block(v: GroupRingElement) -> list[tuple[int, int, int]]:
             terms: dict[tuple[int, ...], int] = {}
             for exps, coeff in v.terms.items():
                 e = tuple(x % N for x in exps)
                 terms[e] = terms.get(e, 0) + coeff
-            r0 = r * bs
-            for e, coeff in terms.items():
-                if coeff:
-                    for j, t in enumerate(_translation(e, N), c * bs):
-                        rows[r0 + t][j] = coeff
-        return rows
+            return [(t, b, coeff) for e, coeff in terms.items() if coeff
+                    for b, t in enumerate(_translation(e, N))]
+
+        return _expand_blocks(self._rows(("base_change", N), block), N ** self.ring.nvars)
 
     def first_order_rows(self) -> list[dict[int, int]]:
         """Rows ``{col: 1}`` over F_2 of the matrix over ``F_2[pi]/I^2`` (``I`` the
@@ -224,26 +233,17 @@ class SparseRingMatrix:
         ``x^e = 1 + sum e_i (x_i - 1)``, negative ``e_i`` included, so entry
         ``sum c x^e`` at (r, c) becomes the block ``[[a, 0], [l, a I]]`` of its
         multiplication map, ``a = sum c`` and ``l_i = sum c e_i`` mod 2, at rows
-        ``r*(1+n)..`` and columns ``c*(1+n)..``: a ring homomorphism.  Each
-        distinct entry object is evaluated once, as in ``specialize_rows``.
+        ``r*(1+n)..`` and columns ``c*(1+n)..``: a ring homomorphism.
         """
         bs = 1 + self.ring.nvars
-        rows: list[dict[int, int]] = [{} for _ in range(self.rows * bs)]
-        values: dict[int, tuple[int, list[int]]] = {}
-        for (r, c), v in self.entries.items():
-            value = values.get(id(v))
-            if value is None:
-                coeffs = v.terms.values()
-                ell = (sum(map(mul, exps, coeffs)) for exps in zip(*v.terms))
-                value = values[id(v)] = (sum(coeffs) & 1, [i for i, x in enumerate(ell, 1) if x & 1])
-            a, ell = value
-            r0, c0 = r * bs, c * bs
-            if a:
-                for i in range(bs):
-                    rows[r0 + i][c0 + i] = 1
-            for i in ell:
-                rows[r0 + i][c0] = 1
-        return rows
+
+        def block(v: GroupRingElement) -> list[tuple[int, int, int]]:
+            coeffs = v.terms.values()
+            ell = (sum(map(mul, exps, coeffs)) for exps in zip(*v.terms))
+            cells = [(i, i, 1) for i in range(bs)] if sum(coeffs) & 1 else []
+            return cells + [(i, 0, 1) for i, x in enumerate(ell, 1) if x & 1]
+
+        return _expand_blocks(self._rows("first_order_rows", block), bs)
 
 
 @dataclass
@@ -282,51 +282,50 @@ class IntegerChainComplex:
     boundaries: list[list[dict[int, int]] | None]
 
 
-# The last table evaluated, the point and the values: one slot, read and
+# The last table mapped, its key and the mapped table: one slot, read and
 # written whole.
-_last_evaluation: list[tuple] = [(None, None, ())]
+_last_map: list[tuple] = [(None, None, ())]
 
 
-def _evaluate_table(table: CoefficientTable, spec: UnitSpecialization) -> tuple:
-    """The table with each object replaced by its value at ``spec``.
+def _map_table(table: CoefficientTable, key: object, value: Callable[[GroupRingElement], object],
+               negate: Callable[[object], object] | None) -> tuple:
+    """The table with each object ``c`` replaced by ``value(c)``, and each pair
+    ``(c, -c)`` by ``(x, negate(x))`` when ``negate`` is given.
 
-    The boundaries of a complex share one table and are specialized at one
-    point in turn, so the last evaluation is kept; it holds its table, whose
-    identity is therefore not reused.  Each pair of a table is ``(c, -c)``.
+    The boundaries of a complex share one table and are mapped with one key
+    (a point, a cover order, a view) in turn, so the last mapping is kept; it
+    holds its table, whose identity is therefore not reused.
     """
-    last_table, last_spec, ints = _last_evaluation[0]
-    if last_table is not table or last_spec != spec:
-        p = spec.prime
-        ints = tuple(tuple((x, -x % p) for x in (c.specialize(spec) for c, _ in part))
-                     for part in table)
-        _last_evaluation[0] = (table, spec, ints)
-    return ints
+    last_table, last_key, mapped = _last_map[0]
+    if last_table is not table or last_key != key:
+        if negate is None:
+            mapped = tuple(tuple((value(c), value(n)) for c, n in part) for part in table)
+        else:
+            mapped = tuple(tuple((x, negate(x)) for x in (value(c) for c, _ in part))
+                           for part in table)
+        _last_map[0] = (table, key, mapped)
+    return mapped
 
 
-def _image_matrix(src: tuple[Monomial, ...], tgt: tuple[Monomial, ...], image: Rule,
-                  table: CoefficientTable) -> dict[tuple[int, int], GroupRingElement]:
-    """Entries of the matrix sending ``src[c]`` to the pairs ``image(src[c], table)``.
+def _column_major(rows: list[dict[int, object]]) -> dict[tuple[int, int], object]:
+    """``{(r, c): value}`` of the rows in column-major order, rows ascending in a column."""
+    cells = sorted((c, r) for r, row in enumerate(rows) for c in row)
+    return {(r, c): rows[r][c] for c, r in cells}
 
-    Column-major, rows ascending within a column: the layout of
-    ``operator_matrix``.  Every pair must land in ``tgt``; zero coefficients
-    are not stored.  The coefficient objects become the entries as they are
-    (group-ring elements are immutable), so every entry is one of the
-    table's few objects.
-    """
-    index = {m: i for i, m in enumerate(tgt)}
-    entries: dict[tuple[int, int], GroupRingElement] = {}
-    for c, mono in enumerate(src):
-        column = []
-        for m, coeff in image(mono, table):
-            r = index.get(m)
-            if r is None:
-                raise ValueError(f"operator image leaves the target basis: {m}")
-            if coeff:
-                column.append((r, coeff))
-        column.sort(key=itemgetter(0))
-        for r, coeff in column:
-            entries[(r, c)] = coeff
-    return entries
+
+def _expand_blocks(rows: list[dict[int, list[tuple[int, int, int]]]],
+                   bs: int) -> list[dict[int, int]]:
+    """Rows ``{col: value}`` of the matrix whose entry at (r, c) is the ``bs x bs``
+    block given by its cells ``(i, j, value)``, placed at ``(r*bs + i, c*bs + j)``."""
+    out: list[dict[int, int]] = []
+    for row in rows:
+        block: list[dict[int, int]] = [{} for _ in range(bs)]
+        for c, cells in row.items():
+            c0 = c * bs
+            for i, j, x in cells:
+                block[i][c0 + j] = x
+        out += block
+    return out
 
 
 def operator_matrix(src: tuple[Monomial, ...], tgt: tuple[Monomial, ...],
@@ -483,18 +482,10 @@ def _header_params(c: ChainComplex) -> tuple[str, int, int]:
     return tag, gval, c.params["k"]
 
 
-def _export_cells(mat: SparseRingMatrix) -> Iterator[tuple[int, int, str]]:
-    """``(row, col, canonical_str)`` of each entry in column-major order.  Each
-    distinct entry object is printed once, keyed by ``id`` as in
-    ``specialize_rows``: a built boundary's entries are a few table objects."""
-    entries = mat.entries
-    texts: dict[int, str] = {}
-    for r, col in sorted(entries, key=itemgetter(1, 0)):
-        v = entries[(r, col)]
-        text = texts.get(id(v))
-        if text is None:
-            text = texts[id(v)] = v.canonical_str()
-        yield r, col, text
+def _export_cells(mat: SparseRingMatrix) -> dict[tuple[int, int], str]:
+    """``{(row, col): canonical_str}`` of the entries in column-major order; each
+    entry object, or table object of a rule-backed matrix, is printed once."""
+    return _column_major(mat._rows("canonical_str", GroupRingElement.canonical_str))
 
 
 def export_text(c: ChainComplex) -> str:
@@ -505,9 +496,9 @@ def export_text(c: ChainComplex) -> str:
         for mono in mod.basis:
             lines.append(monomial_str(c.ctx, mono))
     for i in range(1, len(c.modules)):
-        mat = c.boundaries[i]
-        lines.append(f"BOUNDARY {i} entries={len(mat.entries)}")
-        lines.extend(f"{r} {col} {text}" for r, col, text in _export_cells(mat))
+        cells = _export_cells(c.boundaries[i])
+        lines.append(f"BOUNDARY {i} entries={len(cells)}")
+        lines.extend(f"{r} {col} {text}" for (r, col), text in cells.items())
     return "\n".join(lines) + "\n"
 
 
@@ -531,7 +522,8 @@ def export_json_dict(c: ChainComplex) -> dict:
         "boundaries": [
             {
                 "degree": i,
-                "entries": [[r, col, text] for r, col, text in _export_cells(c.boundaries[i])],
+                "entries": [[r, col, text]
+                            for (r, col), text in _export_cells(c.boundaries[i]).items()],
             }
             for i in range(1, len(c.modules))
         ],

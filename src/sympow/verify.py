@@ -23,6 +23,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import dga
 from .complexes import (
@@ -610,36 +611,43 @@ def verify_nonfg_all_choices(g: int, k: int) -> VerifyReport:
 # Suite registry
 
 
-SUITE_ORDER = ["dga", "lemma-torus", "lemma-q", "lemma-cohomology",
-               "theorem-main", "nonfg", "mattuck"]
+# Each suite's verifier, called with one keyword per CLI flag the suite reads,
+# and those flags with their defaults.  ``N`` holds the tuple of cover orders,
+# and mattuck's k of None is its k = 2g.  ``run_suite`` fills in the defaults
+# and ``cli`` refuses every other flag.  The lambdas look the verifiers up
+# when called, so a wrapped or patched verifier is the one that runs.
+_RANK_FLAGS = {"trials": DEFAULT_TRIALS, "seed": 0, "prime": VERIFY_PRIME}
+SUITES: dict[str, tuple[Callable[..., VerifyReport], dict[str, object]]] = {
+    "dga": (lambda genus, k, seed: verify_dga_suite(genus, k, seed),
+            {"genus": 2, "k": 3, "seed": 0}),
+    "lemma-torus": (lambda arity, k, **rank: verify_lemma_torus(arity, k, **rank),
+                    {"arity": 4, "k": 2, **_RANK_FLAGS}),
+    "lemma-q": (lambda genus, k, **rank: verify_lemma_q(genus, k, **rank),
+                {"genus": 2, "k": 2, **_RANK_FLAGS}),
+    "lemma-cohomology": (lambda genus, **rank: verify_lemma_cohomology(genus, **rank),
+                         {"genus": 2, **_RANK_FLAGS}),
+    "theorem-main": (lambda genus, k, N, **rank: verify_theorem_main(genus, k, N_list=N, **rank),
+                     {"genus": 2, "k": 2, "N": (1, 2), **_RANK_FLAGS}),
+    "nonfg": (lambda genus, k: verify_nonfg_all_choices(genus, k), {"genus": 2, "k": 2}),
+    "mattuck": (lambda genus, k, **rank: verify_mattuck(genus, 2 * genus if k is None else k, **rank),
+                {"genus": 2, "k": None, **_RANK_FLAGS}),
+}
+SUITE_ORDER = list(SUITES)
 
 
 def run_suite(name: str, *, g: int | None = None, n: int | None = None, k: int | None = None,
-              trials: int = DEFAULT_TRIALS, seed: int = 0, prime: int = VERIFY_PRIME,
-              N_list: tuple[int, ...] = (1, 2)) -> list[VerifyReport]:
-    """Dispatch one named suite (or the full battery for ``all``)."""
-    if name == "dga":
-        return [verify_dga_suite(g if g is not None else 2, k if k is not None else 3, seed)]
-    if name == "lemma-torus":
-        return [verify_lemma_torus(n if n is not None else 4, k if k is not None else 2,
-                                   trials, seed, prime)]
-    if name == "lemma-q":
-        return [verify_lemma_q(g if g is not None else 2, k if k is not None else 2,
-                               trials, seed, prime)]
-    if name == "lemma-cohomology":
-        return [verify_lemma_cohomology(g if g is not None else 2, trials, seed, prime)]
-    if name == "theorem-main":
-        return [verify_theorem_main(g if g is not None else 2, k if k is not None else 2,
-                                    trials, seed, prime, N_list)]
-    if name == "nonfg":
-        return [verify_nonfg_all_choices(g if g is not None else 2, k if k is not None else 2)]
-    if name == "mattuck":
-        gg = g if g is not None else 2
-        return [verify_mattuck(gg, k if k is not None else 2 * gg, trials, seed, prime)]
+              trials: int | None = None, seed: int | None = None, prime: int | None = None,
+              N_list: tuple[int, ...] | None = None) -> list[VerifyReport]:
+    """Run one named suite, or the full battery for ``all`` (each suite at its
+    own k).  A value left at None takes the suite's default from ``SUITES``;
+    one the suite does not read is ignored."""
     if name == "all":
-        out = []
-        for suite in SUITE_ORDER:
-            out.extend(run_suite(suite, g=g, n=n, k=None, trials=trials, seed=seed,
-                                 prime=prime, N_list=N_list))
-        return out
-    raise ValueError(f"unknown suite: {name}")
+        return [report for suite in SUITE_ORDER
+                for report in run_suite(suite, g=g, n=n, trials=trials, seed=seed, prime=prime,
+                                        N_list=N_list)]
+    if name not in SUITES:
+        raise ValueError(f"unknown suite: {name}")
+    verifier, defaults = SUITES[name]
+    given = dict(genus=g, arity=n, k=k, N=N_list, trials=trials, seed=seed, prime=prime)
+    return [verifier(**{flag: default if given[flag] is None else given[flag]
+                        for flag, default in defaults.items()})]

@@ -132,6 +132,15 @@ def test_export_and_homology_commands_share_usage_errors():
         assert run([command, *flags]) == exported, (case, flags)
 
 
+def test_export_refuses_the_size_flag_of_the_other_case():
+    for case, flags, extra in (("wedge", ["--arity", "3", "--k", "2"], "genus"),
+                               ("cover", ["--genus", "2", "--k", "2"], "arity"),
+                               ("q", ["--genus", "2", "--k", "2"], "arity")):
+        assert run(["export", "--case", case, *flags])[0] == 0
+        code, text, _ = run(["export", "--case", case, *flags, f"--{extra}", "4"])
+        assert (code, text) == (2, f"usage error: --{extra} does not apply to --case {case}\n")
+
+
 def test_count_method_builds_no_complex(monkeypatch):
     def refuse(*args):
         raise AssertionError("--method count built a complex")

@@ -8,6 +8,7 @@ import sympow.dga as dga
 from sympow.complexes import (
     MAX_DENSE_CELLS,
     SparseRingMatrix,
+    _export_cells,
     _exterior_basis,
     base_change,
     boundary_matrix,
@@ -90,6 +91,15 @@ def test_boundary_squared_zero_all_builders():
     for c in complexes:
         for i in range(2, c.top_degree + 1):
             assert c.boundaries[i - 1].compose(c.boundaries[i]).is_zero(), (c.case, c.params, i)
+
+
+def test_compose_entries_are_column_major():
+    ring = surface_ring(1)
+    one, x = ring.one(), ring.gen(0)
+    A = SparseRingMatrix(ring, 3, 2, {(1, 0): x, (2, 0): one, (0, 1): one, (1, 1): -x})
+    B = SparseRingMatrix(ring, 2, 2, {(0, 0): one, (1, 0): one, (0, 1): one})
+    # rows reach column 0 out of order, and its row 1 cancels
+    assert list(A.compose(B).entries) == [(0, 0), (2, 0), (1, 1), (2, 1)]
 
 
 def test_cover_ranks_match_generating_function():
@@ -324,8 +334,7 @@ def test_export_cover_golden():
 def test_export_prints_each_entry_object_once(monkeypatch):
     from sympow.groupring import GroupRingElement
 
-    c = build_cover_complex(2, 3)
-    expected = export_text(c), export_json(c)
+    expected = export_text(build_cover_complex(2, 3)), export_json(build_cover_complex(2, 3))
     calls = []
     orig = GroupRingElement.canonical_str
 
@@ -334,10 +343,18 @@ def test_export_prints_each_entry_object_once(monkeypatch):
         return orig(self)
 
     monkeypatch.setattr(GroupRingElement, "canonical_str", counting)
+    c = build_cover_complex(2, 3)  # a fresh table, not printed before the patch
     assert (export_text(c), export_json(c)) == expected
-    # once per distinct object of each boundary, in each of the two formats
-    distinct = sum(len({id(v) for v in b.entries.values()}) for b in c.boundaries[1:])
-    assert len(calls) == 2 * distinct < 2 * sum(len(b.entries) for b in c.boundaries[1:])
+    # once per object of the complex's one table, over every boundary and both formats
+    table = c.boundaries[1]._rule[3]
+    assert sorted(calls) == sorted(id(x) for part in table for pair in part for x in pair)
+    assert len(calls) < sum(len(b.entries) for b in c.boundaries[1:])
+    # a hand-built matrix prints each distinct entry object once
+    M = c.boundaries[2]
+    cells, hand = _export_cells(M), _hand(M)
+    calls.clear()
+    assert list(_export_cells(hand).items()) == list(cells.items())
+    assert sorted(calls) == sorted({id(v) for v in M.entries.values()})
 
 
 def test_export_json_mirror():
@@ -461,24 +478,54 @@ def test_rule_rows_of_lambda_and_exterior_matrices_match_entry_rows():
                 assert M.specialize_rows(spec) == _entry_rows(M, spec), (g, M.rows, M.cols, spec)
 
 
-def test_generic_homology_builds_no_entries(monkeypatch):
-    from sympow import complexes
+# The views besides specialize_rows, each a function of one matrix.
+_TABLE_VIEWS = (lambda M: M.base_change(2), lambda M: M.first_order_rows(), _export_cells)
 
-    calls = []
-    orig = complexes._image_matrix
 
-    def counting(*args):
-        calls.append(args)
-        return orig(*args)
+def _hand(M):
+    """A hand-built copy of M's entries: its views map each entry object in turn."""
+    return SparseRingMatrix(M.ring, M.rows, M.cols, M.entries)
 
-    monkeypatch.setattr(complexes, "_image_matrix", counting)
-    c = build_cover_complex(3, 3)
-    assert homology.generic_homology(c, 5, 0, 1000003).ranks() == [0, 0, 0, 4, 0, 0, 0]
-    assert calls == []
-    # the wrapper does see a materialization, and only one per matrix
-    c.boundaries[2].entries
-    c.boundaries[2].entries
-    assert len(calls) == 1
+
+def _assert_views_match_entry_views(M, label):
+    hand = _hand(M)
+    for N in (1, 2, 3):
+        if M.rows * M.cols * N ** (2 * M.ring.nvars) <= MAX_DENSE_CELLS:
+            assert M.base_change(N) == hand.base_change(N), (label, N)
+    assert M.first_order_rows() == hand.first_order_rows(), label
+    cells = [(rc, v.canonical_str()) for rc, v in M.entries.items()]
+    assert list(_export_cells(M).items()) == list(_export_cells(hand).items()) == cells, label
+
+
+def test_rule_views_match_entry_views():
+    complexes = [build_cover_complex(g, k) for g in range(1, 4) for k in range(0, 2 * g + 2)]
+    complexes += [build_Q_complex(g, k) for g in range(1, 4) for k in range(1, 2 * g + 1)]
+    complexes += [build_wedge_complex(n, k) for n in range(1, 7) for k in range(0, n + 1)]
+    for c in complexes:
+        for i in range(1, c.top_degree + 1):
+            _assert_views_match_entry_views(c.boundaries[i], (c.case, c.params, i))
+    for g in range(1, 4):
+        for size in range(0, 2 * g + 1):
+            _assert_views_match_entry_views(lambda_matrix(g, size), ("lam", g, size))
+        for size in range(1, 2 * g + 1):
+            _assert_views_match_entry_views(exterior_boundary_matrix(g, size), ("d", g, size))
+
+
+def test_generic_homology_builds_no_entries():
+    views = {
+        "generic": lambda c: homology.generic_homology(c, 5, 0, 1000003),
+        "finite cover": lambda c: base_change(c, 2),
+        "first order": lambda c: [b.first_order_rows() for b in c.boundaries[1:]],
+        "export": export_text,
+    }
+    for name, view in views.items():
+        for c in (build_cover_complex(2, 3), build_Q_complex(2, 3), build_wedge_complex(4, 3)):
+            view(c)
+            assert all(b._entries is None for b in c.boundaries[1:]), (name, c.case)
+    # the first access builds the entries, and later ones return them
+    M = build_cover_complex(3, 3).boundaries[2]
+    entries = M.entries
+    assert M._entries is entries and M.entries is entries
 
 
 def test_boundaries_of_a_complex_evaluate_its_table_once_per_point(monkeypatch):
@@ -522,6 +569,10 @@ def test_patched_convention_reaches_rule_rows(monkeypatch):
             rows = after.boundaries[i].specialize_rows(spec)
             assert rows == _entry_rows(oracle, spec), (i, spec)
             moved += rows != before.boundaries[i].specialize_rows(spec)
+        for view in _TABLE_VIEWS:
+            rows = view(after.boundaries[i])
+            assert rows == view(oracle), (i, view)
+            moved += rows != view(before.boundaries[i])
     assert moved  # the patch changed some rows, and the earlier build kept its own table
     monkeypatch.undo()
     ctx = before.ctx
@@ -529,6 +580,8 @@ def test_patched_convention_reaches_rule_rows(monkeypatch):
         oracle = _boundary_oracle(ctx, before.modules[i].basis, before.modules[i - 1].basis)
         spec = random_specialization(ctx.ring, 1000003, rng)
         assert before.boundaries[i].specialize_rows(spec) == _entry_rows(oracle, spec), i
+        for view in _TABLE_VIEWS:
+            assert view(before.boundaries[i]) == view(oracle), (i, view)
 
 
 def test_image_outside_the_target_basis_raises_on_both_paths():
@@ -536,12 +589,14 @@ def test_image_outside_the_target_basis_raises_on_both_paths():
 
     ctx = surface_context(2)
     src, tgt = _exterior_basis(ctx, 2), _exterior_basis(ctx, 1)[:-1]  # drops the last generator
-    for spec in (UnitSpecialization(7, (1,) * 4), UnitSpecialization(1000003, (2, 3, 5, 7))):
+    views = [lambda M: M.specialize_rows(UnitSpecialization(7, (1,) * 4)),
+             lambda M: M.specialize_rows(UnitSpecialization(1000003, (2, 3, 5, 7))),
+             lambda M: M.entries, lambda M: M.base_change(1), lambda M: M.base_change(2),
+             lambda M: M.first_order_rows(), _export_cells]
+    for view in views:
         M = SparseRingMatrix.from_rule(ctx.ring, src, tgt, monomial_boundary, coefficient_table(ctx))
         with pytest.raises(ValueError, match="leaves the target basis"):
-            M.specialize_rows(spec)
-        with pytest.raises(ValueError, match="leaves the target basis"):
-            M.entries
+            view(M)
     with pytest.raises(ValueError, match="leaves the target basis"):
         operator_matrix(src, tgt, ctx.ring, lambda m: boundary(monomial_elem(ctx, m[0], m[1])))
 
