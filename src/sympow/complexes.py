@@ -238,8 +238,9 @@ class SparseRingMatrix:
         bs = 1 + self.ring.nvars
 
         def block(v: GroupRingElement) -> list[tuple[int, int, int]]:
-            coeffs = v.terms.values()
-            ell = (sum(map(mul, exps, coeffs)) for exps in zip(*v.terms))
+            terms = v.terms
+            coeffs = terms.values()
+            ell = (sum(map(mul, exps, coeffs)) for exps in zip(*terms))
             cells = [(i, i, 1) for i in range(bs)] if sum(coeffs) & 1 else []
             return cells + [(i, 0, 1) for i, x in enumerate(ell, 1) if x & 1]
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .groupring import GroupRingElement, LaurentRing, surface_ring, wedge_ring
+from .groupring import GroupRingElement, LaurentRing, add_product, surface_ring, wedge_ring
 
 Monomial = tuple[int, int]
 
@@ -217,28 +217,28 @@ def _merge_sign(m1: int, m2: int) -> int:
 
 
 def dga_mul(a: DgaElement, b: DgaElement) -> DgaElement:
-    """Graded-commutative product; zero on repeated exterior generators."""
+    """Graded-commutative product; zero on repeated exterior generators.
+
+    Every ``c1 * c2 * sign * binomial`` is added straight into the packed
+    terms of its target monomial; each nonzero sum is wrapped once.
+    """
     a._check_ctx(b)
     ctx = a.ctx
-    terms: dict[Monomial, GroupRingElement] = {}
+    acc: dict[Monomial, dict[int, int]] = {}
     for (m1, s1), c1 in a.terms.items():
         for (m2, s2), c2 in b.terms.items():
             if m1 & m2:
                 continue
-            coeff = c1 * c2
-            if s1 or s2:
-                coeff = coeff * _gamma_product_coeff(s1, s2)
-            sign = _merge_sign(m1, m2)
-            if sign < 0:
-                coeff = -coeff
-            key = (m1 | m2, s1 + s2)
-            v = terms.get(key)
-            v = coeff if v is None else v + coeff
-            if v:
-                terms[key] = v
-            else:
-                terms.pop(key, None)
-    return DgaElement(ctx, terms)
+            scale = _gamma_product_coeff(s1, s2) if s1 or s2 else 1
+            if _merge_sign(m1, m2) < 0:
+                scale = -scale
+            add_product(acc.setdefault((m1 | m2, s1 + s2), {}), c1, c2, scale)
+    return _wrap(ctx, acc)
+
+
+def _wrap(ctx: DgaContext, acc: dict[Monomial, dict[int, int]]) -> DgaElement:
+    ring = ctx.ring
+    return DgaElement(ctx, {m: GroupRingElement(ring, t) for m, t in acc.items() if t})
 
 
 CoefficientTable = tuple[tuple[tuple[GroupRingElement, GroupRingElement], ...], ...]
@@ -303,21 +303,19 @@ def boundary(a: DgaElement, table: CoefficientTable | None = None) -> DgaElement
     """The boundary derivation; lowers degree by 1 and preserves weight.
 
     ``table`` is ``coefficient_table(a.ctx)``, built here when not given.
+    Every ``c * unit`` is added straight into the packed terms of its target
+    monomial, as in ``dga_mul``.
     """
     ctx = a.ctx
     if table is None:
         table = coefficient_table(ctx)
-    terms: dict[Monomial, GroupRingElement] = {}
+    elif table[0][0][0].ring != ctx.ring:
+        raise ValueError(f"coefficient table is over {table[0][0][0].ring.names}, not {ctx.ring.names}")
+    acc: dict[Monomial, dict[int, int]] = {}
     for m, c in a.terms.items():
         for key, unit in monomial_boundary(m, table):
-            coeff = c * unit
-            v = terms.get(key)
-            v = coeff if v is None else v + coeff
-            if v:
-                terms[key] = v
-            else:
-                terms.pop(key, None)
-    return DgaElement(ctx, terms)
+            add_product(acc.setdefault(key, {}), c, unit)
+    return _wrap(ctx, acc)
 
 
 def lambda_element(g: int) -> DgaElement:

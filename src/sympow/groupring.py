@@ -3,8 +3,16 @@
 The deck group of the covers we care about is Z^m, so its integral group
 ring is the ring of Laurent polynomials in m commuting variables with
 integer coefficients.  Elements are kept in canonical sparse form: a map
-from exponent vectors (tuples of ints, possibly negative) to nonzero
-arbitrary-precision integer coefficients.
+from exponent vectors to nonzero arbitrary-precision integer coefficients.
+
+Each exponent vector is stored packed into one int (Kronecker
+substitution): exponent i fills the signed 64-bit field at bit 64*i, so
+multiplying two monomials is one integer addition of their keys.  A vector
+is accepted only from ``LaurentRing.monomial`` and ``from_terms``, which
+raise ``ValueError`` for a vector of the wrong length, a non-int exponent,
+or an exponent with |e| >= 2^31.  Fields then overflow only after 2^32
+chained products.  ``GroupRingElement.terms`` decodes the keys back into
+``{exponent tuple: coefficient}``.
 
 Two rings appear in practice: the "surface" ring with variables
 x1..xg, y1..yg, and the "wedge" ring with variables z1..zn.
@@ -12,9 +20,14 @@ x1..xg, y1..yg, and the "wedge" ring with variables z1..zn.
 
 from __future__ import annotations
 
-import operator
 import random
+import struct
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+
+EXPONENT_BOUND = 1 << 31  # |e| < 2^31 for every exponent given to a ring
+_FIELD = 64  # bits per packed exponent
 
 
 @dataclass(frozen=True)
@@ -39,14 +52,39 @@ class LaurentRing:
         return self.monomial(exps)
 
     def monomial(self, exps: tuple[int, ...], coeff: int = 1) -> GroupRingElement:
-        if len(exps) != self.nvars:
-            raise ValueError(f"exponent vector has length {len(exps)}, ring has {self.nvars} variables")
+        key = self.pack(exps)
         if coeff == 0:
             return self.zero()
-        return GroupRingElement(self, {tuple(exps): coeff})
+        return GroupRingElement(self, {key: coeff})
 
     def from_terms(self, terms: dict[tuple[int, ...], int]) -> GroupRingElement:
-        return GroupRingElement(self, {e: c for e, c in terms.items() if c})
+        packed = {self.pack(e): c for e, c in terms.items()}  # every vector is checked
+        return GroupRingElement(self, {e: c for e, c in packed.items() if c})
+
+    def pack(self, exps: tuple[int, ...]) -> int:
+        """The packed key of an exponent vector; ``ValueError`` outside the bound."""
+        if len(exps) != self.nvars:
+            raise ValueError(f"exponent vector has length {len(exps)}, ring has {self.nvars} variables")
+        key = 0
+        for e in reversed(exps):
+            if type(e) is not int:
+                raise ValueError(f"exponent {e!r} is not an int")
+            if not -EXPONENT_BOUND < e < EXPONENT_BOUND:
+                raise ValueError(f"exponent {e} is outside the bound |e| < 2^31")
+            key = (key << _FIELD) + e
+        return key
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        """The exponent vector of a packed key."""
+        fields, sign_bits, nbytes = self._codec
+        return fields.unpack(((key + sign_bits) ^ sign_bits).to_bytes(nbytes, "little"))
+
+    @cached_property
+    def _codec(self) -> tuple[struct.Struct, int, int]:
+        # Adding the sign bit of every field makes each field e + 2^63, its
+        # unsigned form; flipping those bits back leaves e's two's complement.
+        sign_bits = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(self.nvars))
+        return struct.Struct(f"<{self.nvars}q"), sign_bits, self.nvars * _FIELD // 8
 
 
 def surface_ring(g: int) -> LaurentRing:
@@ -67,14 +105,21 @@ def wedge_ring(n: int) -> LaurentRing:
 class GroupRingElement:
     """Sparse Laurent polynomial; immutable after construction.
 
-    ``terms`` maps exponent tuples to nonzero integers.  Do not mutate.
+    ``packed`` maps packed exponent keys (``LaurentRing.pack``) to nonzero
+    integers and is owned by the element.  Do not mutate.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "packed")
 
-    def __init__(self, ring: LaurentRing, terms: dict[tuple[int, ...], int]):
+    def __init__(self, ring: LaurentRing, packed: dict[int, int]):
         self.ring = ring
-        self.terms = terms
+        self.packed = packed
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only ``{exponent tuple: coefficient}``, decoded on each read."""
+        unpack = self.ring.unpack
+        return MappingProxyType({unpack(k): c for k, c in self.packed.items()})
 
     # -- ring structure -------------------------------------------------
 
@@ -84,8 +129,8 @@ class GroupRingElement:
 
     def __add__(self, other: GroupRingElement) -> GroupRingElement:
         self._check_ring(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
+        terms = dict(self.packed)
+        for e, c in other.packed.items():
             v = terms.get(e, 0) + c
             if v:
                 terms[e] = v
@@ -94,7 +139,7 @@ class GroupRingElement:
         return GroupRingElement(self.ring, terms)
 
     def __neg__(self) -> GroupRingElement:
-        return GroupRingElement(self.ring, {e: -c for e, c in self.terms.items()})
+        return GroupRingElement(self.ring, {e: -c for e, c in self.packed.items()})
 
     def __sub__(self, other: GroupRingElement) -> GroupRingElement:
         return self + (-other)
@@ -103,20 +148,12 @@ class GroupRingElement:
         if isinstance(other, int):
             if other == 0:
                 return self.ring.zero()
-            return GroupRingElement(self.ring, {e: c * other for e, c in self.terms.items()})
+            return GroupRingElement(self.ring, {e: c * other for e, c in self.packed.items()})
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         self._check_ring(other)
-        terms: dict[tuple[int, ...], int] = {}
-        add = operator.add
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                v = terms.get(e, 0) + c1 * c2
-                if v:
-                    terms[e] = v
-                else:
-                    terms.pop(e, None)
+        terms: dict[int, int] = {}
+        add_product(terms, self, other)
         return GroupRingElement(self.ring, terms)
 
     __rmul__ = __mul__
@@ -124,13 +161,13 @@ class GroupRingElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self.packed == other.packed
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
+        return hash((self.ring, frozenset(self.packed.items())))
 
     def __repr__(self) -> str:
         return f"GroupRingElement({self.canonical_str()!r})"
@@ -139,15 +176,17 @@ class GroupRingElement:
 
     def augmentation(self) -> int:
         """Sum of coefficients: the ring map sending every group element to 1."""
-        return sum(self.terms.values())
+        return sum(self.packed.values())
 
     def specialize(self, spec: UnitSpecialization) -> int:
         """Evaluate at units mod spec.prime; negative exponents via modular inverse."""
         p = spec.prime
         if len(spec.values) != self.ring.nvars:
             raise ValueError("specialization has wrong number of values")
+        unpack = self.ring.unpack
         total = 0
-        for exps, c in self.terms.items():
+        for key, c in self.packed.items():
+            exps = unpack(key)
             v = c % p
             for val, e in zip(spec.values, exps):
                 if e:
@@ -163,11 +202,12 @@ class GroupRingElement:
         Each term prints as ``c*x1^a1*...`` with zero exponents omitted and
         ``^1`` shortened away, e.g. ``1 - 1*x1``.
         """
-        if not self.terms:
+        if not self.packed:
             return "0"
+        terms = self.terms
         parts = []
-        for exps in sorted(self.terms):
-            c = self.terms[exps]
+        for exps in sorted(terms):
+            c = terms[exps]
             factors = []
             for name, e in zip(self.ring.names, exps):
                 if e == 0:
@@ -183,6 +223,24 @@ class GroupRingElement:
         for neg, body in parts[1:]:
             out += (" - " if neg else " + ") + body
         return out
+
+
+def add_product(acc: dict[int, int], a: GroupRingElement, b: GroupRingElement, scale: int = 1) -> None:
+    """Add ``scale * a * b`` into the packed terms ``acc`` in place; zero sums are dropped.
+
+    The rings of ``a`` and ``b`` are not compared: callers check them.
+    """
+    get = acc.get
+    bterms = b.packed.items()
+    for e1, c1 in a.packed.items():
+        c1 *= scale
+        for e2, c2 in bterms:
+            e = e1 + e2
+            v = get(e, 0) + c1 * c2
+            if v:
+                acc[e] = v
+            else:
+                acc.pop(e, None)
 
 
 # The least strong pseudoprime to every base 2..37 (Sorenson-Webster 2017).

@@ -4,7 +4,9 @@ Everything here recomputes expected values through a different route than
 the library: truncated power-series arithmetic for Betti numbers, direct
 enumeration for regular representations, the group-ring product on plain
 dicts of exponent tuples, the dense base change that the
-library's sparse rows replaced, sympy for Smith normal forms, the dense
+library's sparse rows replaced, the per-term DGA boundary and product
+that the library's fused accumulation into packed exponent keys replaced,
+sympy for Smith normal forms, the dense
 elimination loops that the library's sparse rank kernel and sparse Smith
 normal form replaced, the every-trial generic homology loop that its
 certified early stop replaced, the mod-2 bitset witness on the N=2 cover
@@ -19,7 +21,9 @@ from __future__ import annotations
 import itertools
 import random
 
+from sympow import dga
 from sympow.complexes import SparseRingMatrix
+from sympow.dga import DgaElement
 from sympow.groupring import _translation, random_specialization
 from sympow.homology import SnfResult, mod2_in_span
 
@@ -85,6 +89,44 @@ def laurent_product(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]
             e = tuple([ea[i] + eb[i] for i in range(len(ea))])
             acc[e] = acc.get(e, 0) + ca * cb
     return {e: c for e, c in acc.items() if c != 0}
+
+
+def _add_term(terms: dict, key, coeff) -> None:
+    v = terms.get(key)
+    v = coeff if v is None else v + coeff
+    if v:
+        terms[key] = v
+    else:
+        terms.pop(key, None)
+
+
+def per_term_boundary(a: DgaElement, table=None) -> DgaElement:
+    """``dga.boundary`` one group-ring product at a time: each ``c * unit`` is
+    built as an element and merged into its target with ``+``."""
+    if table is None:
+        table = dga.coefficient_table(a.ctx)
+    terms: dict = {}
+    for m, c in a.terms.items():
+        for key, unit in dga.monomial_boundary(m, table):
+            _add_term(terms, key, c * unit)
+    return DgaElement(a.ctx, terms)
+
+
+def per_term_dga_mul(a: DgaElement, b: DgaElement) -> DgaElement:
+    """``dga.dga_mul`` one group-ring product at a time, merged with ``+``."""
+    a._check_ctx(b)
+    terms: dict = {}
+    for (m1, s1), c1 in a.terms.items():
+        for (m2, s2), c2 in b.terms.items():
+            if m1 & m2:
+                continue
+            coeff = c1 * c2
+            if s1 or s2:
+                coeff = coeff * dga._gamma_product_coeff(s1, s2)
+            if dga._merge_sign(m1, m2) < 0:
+                coeff = -coeff
+            _add_term(terms, (m1 | m2, s1 + s2), coeff)
+    return DgaElement(a.ctx, terms)
 
 
 def dense_base_change(M, N: int) -> list[list[int]]:

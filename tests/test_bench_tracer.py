@@ -49,3 +49,22 @@ def test_tracer_passes_the_pivot_list_to_integer_rank(monkeypatch):
     assert traced == plain and plain[0] == 0
     assert tracer.stats["homology.integer_rank"]["calls"] > 0
     assert tracer.stats["homology.modp_rank"]["calls"] > 0
+
+
+def test_tracer_counts_the_fused_dga_boundary(monkeypatch):
+    # boundary and dga_mul add their products into packed terms without
+    # calling GroupRingElement.__mul__, so their own spans carry that time
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    from tracer import Tracer
+
+    argv = ["verify", "--suite", "dga", "--genus", "2"]
+    plain = cli.run(argv)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        traced = cli.run(argv)
+    finally:
+        tracer.uninstall()
+    assert traced == plain and plain[0] == 0
+    assert tracer.stats["dga.boundary"]["calls"] > 0
+    assert tracer.stats["dga.dga_mul"]["calls"] > 0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -17,7 +18,9 @@ from sympow.dga import (
     surface_context,
     wedge_context,
 )
-from sympow.verify import _random_element, _random_monomials
+from sympow.groupring import EXPONENT_BOUND
+from sympow.verify import _random_element, _random_homogeneous, _random_monomials
+from oracles import per_term_boundary, per_term_dga_mul
 
 C1 = surface_context(1)
 C2 = surface_context(2)
@@ -169,3 +172,83 @@ def test_monomial_strings():
     assert monomial_str(C2, (0, 0)) == "1"
     elem = monomial_elem(C2, 0b0101, 2, C2.ring.one() - C2.ring.gen(0))
     assert elem.canonical_str() == "(1 - 1*x1) * e1*f1*g^(2)"
+
+
+def _random_wide(ctx, monos, rng):
+    """A random element whose coefficients mix small exponents with ones near +-2^31."""
+    near = (EXPONENT_BOUND - 1, EXPONENT_BOUND - 2, 1 - EXPONENT_BOUND, 2 - EXPONENT_BOUND)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exps = {tuple(rng.choice(near) if rng.random() < 0.3 else rng.randint(-2, 2)
+                      for _ in range(ctx.ring.nvars)): rng.choice([-2, -1, 1, 3])
+                for _ in range(rng.randint(1, 3))}
+        terms[rng.choice(monos)] = ctx.ring.from_terms(exps)
+    return DgaElement(ctx, {m: c for m, c in terms.items() if c})
+
+
+def _same_terms(fused, oracle):
+    assert fused.terms.keys() == oracle.terms.keys()
+    for m, c in oracle.terms.items():
+        assert fused.terms[m].terms == c.terms
+    assert fused == oracle
+
+
+@pytest.mark.parametrize("ctx,weight", [
+    (surface_context(2), 3),
+    (surface_context(3), 3),
+    (wedge_context(4), 4),
+    (surface_context(6), 2),  # 12 group variables
+    (wedge_context(12), 2),
+])
+def test_fused_boundary_and_product_match_per_term_oracles(ctx, weight):
+    rng = random.Random(ctx.size * 31 + weight)
+    monos, by_degree = _random_monomials(ctx, weight)
+    table = coefficient_table(ctx)
+    for _ in range(40):
+        a = _random_wide(ctx, monos, rng) if rng.random() < 0.5 else _random_element(ctx, monos, rng)
+        b = _random_wide(ctx, monos, rng)
+        _same_terms(boundary(a), per_term_boundary(a))
+        _same_terms(boundary(a, table), per_term_boundary(a, table))
+        _same_terms(dga_mul(a, b), per_term_dga_mul(a, b))
+        _same_terms(dga_mul(b, a), per_term_dga_mul(b, a))
+        h = _random_homogeneous(ctx, by_degree, rng)
+        _same_terms(dga_mul(h, boundary(b)), per_term_dga_mul(h, per_term_boundary(b)))
+        assert not boundary(boundary(a))
+
+
+def test_fused_product_round_trips_exponents_near_the_bound():
+    ctx = wedge_context(12)
+    top = EXPONENT_BOUND - 1
+    exps = tuple(top if i % 2 else -top for i in range(12))
+    a = monomial_elem(ctx, 1, 0, ctx.ring.monomial(exps, 5))
+    b = monomial_elem(ctx, 2, 0, ctx.ring.monomial(exps, -2))
+    (coeff,) = dga_mul(a, b).terms.values()
+    assert coeff.terms == {tuple(2 * e for e in exps): -10}
+    assert per_term_dga_mul(a, b) == dga_mul(a, b)
+
+
+# sha256 of the canonical strings the dga suite draws at g=2, k=3, in its
+# order: 100 elements, 50 (homogeneous, element) pairs, 100 homogeneous
+# for the 50 commutativity pairs and 50 for the weight check
+DGA_DRAW_DIGESTS = {
+    0: "0a11adb536bfc65ec9aae65be8406d58aceebc5df669e1d912c1fdb7fdc08fd4",
+    7: "70d643106b473071c41629268bbb09e9affba5bcc55c356414c5ba62283940d8",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DGA_DRAW_DIGESTS))
+def test_dga_suite_draws_are_pinned(seed):
+    ctx = surface_context(2)
+    monos, by_degree = _random_monomials(ctx, 3)
+    rng = random.Random(seed)
+    draws = [_random_element(ctx, monos, rng) for _ in range(100)]
+    for _ in range(50):
+        draws += [_random_homogeneous(ctx, by_degree, rng), _random_element(ctx, monos, rng)]
+    draws += [_random_homogeneous(ctx, by_degree, rng) for _ in range(150)]
+    digest = hashlib.sha256(b"".join(a.canonical_str().encode() + b"\n" for a in draws))
+    assert digest.hexdigest() == DGA_DRAW_DIGESTS[seed]
+
+
+def test_boundary_refuses_a_table_over_another_ring():
+    with pytest.raises(ValueError):
+        boundary(ext_gen(C2, 0), coefficient_table(wedge_context(4)))

@@ -214,3 +214,48 @@ def test_specialize_is_ring_homomorphism(a, b, seed):
     s = UnitSpecialization(p, tuple(rng.randrange(1, p) for _ in range(4)))
     assert specialize(a * b, s) == specialize(a, s) * specialize(b, s) % p
     assert specialize(a + b, s) == (specialize(a, s) + specialize(b, s)) % p
+
+
+@pytest.mark.parametrize("exps", [
+    (1, 2, 3),  # wrong length for two variables
+    (1,),
+    (1.5, 0),  # non-int exponents
+    (1.0, 0),
+    ("1", 0),
+    (True, 0),
+    (1 << 31, 0),  # at or past the packing bound |e| < 2^31
+    (0, -(1 << 31)),
+    (0, 1 << 70),
+])
+def test_exponent_vectors_are_validated(exps):
+    with pytest.raises(ValueError):
+        R1.monomial(exps)
+    with pytest.raises(ValueError):
+        R1.from_terms({exps: 1})
+    with pytest.raises(ValueError):  # a zero coefficient does not excuse a bad vector
+        R1.monomial(exps, 0)
+    with pytest.raises(ValueError):
+        R1.from_terms({(0, 0): 1, exps: 0})
+
+
+def test_exponents_at_the_bound_round_trip():
+    top = (1 << 31) - 1
+    ring = wedge_ring(12)
+    rng = random.Random(4)
+    for _ in range(50):
+        terms = {tuple(rng.choice((top, -top, 0, 1, -1, rng.randint(-top, top))) for _ in range(12)):
+                 rng.choice((-7, 1, 2)) for _ in range(4)}
+        a = ring.from_terms(terms)
+        assert a.terms == terms
+        assert (a * ring.one()).terms == terms
+        assert (a * a).terms == laurent_product(terms, terms)
+    x = R1.monomial((top, -top))
+    assert (x * x * x).terms == {(3 * top, -3 * top): 1}
+    assert x.canonical_str() == f"1*x1^{top}*y1^{-top}"
+
+
+def test_terms_is_a_read_only_view():
+    a = R1.one() - x1()
+    with pytest.raises(TypeError):
+        a.terms[(5, 5)] = 1
+    assert a.terms == {(0, 0): 1, (1, 0): -1}
