@@ -28,10 +28,13 @@ Every view of a matrix is one walk, ``SparseRingMatrix._rows``, with a
 coefficient function: the value at a point (``specialize_rows``), the
 summed-mod-N block over ``Z[(Z/N)^m]`` (``base_change``), the block over
 ``F_2[pi]/I^2`` (``first_order_rows``), the entry itself (``entries``) and
-its text (export).  A rule-backed matrix maps only its table and runs the
-rule over the bases, so no view but ``entries`` builds the entries; only
-``compose``, ``entry`` and the tests read them.  ``base_change`` refuses,
-from the shapes alone, any boundary of more than ``MAX_DENSE_CELLS`` cells.
+its text (export).  ``_columns`` walks the same mapped table by source, for
+the values at a point by column (``specialize_columns``), and runs the rule
+on no source it is told to skip.  A rule-backed matrix maps only its table
+and runs the rule over the bases, so no view but ``entries`` builds the
+entries; only ``compose``, ``entry`` and the tests read them.
+``base_change`` refuses, from the shapes alone, any boundary of more than
+``MAX_DENSE_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable
+from typing import Callable, Container, Iterator
 
 from .dga import (
     CoefficientTable,
@@ -160,26 +163,61 @@ class SparseRingMatrix:
         entries are mapped once per distinct object, keyed by ``id``.
         """
         rows: list[dict[int, object]] = [{} for _ in range(self.rows)]
-        if self._rule is not None:
-            src, tgt, image, table = self._rule
-            mapped = _map_table(table, key, value, negate)
-            get = {m: i for i, m in enumerate(tgt)}.get
-            for c, mono in enumerate(src):
-                for m, x in image(mono, mapped):
-                    r = get(m)
-                    if r is None:
-                        raise ValueError(f"operator image leaves the target basis: {m}")
-                    if x:
-                        rows[r][c] = x
+        if self._rule is None:
+            for r, c, x in self._entry_cells(value):
+                rows[r][c] = x
             return rows
+        src, image, mapped, get = self._mapped_rule(key, value, negate)
+        for c, mono in enumerate(src):
+            for m, x in image(mono, mapped):
+                r = get(m)
+                if r is None:
+                    raise ValueError(f"operator image leaves the target basis: {m}")
+                if x:
+                    rows[r][c] = x
+        return rows
+
+    def _columns(self, key: object, value: Callable[[GroupRingElement], object],
+                 negate: Callable[[object], object] | None, skip: Container[int]) -> list[dict[int, object]]:
+        """Columns ``{row: value(entry)}`` of ``_rows``, those in ``skip`` left
+        out; the rule does not run on a source that is left out."""
+        if self._rule is None:
+            cols: list[dict[int, object]] = [{} for _ in range(self.cols)]
+            for r, c, x in self._entry_cells(value):
+                cols[c][r] = x
+            return [col for c, col in enumerate(cols) if c not in skip]
+        cols = []
+        src, image, mapped, get = self._mapped_rule(key, value, negate)
+        for c, mono in enumerate(src):
+            if c in skip:
+                continue
+            col = {}
+            for m, x in image(mono, mapped):
+                r = get(m)
+                if r is None:
+                    raise ValueError(f"operator image leaves the target basis: {m}")
+                if x:
+                    col[r] = x
+            cols.append(col)
+        return cols
+
+    def _mapped_rule(self, key: object, value: Callable[[GroupRingElement], object],
+                     negate: Callable[[object], object] | None) -> tuple:
+        """The sources, the rule, the table mapped by ``value`` (``_map_table``)
+        and the target index lookup of a rule-backed matrix."""
+        src, tgt, image, table = self._rule
+        return src, image, _map_table(table, key, value, negate), {m: i for i, m in enumerate(tgt)}.get
+
+    def _entry_cells(self, value: Callable[[GroupRingElement], object]) -> Iterator[tuple[int, int, object]]:
+        """``(r, c, value(entry))`` of the explicit entries whose value is truthy;
+        each distinct entry object is mapped once, keyed by ``id``."""
         values: dict[int, object] = {}
         for (r, c), v in self.entries.items():
             x = values.get(id(v))
             if x is None:
                 x = values[id(v)] = value(v)
             if x:
-                rows[r][c] = x
-        return rows
+                yield r, c, x
 
     def specialize_rows(self, spec: UnitSpecialization) -> list[dict[int, int]]:
         """Rows ``{col: value}`` of the entrywise evaluations mod spec.prime.
@@ -189,6 +227,13 @@ class SparseRingMatrix:
         """
         p = spec.prime
         return self._rows(spec, lambda v: v.specialize(spec), lambda x: -x % p)
+
+    def specialize_columns(self, spec: UnitSpecialization,
+                           skip: Container[int] = ()) -> list[dict[int, int]]:
+        """Columns ``{row: value}`` of ``specialize_rows(spec)``, those in ``skip``
+        left out; the rule does not run on a source that is left out."""
+        p = spec.prime
+        return self._columns(spec, lambda v: v.specialize(spec), lambda x: -x % p, skip)
 
     def specialize(self, spec: UnitSpecialization) -> list[list[int]]:
         """Dense view of ``specialize_rows(spec)``, for the dense mod-p helpers."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 
 EXPONENT_BOUND = 1 << 31  # |e| < 2^31 for every exponent given to a ring
@@ -247,9 +247,12 @@ def add_product(acc: dict[int, int], a: GroupRingElement, b: GroupRingElement, s
 _MR_BOUND = 318_665_857_834_031_151_167_461
 
 
+@cache
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin with the prime bases 2..37, valid for all
-    n < 318,665,857,834,031,151,167,461; raises ``ValueError`` at or above it."""
+    n < 318,665,857,834,031,151,167,461; raises ``ValueError`` at or above it.
+    Answers are kept per ``n`` (every specialization checks its prime); a
+    refusal raises each time."""
     if n >= _MR_BOUND:
         raise ValueError(f"prime must be below {_MR_BOUND:,}, where the primality test is a proof")
     if n < 2:

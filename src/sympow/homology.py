@@ -8,10 +8,11 @@ homology dimension can only jump up, so ``generic_homology`` takes the
 minimum.  Both are correct semicontinuous bounds and equal the exact
 fraction-field values with probability >= 1 - deg/p per trial.  Both rank the
 ``{col: value}`` rows of ``SparseRingMatrix.specialize_rows`` with
-``_sparse_rank``; on the builders' rule-backed matrices those rows come
-straight from the bases and the evaluated coefficient table, so the generic
-route builds neither a dense matrix nor the group-ring entries.  The dense
-``modp_rank`` serves the remaining dense callers.
+``_sparse_rank``, and ``generic_homology`` its ``specialize_columns`` too;
+on the builders' rule-backed matrices those rows and columns come straight
+from the bases and the evaluated coefficient table, so the generic route
+builds neither a dense matrix nor the group-ring entries.  The dense
+``modp_rank`` stays the entry point for dense matrices; no engine calls it.
 
 Certified early stop.  Both engines stop once a trial proves its own answer
 exact, and report what running every trial would: ``generic_rank`` when a
@@ -21,10 +22,13 @@ docstring).  The report's ``trials`` is the requested count, since the result
 is the minimum over all of them whether or not they ran.
 
 Clearing.  The ranks of a whole complex (``generic_homology`` per trial over
-F_p, ``integer_free_ranks`` over Q) are taken bottom-up: each ``d_(i+1)`` is
-ranked without the rows indexed by the pivot columns of ``d_i``, which keeps
-every rank (``_cleared_ranks`` has the proof).  The Smith normal form still
-eliminates every boundary in full, since torsion needs the whole lattice.
+F_p, ``integer_free_ranks`` over Q) are taken from both ends, meeting at the
+degree m of the largest module: below m bottom-up by rows, each ``d_i``
+without the rows at the pivot columns of ``d_(i-1)``; above m top-down by
+columns, each ``d_i`` without the columns at the pivot rows of ``d_(i+1)``.
+This keeps every rank (``_cleared_ranks`` has the proofs), and only the
+homology outside degree m is eliminated down to zero.  The Smith normal form
+still eliminates every boundary in full, since torsion needs the whole lattice.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import compress, count
-from typing import Callable, Iterable
+from typing import Callable, Container, Iterable
 
 from .complexes import ChainComplex, IntegerChainComplex, SparseRingMatrix
 from .groupring import UnitSpecialization, random_specialization
@@ -136,6 +140,15 @@ def integer_rank(M: list[dict[int, int]], pivots: list[int] | None = None) -> in
     arithmetic; the pivot column of each elimination step is appended to
     ``pivots`` if given."""
     return _sparse_rank(map(dict, M), None, pivots)
+
+
+def _transpose(M: list[dict[int, int]], ncols: int, skip: Container[int] = ()) -> list[dict[int, int]]:
+    """Columns ``{row: value}`` of the ``{col: value}`` rows ``M``, those in ``skip`` left out."""
+    cols: list[dict[int, int]] = [{} for _ in range(ncols)]
+    for r, row in enumerate(M):
+        for c, x in row.items():
+            cols[c][r] = x
+    return [col for c, col in enumerate(cols) if c not in skip]
 
 
 def integer_matmul(A: list[dict[int, int]], B: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -259,30 +272,56 @@ def modp_rank(M: list[list[int]], p: int, pivots: list[int] | None = None) -> in
                          for row in M), p, pivots)
 
 
-def _cleared_ranks(boundaries: Iterable[list], rank: Callable[[list, list[int]], int]) -> list[int]:
-    """``[0, rank d_1, .., rank d_(n-1), 0]`` for the boundaries ``d_1, d_2, ..``
-    of a complex in stored order, ranked bottom-up with clearing (Chen-Kerber,
-    "Persistent homology computation with a twist", 2011).
+def _cleared_ranks(sizes: list[int], rows: Callable[[int], list[dict[int, int]]],
+                   columns: Callable[[int, set[int]], list[dict[int, int]]],
+                   rank: Callable[[list[dict[int, int]], list[int]], int],
+                   _meet: int | None = None) -> list[int]:
+    """``[0, rank d_1, .., rank d_top, 0]`` for a complex with modules of ranks
+    ``sizes``, ranked with clearing from both ends, meeting at the degree
+    ``m`` of the largest module (the first of equal ones; ``_meet`` forces it).
 
-    ``rank(rows, pivots)`` ranks a matrix given by its rows and appends the
-    pivot column of each elimination step to ``pivots``.  Each ``d_(i+1)`` is
-    ranked without the rows indexed by the pivot columns ``Q`` of ``d_i``.
-    This is exact over any field: the columns ``Q`` of ``d_i`` are linearly
-    independent, so no nonzero vector supported on ``Q`` lies in
-    ``ker d_i``, which contains ``im d_(i+1)`` because ``d_i d_(i+1) = 0``.
-    Deleting the ``Q`` coordinates is therefore injective on ``im d_(i+1)``
-    and keeps its rank.  Columns independent once rows are deleted are
-    independent in the full matrix, so a ``d_i`` that was itself cleared
-    gives valid pivots too.
+    ``rows(i)`` gives the ``{col: value}`` rows of ``d_i``, ``columns(i, skip)``
+    its ``{row: value}`` columns outside ``skip``, and ``rank(vectors,
+    pivots)`` ranks a list of vectors, appending the coordinate of each
+    elimination step's pivot to ``pivots``.  The pivot coordinates ``Q`` of a
+    rank are independent: the vectors restricted to ``Q`` have rank ``|Q|``.
+
+    Bottom half, ``d_1 .. d_m`` by rows (Chen-Kerber, "Persistent homology
+    computation with a twist", 2011): ``d_i`` is ranked without the rows at
+    the pivot columns ``Q`` of ``d_(i-1)``.  The columns ``Q`` of ``d_(i-1)``
+    are independent, so no nonzero vector supported on ``Q`` lies in
+    ``ker d_(i-1)``, which contains ``im d_i``; deleting the ``Q``
+    coordinates is injective on ``im d_i`` and keeps its rank.
+
+    Top half, ``d_top .. d_(m+1)`` by columns (de Silva-Morozov-Vejdemo-
+    Johansson, "Dualities in persistent (co)homology", 2011): ``d_i`` is
+    ranked without the columns at the pivot rows ``Q`` of ``d_(i+1)``.  The
+    columns of ``d_(i+1)`` restricted to the rows ``Q`` have rank ``|Q|``, so
+    for each ``q`` in ``Q`` the image of ``d_(i+1)``, inside ``ker d_i``, holds
+    a vector that is ``e_q`` on ``Q``.  Column ``q`` of ``d_i`` is then a
+    combination of the columns outside ``Q``, which keep the rank.
+
+    Both proofs hold over any field, and still hold when the neighbour was
+    itself cleared: vectors independent on a subset of the rows or columns
+    are independent on all of them.  ``d_i`` below ``m`` meets ``rows(d_i) -
+    rank d_(i-1) = rank d_i + dim H_(i-1)`` vectors and ``d_i`` above ``m``
+    meets ``cols(d_i) - rank d_(i+1) = rank d_i + dim H_i``, so only the
+    homology outside degree ``m`` is eliminated down to zero.
     """
-    ranks = [0]
+    top = len(sizes) - 1
+    meet = sizes.index(max(sizes)) if _meet is None else _meet
+    ranks = [0] * (top + 2)
     cleared: set[int] = set()
-    for M in boundaries:
+    for i in range(1, meet + 1):
         pivots: list[int] = []
-        ranks.append(rank([row for r, row in enumerate(M) if r not in cleared], pivots))
+        ranks[i] = rank([row for r, row in enumerate(rows(i)) if r not in cleared], pivots)
         cleared = set(pivots)
-        del M  # not alive while the next matrix is built
-    return ranks + [0]
+    cleared = set()
+    for i in range(top, meet, -1):
+        pivots = []
+        ranks[i] = rank(columns(i, cleared), pivots)
+        cleared = set(pivots)
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +512,13 @@ def integer_free_ranks(ic: IntegerChainComplex) -> list[int]:
 
     Skips the Smith normal form (no torsion information): enough for Euler
     characteristics and rank-growth checks, and much faster on the larger
-    finite covers.  The boundaries are ranked with clearing (``_cleared_ranks``).
+    finite covers.  The boundaries are ranked with clearing from both ends
+    (``_cleared_ranks``): by rows up to the largest module, and above it by
+    the columns of the transposed rows, all through ``integer_rank``.
     """
     n = len(ic.ranks)
-    ranks = _cleared_ranks(ic.boundaries[1:], integer_rank)
+    ranks = _cleared_ranks(ic.ranks, ic.boundaries.__getitem__,
+                           lambda i, skip: _transpose(ic.boundaries[i], ic.ranks[i], skip), integer_rank)
     return [ic.ranks[i] - ranks[i] - ranks[i + 1] for i in range(n)]
 
 
@@ -528,8 +570,13 @@ def generic_homology(c: ChainComplex, trials: int = DEFAULT_TRIALS, seed: int = 
     """Fraction-field homology dimensions via rank-nullity on specializations.
 
     Each trial uses one consistent specialization for every boundary and
-    ranks the boundaries with clearing (``_cleared_ranks``), which changes no
-    rank; the per-degree results are aggregated by minimum over trials.
+    ranks the boundaries with clearing from both ends (``_cleared_ranks``),
+    which changes no rank: ``specialize_rows`` up to the largest module and
+    ``specialize_columns`` above it, where the rule never runs on a cleared
+    source.  Where the homology sits at the largest module (the cover
+    complexes up to g = 5 at least, the lambda complex for k <= g, the wedge
+    complex for k <= n/2), no vector is eliminated down to zero.  The per-degree results are
+    aggregated by minimum over trials.
 
     Trials stop after the first one whose dimensions are zero in every degree
     but at most one: that trial equals the fraction-field dimensions ``gen``,
@@ -550,8 +597,9 @@ def generic_homology(c: ChainComplex, trials: int = DEFAULT_TRIALS, seed: int = 
     dims: list[int] | None = None
     for t in range(trials):
         spec = _trial_specialization(c.ctx.ring, prime, seed, t)
-        ranks = _cleared_ranks((b.specialize_rows(spec) for b in c.boundaries[1:]),
-                               lambda rows, pivots: _sparse_rank(rows, prime, pivots))
+        ranks = _cleared_ranks(c.ranks, lambda i: c.boundaries[i].specialize_rows(spec),
+                               lambda i, skip: c.boundaries[i].specialize_columns(spec, skip),
+                               lambda vectors, pivots: _sparse_rank(vectors, prime, pivots))
         trial = [c.modules[i].rank - ranks[i] - ranks[i + 1] for i in range(n)]
         dims = trial if dims is None else list(map(min, dims, trial))
         if sum(1 for d in trial if d) <= 1:

@@ -48,7 +48,10 @@ def test_tracer_passes_the_pivot_list_to_integer_rank(monkeypatch):
         tracer.uninstall()
     assert traced == plain and plain[0] == 0
     assert tracer.stats["homology.integer_rank"]["calls"] > 0
-    assert tracer.stats["homology.modp_rank"]["calls"] > 0
+    # the wedge ranks of the expected degree-k dimension are sparse rows now,
+    # so the dense kernel the tracer also wraps sees no call on this suite
+    assert tracer.stats["homology.generic_homology"]["calls"] > 0
+    assert "homology.modp_rank" not in tracer.stats
 
 
 def test_tracer_counts_the_fused_dga_boundary(monkeypatch):

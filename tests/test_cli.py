@@ -114,6 +114,20 @@ def test_prime_past_the_primality_proof_bound_is_a_usage_error():
         assert code == 2 and text.startswith("usage error: prime must be below "), prime
 
 
+def test_a_composite_prime_is_refused_after_a_valid_one():
+    # primality answers are kept per value; each refusal still comes, every time
+    for argv in (["cover-homology", "--genus", "2", "--k", "2", "--prime"],
+                 ["verify", "--suite", "lemma-q", "--genus", "2", "--prime"]):
+        assert run(argv + ["1000003"])[0] == 0
+        for prime in ("1000004", "1000001", "1000004", "1000001"):  # even; 101 * 9901
+            code, text, _ = run(argv + [prime])
+            assert code == 2 and text == "usage error: prime must be an odd prime >= 3\n", (argv, prime)
+        for _ in range(2):
+            code, text, _ = run(argv + ["318665857834031151167461"])
+            assert code == 2 and text.startswith("usage error: prime must be below "), argv
+        assert run(argv + ["1000003"])[0] == 0
+
+
 def test_export_and_homology_commands_share_usage_errors():
     cases = [
         ("cover", "cover-homology", ["--k", "2"]),

@@ -478,8 +478,41 @@ def test_rule_rows_of_lambda_and_exterior_matrices_match_entry_rows():
                 assert M.specialize_rows(spec) == _entry_rows(M, spec), (g, M.rows, M.cols, spec)
 
 
+def _column_views(M):
+    """``specialize_columns`` at a fixed point, with no skip and with every third column skipped."""
+    spec = UnitSpecialization(1000003, tuple(range(2, 2 + M.ring.nvars)))
+    return [M.specialize_columns(spec), M.specialize_columns(spec, set(range(0, M.cols, 3)))]
+
+
 # The views besides specialize_rows, each a function of one matrix.
-_TABLE_VIEWS = (lambda M: M.base_change(2), lambda M: M.first_order_rows(), _export_cells)
+_TABLE_VIEWS = (lambda M: M.base_change(2), lambda M: M.first_order_rows(), _export_cells, _column_views)
+
+
+def _transposed(rows, ncols, skip=()):
+    return [{r: row[c] for r, row in enumerate(rows) if c in row} for c in range(ncols) if c not in skip]
+
+
+def test_column_view_is_the_transpose_of_the_rows():
+    rng = random.Random(17)
+    complexes = [build_cover_complex(g, k) for g in range(1, 4) for k in range(0, 2 * g + 2)]
+    complexes += [build_Q_complex(g, k) for g in range(1, 4) for k in range(1, 2 * g + 1)]
+    complexes += [build_wedge_complex(n, k) for n in range(1, 7) for k in range(0, n + 1)]
+    for c in complexes:
+        for i in range(1, c.top_degree + 1):
+            M = c.boundaries[i]
+            for spec in _rule_specs(c.ctx.ring, rng):
+                rows = M.specialize_rows(spec)
+                for skip in ((), set(range(0, M.cols, 2)), {M.cols - 1}, set(range(M.cols))):
+                    expected = _transposed(rows, M.cols, skip)
+                    assert M.specialize_columns(spec, skip) == expected, (c.case, c.params, i, skip)
+                    assert _hand(M).specialize_columns(spec, skip) == expected, (c.case, c.params, i)
+    # explicit entries in any order, a zero value at the augmentation left out
+    ring = surface_ring(1)
+    x, one = ring.gen(0), ring.one()
+    M = SparseRingMatrix(ring, 3, 2, {(2, 1): x - one, (0, 1): x, (1, 0): one + one})
+    spec = UnitSpecialization(7, (1, 1))
+    assert M.specialize_columns(spec) == [{1: 2}, {0: 1}] == _transposed(M.specialize_rows(spec), 2)
+    assert M.specialize_columns(spec, {0}) == [{0: 1}]
 
 
 def _hand(M):
@@ -592,7 +625,8 @@ def test_image_outside_the_target_basis_raises_on_both_paths():
     views = [lambda M: M.specialize_rows(UnitSpecialization(7, (1,) * 4)),
              lambda M: M.specialize_rows(UnitSpecialization(1000003, (2, 3, 5, 7))),
              lambda M: M.entries, lambda M: M.base_change(1), lambda M: M.base_change(2),
-             lambda M: M.first_order_rows(), _export_cells]
+             lambda M: M.first_order_rows(), _export_cells,
+             lambda M: M.specialize_columns(UnitSpecialization(1000003, (2, 3, 5, 7)))]
     for view in views:
         M = SparseRingMatrix.from_rule(ctx.ring, src, tgt, monomial_boundary, coefficient_table(ctx))
         with pytest.raises(ValueError, match="leaves the target basis"):

@@ -395,16 +395,25 @@ def _clearing_complexes():
             yield build_wedge_complex(n, k)
 
 
+def _generic_views(c, spec):
+    """The rows, columns and F_p rank callbacks ``generic_homology`` gives
+    ``_cleared_ranks`` at one point."""
+    b = c.boundaries
+    return (lambda i: b[i].specialize_rows(spec), lambda i, skip: b[i].specialize_columns(spec, skip),
+            lambda vectors, pivots: homology._sparse_rank(vectors, spec.prime, pivots))
+
+
 def test_cleared_ranks_match_full_boundary_ranks():
-    # oracle: the uncleared route, modp_rank on each full specialized boundary
+    # oracle: the uncleared route, modp_rank on each full specialized boundary;
+    # every meeting degree gives the same ranks as the default one
     for c in _clearing_complexes():
         for prime in RANK_PRIMES:
             for seed in range(3):
                 spec = homology._trial_specialization(c.ctx.ring, prime, seed, 0)
-                dense = [b.specialize(spec) for b in c.boundaries[1:]]
-                full = [0] + [modp_rank(M, prime) for M in dense] + [0]
-                cleared = homology._cleared_ranks(dense, lambda M, piv: modp_rank(M, prime, piv))
-                assert cleared == full, (c.case, c.params, prime, seed)
+                full = [0] + [modp_rank(b.specialize(spec), prime) for b in c.boundaries[1:]] + [0]
+                for meet in (None, *range(c.top_degree + 1)):
+                    cleared = homology._cleared_ranks(c.ranks, *_generic_views(c, spec), _meet=meet)
+                    assert cleared == full, (c.case, c.params, prime, seed, meet)
 
 
 def test_cleared_ranks_at_the_augmentation():
@@ -413,10 +422,10 @@ def test_cleared_ranks_at_the_augmentation():
     for g, k in ((2, 2), (2, 4), (3, 3)):
         c = build_cover_complex(g, k)
         for prime in RANK_PRIMES:
-            dense = [b.specialize(UnitSpecialization(prime, (1,) * c.ctx.ring.nvars))
-                     for b in c.boundaries[1:]]
-            full = [0] + [modp_rank(M, prime) for M in dense] + [0]
-            assert homology._cleared_ranks(dense, lambda M, piv: modp_rank(M, prime, piv)) == full
+            spec = UnitSpecialization(prime, (1,) * c.ctx.ring.nvars)
+            full = [0] + [modp_rank(b.specialize(spec), prime) for b in c.boundaries[1:]] + [0]
+            for meet in (None, *range(c.top_degree + 1)):
+                assert homology._cleared_ranks(c.ranks, *_generic_views(c, spec), _meet=meet) == full
             ranks = [len(m.basis) for m in c.modules]
             dims = [ranks[i] - full[i] - full[i + 1] for i in range(len(ranks))]
             assert dims == betti_symmetric_power(g, k), (g, k, prime)
@@ -462,22 +471,73 @@ def _recording(monkeypatch, name):
     return seen
 
 
+def _cleared_input_counts(sizes, full, meet):
+    """Vectors each call of the rank kernel meets, in call order: ``d_1 .. d_m``
+    with ``rows(d_i) - rank d_(i-1)`` rows, then ``d_top .. d_(m+1)`` with
+    ``cols(d_i) - rank d_(i+1)`` columns; ``full`` is ``[0, rank d_1, .., 0]``."""
+    top = len(sizes) - 1
+    return ([sizes[i - 1] - full[i - 1] for i in range(1, meet + 1)]
+            + [sizes[i] - full[i + 1] for i in range(top, meet, -1)])
+
+
+def _uncleared_input_counts(sizes, meet):
+    top = len(sizes) - 1
+    return [sizes[i - 1] for i in range(1, meet + 1)] + [sizes[i] for i in range(top, meet, -1)]
+
+
 def test_clearing_drops_the_pivot_rows_of_the_previous_boundary(monkeypatch):
-    # each d_(i+1) reaches the F_p rank kernel with rows(d_(i+1)) - rank(d_i) rows
+    # below the largest module (degree m) each d_i reaches the rank kernel
+    # without the rows at the pivots of d_(i-1); above it, without the
+    # columns at the pivots of d_(i+1); every forced m keeps the same counts
     for c in (build_cover_complex(3, 3), build_Q_complex(3, 3), build_wedge_complex(6, 3)):
         prime, seed = homology.FAST_PRIME, 1
         spec = homology._trial_specialization(c.ctx.ring, prime, seed, 0)
-        full = [0] + [modp_rank(b.specialize(spec), prime) for b in c.boundaries[1:]]
+        full = [0] + [modp_rank(b.specialize(spec), prime) for b in c.boundaries[1:]] + [0]
+        meet = c.ranks.index(max(c.ranks))
         seen = _recording(monkeypatch, "_sparse_rank")
         generic_homology(c, 1, seed, prime)
         monkeypatch.undo()
-        assert seen == [b.rows - full[i - 1] for i, b in enumerate(c.boundaries[1:], start=1)]
-        assert any(full[1:-1])  # some row was cleared
+        assert seen == _cleared_input_counts(c.ranks, full, meet), (c.case, c.params)
+        assert sum(seen) < sum(_uncleared_input_counts(c.ranks, meet))  # some vector was cleared
+        for meet in range(c.top_degree + 1):
+            seen = _recording(monkeypatch, "_sparse_rank")
+            assert homology._cleared_ranks(c.ranks, *_generic_views(c, spec), _meet=meet) == full
+            monkeypatch.undo()
+            assert seen == _cleared_input_counts(c.ranks, full, meet), (c.case, c.params, meet)
     ic = base_change(build_cover_complex(2, 2), 2)
-    full = [0] + [integer_rank(b) for b in ic.boundaries[1:]]
+    full = [0] + [integer_rank(b) for b in ic.boundaries[1:]] + [0]
     seen = _recording(monkeypatch, "integer_rank")
     integer_free_ranks(ic)
-    assert seen == [len(b) - full[i - 1] for i, b in enumerate(ic.boundaries[1:], start=1)]
+    assert seen == _cleared_input_counts(ic.ranks, full, 2)  # module ranks 16, 64, 112, 64, 16
+    assert sum(seen) < sum(_uncleared_input_counts(ic.ranks, 2))
+    for meet in range(len(ic.ranks)):
+        seen.clear()
+        cleared = homology._cleared_ranks(
+            ic.ranks, ic.boundaries.__getitem__,
+            lambda i, skip: homology._transpose(ic.boundaries[i], ic.ranks[i], skip),
+            homology.integer_rank, _meet=meet)
+        assert cleared == full and seen == _cleared_input_counts(ic.ranks, full, meet), meet
+
+
+def test_no_vector_is_eliminated_in_vain_when_the_homology_sits_at_the_meet(monkeypatch):
+    # the homology of these complexes sits at their largest module, so every
+    # vector the rank kernel meets is a pivot: the inputs sum to the ranks
+    for c in (build_cover_complex(3, 3), build_Q_complex(4, 4), build_wedge_complex(8, 4)):
+        calls = []
+        original = homology._sparse_rank
+
+        def counting(M, *args):
+            M = list(M)
+            calls.append((len(M), original(M, *args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(homology, "_sparse_rank", counting)
+        dims = generic_homology(c, 1, 0).ranks()
+        monkeypatch.undo()
+        meet = c.ranks.index(max(c.ranks))
+        assert [i for i, d in enumerate(dims) if d] == [meet], (c.case, c.params, dims)
+        inputs, ranks = zip(*calls)
+        assert len(calls) == c.top_degree and inputs == ranks, (c.case, c.params, calls)
 
 
 def test_generic_rank_stops_at_full_rank(monkeypatch):
