@@ -16,13 +16,14 @@ Cases:
   ring, stored reversed so boundaries lower the stored index; stored index
   j corresponds to cochain position (top - j).
 
-The builders are table-driven: one ``dga.coefficient_table`` per call holds
+The builders are table-driven: the context's ``DgaContext.table`` holds
 each generator's boundary and lam coefficient with its negative, and each
 source monomial's image comes from ``dga.monomial_boundary`` or
 ``dga.lambda_image``, so no group-ring arithmetic runs per entry.  Each
-boundary is rule-backed: it keeps its bases, its rule and the table made at
-build time.  ``operator_matrix`` builds the same matrices element by element
-and stays as their oracle.
+boundary is rule-backed: it keeps its bases, its rule and its context's
+table.  Every builder makes a fresh context, so it sees the coefficient
+sources as they are when it runs.  ``operator_matrix`` builds the same
+matrices element by element and stays as their oracle.
 
 Every view of a matrix is one walk, ``SparseRingMatrix._rows``, with a
 coefficient function: the value at a point (``specialize_rows``), the
@@ -50,7 +51,6 @@ from .dga import (
     DgaContext,
     DgaElement,
     Monomial,
-    coefficient_table,
     lambda_image,
     monomial_boundary,
     monomial_str,
@@ -84,8 +84,8 @@ class SparseRingMatrix:
     ``SparseRingMatrix(ring, rows, cols, entries)`` holds explicit entries and
     checks that each is in range and nonzero.  The table-driven builders
     return rule-backed matrices instead (``from_rule``): they keep the source
-    and target bases, the monomial rule and the coefficient table, and build
-    ``entries`` from them only when it is read.
+    and target bases, the monomial rule and their context's coefficient
+    table, and build ``entries`` from them only when it is read.
     """
 
     __slots__ = ("ring", "rows", "cols", "_entries", "_rule")
@@ -104,17 +104,18 @@ class SparseRingMatrix:
         self._rule = None
 
     @classmethod
-    def from_rule(cls, ring: LaurentRing, src: tuple[Monomial, ...], tgt: tuple[Monomial, ...],
-                  image: Rule, table: CoefficientTable) -> SparseRingMatrix:
-        """Matrix sending ``src[c]`` to the pairs ``image(src[c], table)`` over ``tgt``.
+    def from_rule(cls, ctx: DgaContext, src: tuple[Monomial, ...], tgt: tuple[Monomial, ...],
+                  image: Rule) -> SparseRingMatrix:
+        """Matrix over ``ctx.ring`` sending ``src[c]`` to the pairs
+        ``image(src[c], ctx.table)`` over ``tgt``.
 
         Nothing is evaluated here; its entries are in range and nonzero by
         construction, so they skip the constructor's checks.
         """
         m = cls.__new__(cls)
-        m.ring, m.rows, m.cols = ring, len(tgt), len(src)
+        m.ring, m.rows, m.cols = ctx.ring, len(tgt), len(src)
         m._entries = None
-        m._rule = (src, tgt, image, table)
+        m._rule = (src, tgt, image, ctx.table)
         return m
 
     @property
@@ -390,11 +391,9 @@ def operator_matrix(src: tuple[Monomial, ...], tgt: tuple[Monomial, ...],
 
 def _boundary_matrices(ctx: DgaContext, modules: list[BasedFreeModule],
                        image: Rule = monomial_boundary) -> list[SparseRingMatrix | None]:
-    """``[None, d_1, .., d_top]`` over one coefficient table: ``d_i`` sends each
-    monomial ``m`` of ``modules[i]`` to ``image(m, table)`` in ``modules[i - 1]``."""
-    table = coefficient_table(ctx)
-    return [None] + [SparseRingMatrix.from_rule(ctx.ring, modules[i].basis, modules[i - 1].basis,
-                                                image, table)
+    """``[None, d_1, .., d_top]`` over ``ctx.table``: ``d_i`` sends each monomial
+    ``m`` of ``modules[i]`` to ``image(m, ctx.table)`` in ``modules[i - 1]``."""
+    return [None] + [SparseRingMatrix.from_rule(ctx, modules[i].basis, modules[i - 1].basis, image)
                      for i in range(1, len(modules))]
 
 
@@ -421,11 +420,11 @@ def build_wedge_complex(n: int, k: int) -> ChainComplex:
     return ChainComplex("wedge", {"n": n, "k": k}, ctx, modules, _boundary_matrices(ctx, modules))
 
 
-def cover_basis(g: int, k: int, degree: int) -> tuple[Monomial, ...]:
-    """All monomials of internal degree ``degree`` and weight <= k, in
-    ``monomial_sort_key`` order: exterior size ``degree - 2s`` grows as the
-    gamma index ``s`` falls, and each size is enumerated in order."""
-    ctx = surface_context(g)
+def cover_basis(ctx: DgaContext, k: int, degree: int) -> tuple[Monomial, ...]:
+    """All monomials of internal degree ``degree`` and weight <= k over the
+    surface context ``ctx``, in ``monomial_sort_key`` order: exterior size
+    ``degree - 2s`` grows as the gamma index ``s`` falls, and each size is
+    enumerated in order."""
     out = []
     for s in range(degree // 2, -1, -1):
         ext = degree - 2 * s
@@ -449,7 +448,7 @@ def build_cover_complex(g: int, k: int) -> ChainComplex:
     bases = []
     degree = 0
     while True:
-        basis = cover_basis(g, k, degree)
+        basis = cover_basis(ctx, k, degree)
         if not basis:
             break
         bases.append(basis)
@@ -463,7 +462,7 @@ def lambda_matrix(g: int, size: int) -> SparseRingMatrix:
     ctx = surface_context(g)
     src = _exterior_basis(ctx, size)
     tgt = _exterior_basis(ctx, size + 1)
-    return SparseRingMatrix.from_rule(ctx.ring, src, tgt, lambda_image, coefficient_table(ctx))
+    return SparseRingMatrix.from_rule(ctx, src, tgt, lambda_image)
 
 
 def exterior_boundary_matrix(g: int, size: int) -> SparseRingMatrix:
@@ -477,7 +476,7 @@ def exterior_boundary_matrix(g: int, size: int) -> SparseRingMatrix:
     ctx = surface_context(g)
     src = _exterior_basis(ctx, size)
     tgt = _exterior_basis(ctx, size - 1)
-    return SparseRingMatrix.from_rule(ctx.ring, src, tgt, monomial_boundary, coefficient_table(ctx))
+    return SparseRingMatrix.from_rule(ctx, src, tgt, monomial_boundary)
 
 
 def build_Q_complex(g: int, k: int) -> ChainComplex:

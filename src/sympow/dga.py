@@ -18,16 +18,27 @@ is the divided-power index.  The boundary is the derivation determined by
 
 (wedge case: d(e_i) = 1 - z_i), where ``lam`` is the degree-1 element
 sum_i ((1 - y_i) e_i - (1 - x_i) f_i).
+
+Each generator's boundary and lam coefficient sit in one table per context,
+``DgaContext.table``, built from ``_ext_boundary_coeff`` and ``_lambda_coeff``
+when it is first read and kept: a context made after a source is patched
+sees the patch, and one whose table was read before keeps it.
+``surface_context`` and ``wedge_context`` make a fresh context on every call,
+so each build and each suite sees the sources as they are when it starts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .groupring import GroupRingElement, LaurentRing, add_product, surface_ring, wedge_ring
 
 Monomial = tuple[int, int]
+
+# Each generator's boundary and lam coefficient, each paired with its negative.
+CoefficientTable = tuple[tuple[tuple[GroupRingElement, GroupRingElement], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -42,6 +53,16 @@ class DgaContext:
     def ngens(self) -> int:
         """Number of exterior generators: 2g for a surface, n for a wedge."""
         return 2 * self.size if self.case == "surface" else self.size
+
+    @cached_property
+    def table(self) -> CoefficientTable:
+        """``table[0][i]`` is ``(d(gen_i), -d(gen_i))`` and ``table[1][i]`` the same
+        for the lam coefficient (empty in the wedge case)."""
+        ext = tuple((c, -c) for c in (_ext_boundary_coeff(self, i) for i in range(self.ngens)))
+        lam = ()
+        if self.case == "surface":
+            lam = tuple((c, -c) for c in (_lambda_coeff(self, i) for i in range(self.ngens)))
+        return ext, lam
 
     def gen_name(self, i: int) -> str:
         if self.case == "wedge":
@@ -241,26 +262,6 @@ def _wrap(ctx: DgaContext, acc: dict[Monomial, dict[int, int]]) -> DgaElement:
     return DgaElement(ctx, {m: GroupRingElement(ring, t) for m, t in acc.items() if t})
 
 
-CoefficientTable = tuple[tuple[tuple[GroupRingElement, GroupRingElement], ...], ...]
-
-
-def coefficient_table(ctx: DgaContext) -> CoefficientTable:
-    """Each generator's boundary and lam coefficient, each paired with its negative.
-
-    ``table[0][i]`` is ``(d(gen_i), -d(gen_i))`` and ``table[1][i]`` the same
-    for the lam coefficient (empty in the wedge case).  Built from the two
-    coefficient sources above and never cached: every matrix build makes
-    one, ``boundary`` makes one per call unless its caller passes one, and
-    a verification suite makes its own when it starts.  So a source patched
-    before a suite or a build runs reaches every path of it.
-    """
-    ext = tuple((c, -c) for c in (_ext_boundary_coeff(ctx, i) for i in range(ctx.ngens)))
-    lam = ()
-    if ctx.case == "surface":
-        lam = tuple((c, -c) for c in (_lambda_coeff(ctx, i) for i in range(ctx.ngens)))
-    return ext, lam
-
-
 def lambda_image(m: Monomial, table: CoefficientTable) -> list[tuple[Monomial, GroupRingElement]]:
     """lam * (mask, s) as (monomial, coefficient) pairs, without divided-power factors.
 
@@ -299,18 +300,14 @@ def monomial_boundary(m: Monomial, table: CoefficientTable) -> list[tuple[Monomi
     return out
 
 
-def boundary(a: DgaElement, table: CoefficientTable | None = None) -> DgaElement:
+def boundary(a: DgaElement) -> DgaElement:
     """The boundary derivation; lowers degree by 1 and preserves weight.
 
-    ``table`` is ``coefficient_table(a.ctx)``, built here when not given.
     Every ``c * unit`` is added straight into the packed terms of its target
     monomial, as in ``dga_mul``.
     """
     ctx = a.ctx
-    if table is None:
-        table = coefficient_table(ctx)
-    elif table[0][0][0].ring != ctx.ring:
-        raise ValueError(f"coefficient table is over {table[0][0][0].ring.names}, not {ctx.ring.names}")
+    table = ctx.table
     acc: dict[Monomial, dict[int, int]] = {}
     for m, c in a.terms.items():
         for key, unit in monomial_boundary(m, table):

@@ -100,14 +100,12 @@ def _add_term(terms: dict, key, coeff) -> None:
         terms.pop(key, None)
 
 
-def per_term_boundary(a: DgaElement, table=None) -> DgaElement:
+def per_term_boundary(a: DgaElement) -> DgaElement:
     """``dga.boundary`` one group-ring product at a time: each ``c * unit`` is
     built as an element and merged into its target with ``+``."""
-    if table is None:
-        table = dga.coefficient_table(a.ctx)
     terms: dict = {}
     for m, c in a.terms.items():
-        for key, unit in dga.monomial_boundary(m, table):
+        for key, unit in dga.monomial_boundary(m, a.ctx.table):
             _add_term(terms, key, c * unit)
     return DgaElement(a.ctx, terms)
 

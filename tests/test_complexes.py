@@ -21,7 +21,8 @@ from sympow.complexes import (
     lambda_matrix,
     operator_matrix,
 )
-from sympow.dga import boundary, dga_mul, lambda_element, monomial_elem, monomial_str, surface_context
+from sympow.dga import (boundary, dga_mul, ext_gen, lambda_element, monomial_elem, monomial_str,
+                        surface_context)
 from sympow.groupring import (UnitSpecialization, random_specialization, surface_ring,
                               wedge_ring)
 from sympow import homology
@@ -226,10 +227,11 @@ def test_cover_bases_nest_with_k():
     from sympow.complexes import cover_basis
 
     for g in (1, 2):
+        ctx = surface_context(g)
         for k in range(0, 4):
             for d in range(0, 2 * k + 1):
-                small = set(cover_basis(g, k, d))
-                assert small <= set(cover_basis(g, k + 1, d))
+                small = set(cover_basis(ctx, k, d))
+                assert small <= set(cover_basis(ctx, k + 1, d))
 
 
 def test_bases_are_enumerated_in_sort_key_order():
@@ -243,7 +245,7 @@ def test_bases_are_enumerated_in_sort_key_order():
             assert basis == tuple(sorted(basis, key=dga.monomial_sort_key))
         for k in range(8):
             for d in range(2 * k + 1):
-                basis = cover_basis(g, k, d)
+                basis = cover_basis(ctx, k, d)
                 expected = [(mask, s) for s in range(d // 2 + 1) if d - 2 * s <= 2 * g and d - s <= k
                             for mask, _ in _exterior_basis(ctx, d - 2 * s)]
                 assert basis == tuple(sorted(expected, key=dga.monomial_sort_key))
@@ -346,8 +348,7 @@ def test_export_prints_each_entry_object_once(monkeypatch):
     c = build_cover_complex(2, 3)  # a fresh table, not printed before the patch
     assert (export_text(c), export_json(c)) == expected
     # once per object of the complex's one table, over every boundary and both formats
-    table = c.boundaries[1]._rule[3]
-    assert sorted(calls) == sorted(id(x) for part in table for pair in part for x in pair)
+    assert sorted(calls) == sorted(id(x) for part in c.ctx.table for pair in part for x in pair)
     assert len(calls) < sum(len(b.entries) for b in c.boundaries[1:])
     # a hand-built matrix prints each distinct entry object once
     M = c.boundaries[2]
@@ -617,8 +618,38 @@ def test_patched_convention_reaches_rule_rows(monkeypatch):
             assert view(before.boundaries[i]) == view(oracle), (i, view)
 
 
+def test_context_table_patch_policy(monkeypatch):
+    # a context made after a coefficient source is patched sees the patch on
+    # every path; one whose table was read before keeps it; a table is read
+    # from the sources once however many boundaries and views use it
+    orig = dga._ext_boundary_coeff
+    reads = []
+
+    def flipped(ctx, i):
+        reads.append(ctx)
+        if ctx.case == "surface" and i == ctx.size:  # the first f-generator
+            return ctx.ring.gen(i) - ctx.ring.one()
+        return orig(ctx, i)
+
+    before = build_cover_complex(2, 2)
+    monkeypatch.setattr(dga, "_ext_boundary_coeff", flipped)
+    after = build_cover_complex(2, 2)
+    spec = UnitSpecialization(1000003, (2, 3, 5, 7))  # y1 = 5
+    col = after.modules[1].basis.index((1 << 2, 0))  # f1
+    for _ in range(3):
+        for c, sign, text in ((after, 1, "-1 + 1*y1"), (before, -1, "1 - 1*y1")):
+            ctx = c.ctx
+            d_f1 = (ctx.ring.gen(2) - ctx.ring.one()) * sign
+            assert boundary(ext_gen(ctx, 2)) == monomial_elem(ctx, 0, 0, d_f1)
+            assert c.boundaries[1].specialize_rows(spec)[0][col] == 4 * sign % spec.prime
+            assert f"0 {col} {text}" in export_text(c).splitlines()
+            c.boundaries[1].base_change(2)
+            c.boundaries[2].first_order_rows()
+    assert len(reads) == after.ctx.ngens and all(ctx is after.ctx for ctx in reads)
+
+
 def test_image_outside_the_target_basis_raises_on_both_paths():
-    from sympow.dga import coefficient_table, monomial_boundary
+    from sympow.dga import monomial_boundary
 
     ctx = surface_context(2)
     src, tgt = _exterior_basis(ctx, 2), _exterior_basis(ctx, 1)[:-1]  # drops the last generator
@@ -628,7 +659,7 @@ def test_image_outside_the_target_basis_raises_on_both_paths():
              lambda M: M.first_order_rows(), _export_cells,
              lambda M: M.specialize_columns(UnitSpecialization(1000003, (2, 3, 5, 7)))]
     for view in views:
-        M = SparseRingMatrix.from_rule(ctx.ring, src, tgt, monomial_boundary, coefficient_table(ctx))
+        M = SparseRingMatrix.from_rule(ctx, src, tgt, monomial_boundary)
         with pytest.raises(ValueError, match="leaves the target basis"):
             view(M)
     with pytest.raises(ValueError, match="leaves the target basis"):

@@ -7,7 +7,6 @@ import pytest
 from sympow.dga import (
     DgaElement,
     boundary,
-    coefficient_table,
     dga_mul,
     ext_gen,
     gamma_power,
@@ -109,22 +108,6 @@ def test_sigma_boundary_identity():
                 DgaElement(surface_context(g), {})
 
 
-def test_boundary_with_passed_table_matches_own_table():
-    rng = random.Random(3)
-    contexts = [surface_context(g) for g in (1, 2, 3)] + [wedge_context(n) for n in (1, 3, 4)]
-    for ctx in contexts:
-        monos, _ = _random_monomials(ctx, 3)
-        table = coefficient_table(ctx)
-        # a table built from an equal but distinct context serves as well
-        twin = coefficient_table(surface_context(ctx.size) if ctx.case == "surface"
-                                 else wedge_context(ctx.size))
-        for _ in range(30):
-            a = _random_element(ctx, monos, rng)
-            expected = boundary(a)
-            assert boundary(a, table) == expected
-            assert boundary(a, twin) == expected
-
-
 def test_boundary_squared_exhaustive_small():
     for ctx, cap in ((C1, 4), (C2, 4)):
         for mask in range(1 << ctx.ngens):
@@ -203,12 +186,10 @@ def _same_terms(fused, oracle):
 def test_fused_boundary_and_product_match_per_term_oracles(ctx, weight):
     rng = random.Random(ctx.size * 31 + weight)
     monos, by_degree = _random_monomials(ctx, weight)
-    table = coefficient_table(ctx)
     for _ in range(40):
         a = _random_wide(ctx, monos, rng) if rng.random() < 0.5 else _random_element(ctx, monos, rng)
         b = _random_wide(ctx, monos, rng)
         _same_terms(boundary(a), per_term_boundary(a))
-        _same_terms(boundary(a, table), per_term_boundary(a, table))
         _same_terms(dga_mul(a, b), per_term_dga_mul(a, b))
         _same_terms(dga_mul(b, a), per_term_dga_mul(b, a))
         h = _random_homogeneous(ctx, by_degree, rng)
@@ -247,8 +228,3 @@ def test_dga_suite_draws_are_pinned(seed):
     draws += [_random_homogeneous(ctx, by_degree, rng) for _ in range(150)]
     digest = hashlib.sha256(b"".join(a.canonical_str().encode() + b"\n" for a in draws))
     assert digest.hexdigest() == DGA_DRAW_DIGESTS[seed]
-
-
-def test_boundary_refuses_a_table_over_another_ring():
-    with pytest.raises(ValueError):
-        boundary(ext_gen(C2, 0), coefficient_table(wedge_context(4)))

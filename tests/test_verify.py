@@ -74,8 +74,8 @@ def test_dga_suite_detects_sign_flip_mutant(monkeypatch):
     assert not rep.passed
     failing = [c.name for c in rep.checks if not c.passed]
     assert "boundary-squared-monomials" in failing
-    # a counterexample is printed in the detail
-    assert _check(rep, "boundary-squared-monomials").detail
+    # the first counterexample, in the order the monomials are enumerated
+    assert _check(rep, "boundary-squared-monomials").detail == "d(d(m)) != 0 for m = g^(1)"
 
 
 def test_dga_suite_detects_divided_power_mutant(monkeypatch):
@@ -87,16 +87,20 @@ def test_dga_suite_detects_divided_power_mutant(monkeypatch):
 
 
 def test_dga_suite_builds_one_coefficient_table(monkeypatch):
+    # one table per context: each context the suite uses reads each generator's
+    # boundary once, however many boundaries it takes
     calls = []
-    orig = dga.coefficient_table
+    orig = dga._ext_boundary_coeff
 
-    def counting(ctx):
-        calls.append(ctx)
-        return orig(ctx)
+    def counting(ctx, i):
+        calls.append((ctx, i))
+        return orig(ctx, i)
 
-    monkeypatch.setattr(dga, "coefficient_table", counting)
+    monkeypatch.setattr(dga, "_ext_boundary_coeff", counting)
     assert verify_dga_suite(2, 3).passed
-    assert len(calls) == 1
+    contexts = {id(ctx): ctx for ctx, _ in calls}
+    assert len(contexts) == 2  # the suite's own and lambda_element's
+    assert sorted((id(ctx), i) for ctx, i in calls) == sorted((c, i) for c in contexts for i in range(4))
 
 
 # First and last of the 350 random elements verify_dga_suite(2, 3, seed=7)
@@ -284,6 +288,23 @@ def test_theorem_main_all_z_cases():
         assert rep.passed, (g, k, [c for c in rep.checks if not c.passed])
         dims_detail = _check(rep, "generic-dims-pattern").detail
         assert "expected [0" in dims_detail
+
+
+def test_theorem_main_above_2g_expects_zero_without_wedge_maps(monkeypatch):
+    calls = []
+    orig = verify.exterior_boundary_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(verify, "exterior_boundary_matrix", counting)
+    rep = verify_theorem_main(2, 5, trials=3, seed=1, N_list=(1,))
+    assert rep.passed
+    assert _check(rep, "generic-dims-pattern").detail == (
+        f"generic dims {[0] * 11}, expected {[0] * 11} "
+        "(k > 2g = 4: the complex is exact, so 0 is expected in every degree)")
+    assert not calls
 
 
 @pytest.mark.parametrize("g,k,top_dim", [(2, 3, 0), (3, 3, 4), (3, 2, 6)])
