@@ -12,7 +12,6 @@ failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -188,16 +187,21 @@ def _homology_report(args, kind: str) -> HomologyReport:
     return rep
 
 
+def _csv(rows: list[list]) -> str:
+    """``rows`` as CSV text; ``csv`` is imported only on the ``--format csv`` path."""
+    import csv
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _render_homology(rep: HomologyReport, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(rep.to_json_dict(), indent=2) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["degree", "rank", "torsion"])
-        for e in rep.entries:
-            writer.writerow([e.degree, e.rank, ";".join(map(str, e.torsion))])
-        return buf.getvalue()
+        return _csv([["degree", "rank", "torsion"]] +
+                    [[e.degree, e.rank, ";".join(map(str, e.torsion))] for e in rep.entries])
     lines = [f"case={rep.case} method={rep.method} params={rep.params}"]
     lines.append(f"{'degree':>6}  {'rank':>6}  torsion")
     for e in rep.entries:
@@ -216,13 +220,9 @@ def _render_verify(reports, fmt: str) -> str:
                        "pass": all(r.passed for r in reports)}
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["suite", "check", "pass", "detail"])
-        for r in reports:
-            for c in r.checks:
-                writer.writerow([r.suite, c.name, "pass" if c.passed else "FAIL", c.detail])
-        return buf.getvalue()
+        return _csv([["suite", "check", "pass", "detail"]] +
+                    [[r.suite, c.name, "pass" if c.passed else "FAIL", c.detail]
+                     for r in reports for c in r.checks])
     lines = []
     for r in reports:
         lines.append(f"suite {r.suite} params={r.params}")

@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from collections.abc import Callable, Container, Iterator
 from operator import mul
-from typing import Callable, Container, Iterator
 
 from .dga import (
     CoefficientTable,
@@ -58,6 +57,7 @@ from .dga import (
     wedge_context,
 )
 from .groupring import GroupRingElement, LaurentRing, UnitSpecialization, _translation
+from .records import Record
 
 # A monomial rule: the (monomial, coefficient) pairs of one source monomial's
 # image, with coefficients drawn from a coefficient table.
@@ -68,8 +68,8 @@ Rule = Callable[[Monomial, CoefficientTable], list[tuple[Monomial, object]]]
 MAX_DENSE_CELLS = 20_000_000
 
 
-@dataclass(frozen=True)
-class BasedFreeModule:
+class BasedFreeModule(Record):
+    _fields = ("degree", "basis")
     degree: int
     basis: tuple[Monomial, ...]
 
@@ -293,13 +293,14 @@ class SparseRingMatrix:
         return _expand_blocks(self._rows("first_order_rows", block), bs)
 
 
-@dataclass
 class ChainComplex:
-    case: str  # wedge | surface-cover | quotient-Q
-    params: dict[str, int]
-    ctx: DgaContext
-    modules: list[BasedFreeModule]
-    boundaries: list[SparseRingMatrix | None]  # boundaries[i]: degree i -> i-1; [0] is None
+    def __init__(self, case: str, params: dict[str, int], ctx: DgaContext,
+                 modules: list[BasedFreeModule], boundaries: list[SparseRingMatrix | None]):
+        self.case = case  # wedge | surface-cover | quotient-Q
+        self.params = params
+        self.ctx = ctx
+        self.modules = modules
+        self.boundaries = boundaries  # boundaries[i]: degree i -> i-1; [0] is None
 
     @property
     def top_degree(self) -> int:
@@ -315,7 +316,6 @@ class ChainComplex:
         return self.boundaries[i]
 
 
-@dataclass
 class IntegerChainComplex:
     """Base-changed complex: free Z-modules with integer boundary matrices.
 
@@ -323,10 +323,12 @@ class IntegerChainComplex:
     to degree i-1; it has ``ranks[i - 1]`` rows and ``ranks[i]`` columns.
     """
 
-    case: str
-    params: dict[str, int]
-    ranks: list[int]
-    boundaries: list[list[dict[int, int]] | None]
+    def __init__(self, case: str, params: dict[str, int], ranks: list[int],
+                 boundaries: list[list[dict[int, int]] | None]):
+        self.case = case
+        self.params = params
+        self.ranks = ranks
+        self.boundaries = boundaries
 
 
 # The last table mapped, its key and the mapped table: one slot, read and

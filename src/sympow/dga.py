@@ -29,11 +29,12 @@ so each build and each suite sees the sources as they are when it starts.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .groupring import GroupRingElement, LaurentRing, add_product, surface_ring, wedge_ring
+from .records import Record
 
 Monomial = tuple[int, int]
 
@@ -41,10 +42,10 @@ Monomial = tuple[int, int]
 CoefficientTable = tuple[tuple[tuple[GroupRingElement, GroupRingElement], ...], ...]
 
 
-@dataclass(frozen=True)
-class DgaContext:
+class DgaContext(Record):
     """Which algebra we are in: surface (with divided powers) or wedge."""
 
+    _fields = ("case", "size", "ring")
     case: str  # "surface" | "wedge"
     size: int  # genus g, or wedge arity n
     ring: LaurentRing
@@ -315,25 +316,27 @@ def boundary(a: DgaElement) -> DgaElement:
     return _wrap(ctx, acc)
 
 
-def lambda_element(g: int) -> DgaElement:
-    """lam = sum_i ((1 - y_i) e_i - (1 - x_i) f_i); the boundary of the lifted 2-cell."""
-    ctx = surface_context(g)
-    terms = {(1 << i, 0): _lambda_coeff(ctx, i) for i in range(ctx.ngens)}
-    return DgaElement(ctx, terms)
+def lambda_element(ctx: DgaContext) -> DgaElement:
+    """lam = sum_i ((1 - y_i) e_i - (1 - x_i) f_i) in the surface context ``ctx``,
+    with the coefficients of ``ctx.table``; the boundary of the lifted 2-cell."""
+    if ctx.case != "surface":
+        raise ValueError("lam lives in the surface algebra")
+    return DgaElement(ctx, {(1 << i, 0): c for i, (c, _) in enumerate(ctx.table[1])})
 
 
-def sigma_element(g: int, m: int) -> DgaElement:
-    """m-th elementary symmetric polynomial in the products e_i f_i.
+def sigma_element(ctx: DgaContext, m: int) -> DgaElement:
+    """m-th elementary symmetric polynomial in the products e_i f_i, in the
+    surface context ``ctx``.
 
     sigma_0 is the unit; valid range is 0 <= m <= g.
     """
+    if ctx.case != "surface":
+        raise ValueError("sigma lives in the surface algebra")
+    g = ctx.size
     if not 0 <= m <= g:
         raise ValueError(f"sigma index {m} out of range 0..{g}")
-    ctx = surface_context(g)
     if m == 0:
         return monomial_elem(ctx, 0, 0)
-    import itertools
-
     out = DgaElement(ctx, {})
     for combo in itertools.combinations(range(g), m):
         term = monomial_elem(ctx, 0, 0)

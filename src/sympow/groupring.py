@@ -22,18 +22,19 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass
 from functools import cache, cached_property
 from types import MappingProxyType
+
+from .records import Record
 
 EXPONENT_BOUND = 1 << 31  # |e| < 2^31 for every exponent given to a ring
 _FIELD = 64  # bits per packed exponent
 
 
-@dataclass(frozen=True)
-class LaurentRing:
+class LaurentRing(Record):
     """A Laurent polynomial ring over Z with named commuting variables."""
 
+    _fields = ("names",)
     names: tuple[str, ...]
 
     @property
@@ -277,18 +278,19 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class UnitSpecialization:
+class UnitSpecialization(Record):
     """Evaluation of the group generators at units mod an odd prime."""
 
+    _fields = ("prime", "values")
     prime: int
     values: tuple[int, ...]
 
-    def __post_init__(self):
-        _check_prime(self.prime)
-        for v in self.values:
-            if v % self.prime == 0:
+    def __init__(self, prime: int, values: tuple[int, ...]):
+        _check_prime(prime)
+        for v in values:
+            if v % prime == 0:
                 raise ValueError("specialization values must be units (nonzero mod p)")
+        super().__init__(prime, values)
 
 
 def _check_prime(prime: int) -> None:

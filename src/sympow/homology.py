@@ -36,12 +36,12 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
+from collections.abc import Callable, Container, Iterable
 from itertools import compress, count
-from typing import Callable, Container, Iterable
 
 from .complexes import ChainComplex, IntegerChainComplex, SparseRingMatrix
 from .groupring import UnitSpecialization, random_specialization
+from .records import Record
 
 DEFAULT_TRIALS = 5
 FAST_PRIME = 1000003
@@ -52,10 +52,10 @@ VERIFY_PRIME = 2147483647
 # Exact integer linear algebra
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Record):
     """Diagonal of the Smith normal form: d1 | d2 | .. with zeros trailing."""
 
+    _fields = ("diagonal",)
     diagonal: tuple[int, ...]
 
     def nontrivial(self) -> tuple[int, ...]:
@@ -448,22 +448,23 @@ def mod2_in_span(vectors: list[int], target: int) -> bool:
 # Reports
 
 
-@dataclass
 class DegreeEntry:
-    degree: int
-    rank: int
-    torsion: tuple[int, ...] = ()
+    def __init__(self, degree: int, rank: int, torsion: tuple[int, ...] = ()):
+        self.degree = degree
+        self.rank = rank
+        self.torsion = torsion
 
 
-@dataclass
 class HomologyReport:
-    case: str
-    params: dict
-    method: str  # integer-snf | generic-rank | betti-count
-    entries: list[DegreeEntry]
-    prime: int | None = None
-    trials: int | None = None
-    seed: int | None = None
+    def __init__(self, case: str, params: dict, method: str, entries: list[DegreeEntry],
+                 prime: int | None = None, trials: int | None = None, seed: int | None = None):
+        self.case = case
+        self.params = params
+        self.method = method  # integer-snf | generic-rank | betti-count
+        self.entries = entries
+        self.prime = prime
+        self.trials = trials
+        self.seed = seed
 
     @property
     def euler(self) -> int:
@@ -490,13 +491,13 @@ class HomologyReport:
         }
 
 
-@dataclass
 class KernelBasis:
     """Mod-p vectors spanning ker d_k under one specialization."""
 
-    degree: int
-    prime: int
-    columns: list[list[int]]
+    def __init__(self, degree: int, prime: int, columns: list[list[int]]):
+        self.degree = degree
+        self.prime = prime
+        self.columns = columns
 
     @property
     def dim(self) -> int:

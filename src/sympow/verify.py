@@ -22,8 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable
 
 from . import dga
 from .complexes import (
@@ -60,18 +59,18 @@ from .homology import (
 )
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
-@dataclass
 class VerifyReport:
-    suite: str
-    params: dict
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self, suite: str, params: dict):
+        self.suite = suite
+        self.params = params
+        self.checks: list[CheckResult] = []
 
     @property
     def passed(self) -> bool:
@@ -210,7 +209,7 @@ def verify_dga_suite(g: int, k: int, seed: int = 0) -> VerifyReport:
             break
     report.add("weight-filtration", bad is None, bad or "boundary never raises the filtration weight")
 
-    lam = lambda_element(g)
+    lam = lambda_element(ctx)
     ok = not dga_mul(lam, lam) and not boundary(lam)
     report.add("lambda-squared-and-cycle", ok, "lam * lam = 0 and d(lam) = 0")
     return report
@@ -301,8 +300,9 @@ def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
         raise ValueError("genus must be >= 2")
     report = VerifyReport("lemma-cohomology",
                           {"g": g, "trials": trials, "seed": seed, "prime": prime})
-    lam = lambda_element(g)
-    sigmas = [sigma_element(g, m) for m in range(g + 1)]
+    ctx = surface_context(g)
+    lam = lambda_element(ctx)
+    sigmas = [sigma_element(ctx, m) for m in range(g + 1)]
     lam_sigmas = [dga_mul(lam, sigma) for sigma in sigmas[:g]]
 
     bad = None
@@ -331,11 +331,11 @@ def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
     classes = {}  # lam*sigma_m as one column over exterior degree 2m + 1
     for m in range(1, g):
         index = {mono: i for i, mono in enumerate(full_q.modules[2 * g - (2 * m + 1)].basis)}
-        classes[m] = SparseRingMatrix(lam.ctx.ring, len(index), 1,
+        classes[m] = SparseRingMatrix(ctx.ring, len(index), 1,
                                       {(index[mono], 0): c for mono, c in lam_sigmas[m].terms.items()})
     bad = None
     for t in range(trials):
-        spec = _trial_specialization(lam.ctx.ring, prime, seed, t)
+        spec = _trial_specialization(ctx.ring, prime, seed, t)
         for m in range(1, g):
             vec = classes[m].specialize_columns(spec)[0]
             if any(sum(x * vec.get(c, 0) for c, x in row.items()) % prime
@@ -548,7 +548,7 @@ def verify_nonfg_witness(g: int, k: int, e_indices: tuple[int, ...],
         a = dga_mul(a, ext_gen(ctx, i - 1))
     for j in f_indices:
         a = dga_mul(a, ext_gen(ctx, g + j - 1))
-    lam = lambda_element(g)
+    lam = lambda_element(ctx)
     da = boundary(a)
     witness = dga_mul(lam, da)
 

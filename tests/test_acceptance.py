@@ -116,12 +116,13 @@ def test_criterion_06_lemma_cohomology():
     ok = ok and "position 3" in detail2 and "position 5" not in detail2
     ok = ok and "position 3" in detail3 and "position 5" in detail3
     # symbolic d(sigma_m) = -lam sigma_{m-1} for all m <= g <= 4
-    from sympow.dga import lambda_element, sigma_element
+    from sympow.dga import lambda_element, sigma_element, surface_context
 
     for g in range(1, 5):
-        lam = lambda_element(g)
+        ctx = surface_context(g)
+        lam = lambda_element(ctx)
         for m in range(1, g + 1):
-            ok = ok and boundary(sigma_element(g, m)) == -dga_mul(lam, sigma_element(g, m - 1))
+            ok = ok and boundary(sigma_element(ctx, m)) == -dga_mul(lam, sigma_element(ctx, m - 1))
     _report(6, ok, "classes at position 3 (g=2) and 3,5 (g=3) witnessed by lam*sigma_m "
                    "(cycle + N=2-cover nontriviality); d(sigma_m) = -lam*sigma_(m-1) for m<=g<=4")
 

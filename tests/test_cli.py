@@ -358,6 +358,22 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path):
         assert not out.exists()
 
 
+def test_cli_import_loads_no_dataclasses_csv_or_typing():
+    # start-up: importing the CLI loads neither dataclasses (with inspect, ast,
+    # dis and tokenize behind it), nor csv, which only --format csv needs, nor
+    # typing; comparing sys.modules before and after the import keeps this
+    # valid where site has already loaded one of them
+    code = ("import sys; before = set(sys.modules); import sympow.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(pathlib.Path(sympow.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "sympow.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "csv", "typing"}
+
+
 def test_export_goldens():
     # SHA-256 of the complete export text as the element-level builders produced it
     golden = {

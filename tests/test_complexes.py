@@ -380,7 +380,7 @@ def _boundary_oracle(ctx, src, tgt):
 
 def _lambda_oracle(g, size):
     ctx = surface_context(g)
-    lam = lambda_element(g)
+    lam = lambda_element(ctx)
     return operator_matrix(_exterior_basis(ctx, size), _exterior_basis(ctx, size + 1), ctx.ring,
                            lambda m: dga_mul(lam, monomial_elem(ctx, m[0], 0)))
 

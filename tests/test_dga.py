@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import sympow.dga as dga
 from sympow.dga import (
     DgaElement,
     boundary,
@@ -56,22 +57,22 @@ def test_boundary_of_generators():
 
 
 def test_boundary_of_gamma_is_lambda():
-    assert boundary(gamma_power(C1, 1)) == lambda_element(1)
-    assert boundary(gamma_power(C2, 1)) == lambda_element(2)
+    assert boundary(gamma_power(C1, 1)) == lambda_element(C1)
+    assert boundary(gamma_power(C2, 1)) == lambda_element(C2)
 
 
 def test_boundary_of_e1f1_is_minus_lambda():
     e1f1 = dga_mul(ext_gen(C1, 0), ext_gen(C1, 1))
-    assert boundary(e1f1) == -lambda_element(1)
+    assert boundary(e1f1) == -lambda_element(C1)
 
 
 def test_lambda_element_forms():
-    lam = lambda_element(1)
+    lam = lambda_element(C1)
     ring = C1.ring
     expected = monomial_elem(C1, 0b01, 0, ring.one() - ring.gen(1)) + \
         monomial_elem(C1, 0b10, 0, ring.gen(0) - ring.one())
     assert lam == expected
-    lam2 = lambda_element(2)
+    lam2 = lambda_element(C2)
     ring = C2.ring
     expected = (monomial_elem(C2, 1 << 0, 0, ring.one() - ring.gen(2)) +
                 monomial_elem(C2, 1 << 1, 0, ring.one() - ring.gen(3)) +
@@ -79,33 +80,50 @@ def test_lambda_element_forms():
                 monomial_elem(C2, 1 << 3, 0, ring.gen(1) - ring.one()))
     assert lam2 == expected
     with pytest.raises(ValueError):
-        lambda_element(0)
+        surface_context(0)
+    with pytest.raises(ValueError):
+        lambda_element(wedge_context(2))
+
+
+def test_lambda_element_reads_its_context_table(monkeypatch):
+    # lam takes its coefficients from ctx.table: a context whose table was read
+    # keeps lam and d(g^(1)) in step after the lam source is patched, and a
+    # fresh context sees the patch in both
+    orig = dga._lambda_coeff
+    ctx = surface_context(2)
+    lam = lambda_element(ctx)
+    monkeypatch.setattr(dga, "_lambda_coeff", lambda c, i: -orig(c, i))
+    assert lambda_element(ctx) == lam == boundary(gamma_power(ctx, 1))
+    fresh = surface_context(2)
+    assert lambda_element(fresh) == -lam == boundary(gamma_power(fresh, 1))
 
 
 def test_lambda_is_a_cycle_and_squares_to_zero():
-    for g in (1, 2, 3):
-        lam = lambda_element(g)
+    for ctx in (C1, C2, C3):
+        lam = lambda_element(ctx)
         assert not boundary(lam)
         assert not dga_mul(lam, lam)
 
 
 def test_sigma_examples():
-    s1 = sigma_element(2, 1)
+    s1 = sigma_element(C2, 1)
     assert s1 == dga_mul(ext_gen(C2, 0), ext_gen(C2, 2)) + dga_mul(ext_gen(C2, 1), ext_gen(C2, 3))
-    s2 = sigma_element(2, 2)
+    s2 = sigma_element(C2, 2)
     e1f1 = dga_mul(ext_gen(C2, 0), ext_gen(C2, 2))
     e2f2 = dga_mul(ext_gen(C2, 1), ext_gen(C2, 3))
     assert s2 == dga_mul(e1f1, e2f2)
     with pytest.raises(ValueError):
-        sigma_element(2, 3)
+        sigma_element(C2, 3)
+    with pytest.raises(ValueError):
+        sigma_element(wedge_context(4), 1)
 
 
 def test_sigma_boundary_identity():
-    for g in (2, 3):
-        lam = lambda_element(g)
-        for m in range(1, g + 1):
-            assert boundary(sigma_element(g, m)) + dga_mul(lam, sigma_element(g, m - 1)) == \
-                DgaElement(surface_context(g), {})
+    for ctx in (C2, C3):
+        lam = lambda_element(ctx)
+        for m in range(1, ctx.size + 1):
+            assert boundary(sigma_element(ctx, m)) + dga_mul(lam, sigma_element(ctx, m - 1)) == \
+                DgaElement(ctx, {})
 
 
 def test_boundary_squared_exhaustive_small():

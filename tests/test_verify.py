@@ -99,7 +99,7 @@ def test_dga_suite_builds_one_coefficient_table(monkeypatch):
     monkeypatch.setattr(dga, "_ext_boundary_coeff", counting)
     assert verify_dga_suite(2, 3).passed
     contexts = {id(ctx): ctx for ctx, _ in calls}
-    assert len(contexts) == 2  # the suite's own and lambda_element's
+    assert len(contexts) == 1  # lambda_element takes the suite's own
     assert sorted((id(ctx), i) for ctx, i in calls) == sorted((c, i) for c in contexts for i in range(4))
 
 
@@ -178,8 +178,9 @@ def _nullspace_route(g, m):
     d_cols, _ = mod2_columns(exterior_boundary_matrix(g, j), 2)
     lam_cols, _ = mod2_columns(lambda_matrix(g, j), 2)
     ker = mod2_nullspace(d_cols, len(d_cols))
-    index = {mono: i for i, mono in enumerate(complexes._exterior_basis(surface_context(g), j))}
-    sigma_bits = sum(1 << (index[mono] * blocks) for mono in sigma_element(g, m).terms)
+    ctx = surface_context(g)
+    index = {mono: i for i, mono in enumerate(complexes._exterior_basis(ctx, j))}
+    sigma_bits = sum(1 << (index[mono] * blocks) for mono in sigma_element(ctx, m).terms)
     images = [mod2_apply(lam_cols, v) for v in ker]
     return ker, lam_cols, images, mod2_apply(lam_cols, sigma_bits)
 
@@ -207,13 +208,13 @@ def test_stacked_witness_matches_the_nullspace_route(g):
     # the bitset witness on the N=2 cover (oracle), its nullspace route, and the
     # library's span test over F_2[pi]/I^2 agree on three targets per class
     ctx = surface_context(g)
-    lam = lambda_element(g)
+    lam = lambda_element(ctx)
     rng = random.Random(g)
     for m in range(1, g):
         j = 2 * m
         d, lam_j = exterior_boundary_matrix(g, j), lambda_matrix(g, j)
         ker, lam_cols, images, old_target = _nullspace_route(g, m)
-        cls = _column(ctx.ring, complexes._exterior_basis(ctx, j + 1), dga_mul(lam, sigma_element(g, m)))
+        cls = _column(ctx.ring, complexes._exterior_basis(ctx, j + 1), dga_mul(lam, sigma_element(ctx, m)))
         assert mod2_columns(cls, 2)[0][0] == old_target, (g, m)
         assert not mod2_in_span(images, old_target), (g, m)
         assert not lambda_ker_contains_mod2(d, lam_j, cls), (g, m)
@@ -341,7 +342,7 @@ def test_nonfg_witness_g2():
     assert rep.passed
     ctx = surface_context(2)
     expected = -dga_mul(dga_mul(monomial_elem(ctx, 1 << 2), ext_gen(ctx, 1)), ext_gen(ctx, 3))
-    witness = dga_mul(lambda_element(2), boundary(
+    witness = dga_mul(lambda_element(ctx), boundary(
         dga_mul(dga_mul(ext_gen(ctx, 0), ext_gen(ctx, 1)), ext_gen(ctx, 3))))
     assert evaluate_F(witness) == expected
 
@@ -355,7 +356,7 @@ def test_nonfg_witness_g3():
     f1 = monomial_elem(ctx, 1 << 3)
     expected = -dga_mul(dga_mul(dga_mul(f1, ext_gen(ctx, 1)), ext_gen(ctx, 2)), ext_gen(ctx, 4))
     a = dga_mul(dga_mul(dga_mul(ext_gen(ctx, 0), ext_gen(ctx, 1)), ext_gen(ctx, 2)), ext_gen(ctx, 4))
-    assert evaluate_F(dga_mul(lambda_element(3), boundary(a))) == expected
+    assert evaluate_F(dga_mul(lambda_element(ctx), boundary(a))) == expected
 
 
 def test_nonfg_witness_validation():
