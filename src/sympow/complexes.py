@@ -21,9 +21,9 @@ each generator's boundary and lam coefficient with its negative, and each
 source monomial's image comes from ``dga.monomial_boundary`` or
 ``dga.lambda_image``, so no group-ring arithmetic runs per entry.  Each
 boundary is rule-backed: it keeps its bases, its rule and its context's
-table.  Every builder makes a fresh context, so it sees the coefficient
-sources as they are when it runs.  ``operator_matrix`` builds the same
-matrices element by element and stays as their oracle.
+table.  Only the builders make a (fresh) context; ``lambda_matrix`` and
+``exterior_boundary_matrix`` take their caller's.  ``operator_matrix``
+builds the same matrices element by element and stays as their oracle.
 
 Every view of a matrix is one walk, ``SparseRingMatrix._rows``, with a
 coefficient function: the value at a point (``specialize_rows``), the
@@ -413,11 +413,9 @@ def _exterior_basis(ctx: DgaContext, size: int) -> tuple[Monomial, ...]:
 
 def build_wedge_complex(n: int, k: int) -> ChainComplex:
     """Truncated complex of Sym-powers of a wedge of n circles, degrees 0..k."""
-    if n < 1:
-        raise ValueError("arity must be >= 1")
+    ctx = wedge_context(n)
     if not 0 <= k <= n:
         raise ValueError(f"truncation k={k} out of range 0..{n} (no cells beyond degree n)")
-    ctx = wedge_context(n)
     modules = [BasedFreeModule(i, _exterior_basis(ctx, i)) for i in range(k + 1)]
     return ChainComplex("wedge", {"n": n, "k": k}, ctx, modules, _boundary_matrices(ctx, modules))
 
@@ -442,11 +440,9 @@ def build_cover_complex(g: int, k: int) -> ChainComplex:
     Degree-i basis: monomials of internal degree i and weight <= k; the top
     degree is derived from the enumeration (the last nonempty basis).
     """
-    if g < 1:
-        raise ValueError("genus must be >= 1")
+    ctx = surface_context(g)
     if k < 0:
         raise ValueError("k must be >= 0")
-    ctx = surface_context(g)
     bases = []
     degree = 0
     while True:
@@ -459,23 +455,23 @@ def build_cover_complex(g: int, k: int) -> ChainComplex:
     return ChainComplex("surface-cover", {"g": g, "k": k}, ctx, modules, _boundary_matrices(ctx, modules))
 
 
-def lambda_matrix(g: int, size: int) -> SparseRingMatrix:
+def lambda_matrix(ctx: DgaContext, size: int) -> SparseRingMatrix:
     """Matrix of left multiplication by lam from exterior degree ``size`` to ``size + 1``."""
-    ctx = surface_context(g)
+    if ctx.case != "surface":
+        raise ValueError("lam lives in the surface algebra")
     src = _exterior_basis(ctx, size)
     tgt = _exterior_basis(ctx, size + 1)
     return SparseRingMatrix.from_rule(ctx, src, tgt, lambda_image)
 
 
-def exterior_boundary_matrix(g: int, size: int) -> SparseRingMatrix:
-    """Boundary from exterior degree ``size`` to ``size - 1`` over the surface ring.
+def exterior_boundary_matrix(ctx: DgaContext, size: int) -> SparseRingMatrix:
+    """Boundary from exterior degree ``size`` to ``size - 1`` over the context ``ctx``.
 
-    This is the wedge complex on the 2g one-cells in the surface labeling
-    (the gamma-free part of the cover complex).
+    Over a surface context this is the wedge complex on the 2g one-cells in
+    the surface labeling (the gamma-free part of the cover complex).
     """
     if size < 1:
         raise ValueError("size must be >= 1")
-    ctx = surface_context(g)
     src = _exterior_basis(ctx, size)
     tgt = _exterior_basis(ctx, size - 1)
     return SparseRingMatrix.from_rule(ctx, src, tgt, monomial_boundary)
@@ -489,11 +485,9 @@ def build_Q_complex(g: int, k: int) -> ChainComplex:
     ``boundaries[j]`` is multiplication by lam from exterior degree
     (top - j) to (top - j + 1).
     """
-    if g < 1:
-        raise ValueError("genus must be >= 1")
+    ctx = surface_context(g)
     if k < 1:
         raise ValueError("k must be >= 1")
-    ctx = surface_context(g)
     top = min(k, 2 * g)
     modules = [BasedFreeModule(j, _exterior_basis(ctx, top - j)) for j in range(top + 1)]
     return ChainComplex("quotient-Q", {"g": g, "k": k, "top": top}, ctx, modules,

@@ -23,8 +23,10 @@ Each generator's boundary and lam coefficient sit in one table per context,
 ``DgaContext.table``, built from ``_ext_boundary_coeff`` and ``_lambda_coeff``
 when it is first read and kept: a context made after a source is patched
 sees the patch, and one whose table was read before keeps it.
-``surface_context`` and ``wedge_context`` make a fresh context on every call,
-so each build and each suite sees the sources as they are when it starts.
+A genus or arity enters only at a builder or a suite: it makes one fresh
+context (``surface_context``, ``wedge_context``) and hands it to every
+element, matrix and witness below it, so each build and each suite reads
+one table, built from the sources as they are when it starts.
 """
 
 from __future__ import annotations
@@ -164,9 +166,6 @@ class DgaElement:
 
     def weights(self) -> set[int]:
         return {monomial_weight(m) for m in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def degree(self) -> int:
         """Degree of a homogeneous element (0 for the zero element)."""

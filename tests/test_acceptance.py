@@ -141,10 +141,11 @@ def test_criterion_07_theorem_main_shadow():
 def test_criterion_08_nonfg_witness():
     ok = True
     for g, k in ((2, 2), (3, 2), (3, 3), (3, 4)):
+        ctx = surface_context(g)
         choices = admissible_nonfg_choices(g, k)
         ok = ok and len(choices) > 0
         for es, fs in choices:
-            ok = ok and verify_nonfg_witness(g, k, es, fs).passed
+            ok = ok and verify_nonfg_witness(ctx, k, es, fs).passed
     rep = integer_homology(base_change(build_cover_complex(2, 2), 2))
     rank_h2 = rep.entries[2].rank
     ok = ok and rank_h2 > 7 and rank_h2 == GOLDEN_H2_RANK_N2_G2K2

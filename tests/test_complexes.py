@@ -196,7 +196,7 @@ def test_base_change_rows_match_dense_blockwise_oracle():
     for N in (1, 2, 3, 4):
         for M in (hand, colliding):
             _assert_rows_match_oracle(M, N, (M.entries, N))
-    for M, N in ((build_cover_complex(2, 2).boundaries[2], 2), (lambda_matrix(2, 1), 2),
+    for M, N in ((build_cover_complex(2, 2).boundaries[2], 2), (lambda_matrix(surface_context(2), 1), 2),
                  (build_cover_complex(1, 2).boundaries[3], 3)):
         _assert_rows_match_oracle(M, N, N)
     cases = [(build_cover_complex(1, k), (1, 2, 3, 4)) for k in (1, 2, 3)]
@@ -272,12 +272,12 @@ def test_specialized_wedge_ranks():
 
 
 def test_lambda_and_exterior_matrices():
-    lm = lambda_matrix(1, 0)
+    lm = lambda_matrix(surface_context(1), 0)
     ring = surface_ring(1)
     assert (lm.rows, lm.cols) == (2, 1)
     assert lm.entry(0, 0) == ring.one() - ring.gen(1)
     assert lm.entry(1, 0) == ring.gen(0) - ring.one()
-    em = exterior_boundary_matrix(2, 1)
+    em = exterior_boundary_matrix(surface_context(2), 1)
     assert (em.rows, em.cols) == (1, 4)
 
 
@@ -406,7 +406,7 @@ def test_builders_match_element_oracle():
             top, entries = q.params["top"], []
             for j in range(1, q.top_degree + 1):
                 _assert_same_entries(q.boundaries[j], _lambda_oracle(g, top - j), (g, k, j))
-                _assert_same_entries(q.boundaries[j], lambda_matrix(g, top - j), (g, k, j))
+                _assert_same_entries(q.boundaries[j], lambda_matrix(q.ctx, top - j), (g, k, j))
                 entries += q.boundaries[j].entries.values()
             # one coefficient table: equal entries are one object in every degree
             assert len({id(v) for v in entries}) == len({v.canonical_str() for v in entries}), (g, k)
@@ -416,10 +416,10 @@ def test_lambda_and_exterior_matrices_match_element_oracle():
     for g in range(1, 4):
         ctx = surface_context(g)
         for size in range(0, 2 * g + 1):
-            _assert_same_entries(lambda_matrix(g, size), _lambda_oracle(g, size), ("lam", g, size))
+            _assert_same_entries(lambda_matrix(ctx, size), _lambda_oracle(g, size), ("lam", g, size))
         for size in range(1, 2 * g + 1):
             oracle = _boundary_oracle(ctx, _exterior_basis(ctx, size), _exterior_basis(ctx, size - 1))
-            _assert_same_entries(exterior_boundary_matrix(g, size), oracle, ("d", g, size))
+            _assert_same_entries(exterior_boundary_matrix(ctx, size), oracle, ("d", g, size))
 
 
 def test_builders_read_the_patched_boundary_convention(monkeypatch):
@@ -471,11 +471,11 @@ def test_rule_rows_match_entry_rows():
 def test_rule_rows_of_lambda_and_exterior_matrices_match_entry_rows():
     rng = random.Random(14)
     for g in range(1, 4):
-        ring = surface_ring(g)
-        mats = [lambda_matrix(g, size) for size in range(0, 2 * g + 1)]
-        mats += [exterior_boundary_matrix(g, size) for size in range(1, 2 * g + 1)]
+        ctx = surface_context(g)
+        mats = [lambda_matrix(ctx, size) for size in range(0, 2 * g + 1)]
+        mats += [exterior_boundary_matrix(ctx, size) for size in range(1, 2 * g + 1)]
         for M in mats:
-            for spec in _rule_specs(ring, rng):
+            for spec in _rule_specs(ctx.ring, rng):
                 assert M.specialize_rows(spec) == _entry_rows(M, spec), (g, M.rows, M.cols, spec)
 
 
@@ -539,10 +539,11 @@ def test_rule_views_match_entry_views():
         for i in range(1, c.top_degree + 1):
             _assert_views_match_entry_views(c.boundaries[i], (c.case, c.params, i))
     for g in range(1, 4):
+        ctx = surface_context(g)
         for size in range(0, 2 * g + 1):
-            _assert_views_match_entry_views(lambda_matrix(g, size), ("lam", g, size))
+            _assert_views_match_entry_views(lambda_matrix(ctx, size), ("lam", g, size))
         for size in range(1, 2 * g + 1):
-            _assert_views_match_entry_views(exterior_boundary_matrix(g, size), ("d", g, size))
+            _assert_views_match_entry_views(exterior_boundary_matrix(ctx, size), ("d", g, size))
 
 
 def test_generic_homology_builds_no_entries():
@@ -682,11 +683,12 @@ def _assert_mod2_matches_dense(M, N, label):
 
 def test_mod2_columns_match_dense_base_change():
     for g, n_values in ((2, (1, 2, 3)), (3, (2,))):
+        ctx = surface_context(g)
         for N in n_values:
             for size in range(0, 2 * g + 1):
-                _assert_mod2_matches_dense(lambda_matrix(g, size), N, ("lam", g, size, N))
+                _assert_mod2_matches_dense(lambda_matrix(ctx, size), N, ("lam", g, size, N))
             for size in range(1, 2 * g + 1):
-                _assert_mod2_matches_dense(exterior_boundary_matrix(g, size), N, ("d", g, size, N))
+                _assert_mod2_matches_dense(exterior_boundary_matrix(ctx, size), N, ("d", g, size, N))
 
 
 def test_mod2_columns_terms_colliding_mod_N():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import sympow.dga as dga
+from sympow.complexes import lambda_matrix
 from sympow.dga import (
     DgaElement,
     boundary,
@@ -83,6 +84,8 @@ def test_lambda_element_forms():
         surface_context(0)
     with pytest.raises(ValueError):
         lambda_element(wedge_context(2))
+    with pytest.raises(ValueError, match="lam lives in the surface algebra"):
+        lambda_matrix(wedge_context(3), 1)  # a wedge table has no lam part
 
 
 def test_lambda_element_reads_its_context_table(monkeypatch):

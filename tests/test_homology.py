@@ -631,12 +631,13 @@ def test_kernel_basis_columns_annihilated():
 def test_lambda_squared_kills_kernel_vectors():
     g = 2
     rng = random.Random(4)
-    spec = random_specialization(build_cover_complex(g, 1).ctx.ring, 1000003, rng)
+    ctx = build_cover_complex(g, 1).ctx
+    spec = random_specialization(ctx.ring, 1000003, rng)
     from sympow.complexes import exterior_boundary_matrix
 
-    kb = kernel_basis(exterior_boundary_matrix(g, 2), 2, spec)
-    lam2 = lambda_matrix(g, 2).specialize(spec)
-    lam3 = lambda_matrix(g, 3).specialize(spec)
+    kb = kernel_basis(exterior_boundary_matrix(ctx, 2), 2, spec)
+    lam2 = lambda_matrix(ctx, 2).specialize(spec)
+    lam3 = lambda_matrix(ctx, 3).specialize(spec)
     assert kb.dim == 3
     for v in kb.columns:
         assert not any(modp_matvec(lam3, modp_matvec(lam2, v, spec.prime), spec.prime))

@@ -17,6 +17,7 @@ from sympow.dga import (
     monomial_elem,
     sigma_element,
     surface_context,
+    wedge_context,
 )
 from sympow.groupring import surface_ring
 from sympow.homology import (
@@ -86,9 +87,15 @@ def test_dga_suite_detects_divided_power_mutant(monkeypatch):
     assert "divided-power-products" in failing or "graded-leibniz" in failing
 
 
-def test_dga_suite_builds_one_coefficient_table(monkeypatch):
-    # one table per context: each context the suite uses reads each generator's
-    # boundary once, however many boundaries it takes
+@pytest.mark.parametrize("suite", [
+    lambda: verify_dga_suite(2, 3),
+    lambda: verify_theorem_main(2, 2, N_list=(1, 2)),
+    lambda: verify_lemma_cohomology(3),
+    lambda: verify_nonfg_all_choices(3, 2),
+], ids=["dga", "theorem-main", "lemma-cohomology", "nonfg"])
+def test_dga_suite_builds_one_coefficient_table(monkeypatch, suite):
+    # one table per suite: the suite makes one context and hands it to every
+    # element, map and witness, so each generator's boundary is read once
     calls = []
     orig = dga._ext_boundary_coeff
 
@@ -97,10 +104,11 @@ def test_dga_suite_builds_one_coefficient_table(monkeypatch):
         return orig(ctx, i)
 
     monkeypatch.setattr(dga, "_ext_boundary_coeff", counting)
-    assert verify_dga_suite(2, 3).passed
-    contexts = {id(ctx): ctx for ctx, _ in calls}
-    assert len(contexts) == 1  # lambda_element takes the suite's own
-    assert sorted((id(ctx), i) for ctx, i in calls) == sorted((c, i) for c in contexts for i in range(4))
+    assert suite().passed
+    contexts = {id(ctx): ctx for ctx, _ in calls}  # holds every context, so no id is reused
+    assert len(contexts) == 1
+    assert sorted((id(ctx), i) for ctx, i in calls) == [(c, i) for c, ctx in contexts.items()
+                                                        for i in range(ctx.ngens)]
 
 
 # First and last of the 350 random elements verify_dga_suite(2, 3, seed=7)
@@ -175,10 +183,10 @@ def _nullspace_route(g, m):
     """The witness before the stacked test: a basis of ker d_2m mod 2 on the N=2
     cover, its lam-images, and lam applied to sigma_m placed at exponent 0."""
     j, blocks = 2 * m, 4 ** g
-    d_cols, _ = mod2_columns(exterior_boundary_matrix(g, j), 2)
-    lam_cols, _ = mod2_columns(lambda_matrix(g, j), 2)
-    ker = mod2_nullspace(d_cols, len(d_cols))
     ctx = surface_context(g)
+    d_cols, _ = mod2_columns(exterior_boundary_matrix(ctx, j), 2)
+    lam_cols, _ = mod2_columns(lambda_matrix(ctx, j), 2)
+    ker = mod2_nullspace(d_cols, len(d_cols))
     index = {mono: i for i, mono in enumerate(complexes._exterior_basis(ctx, j))}
     sigma_bits = sum(1 << (index[mono] * blocks) for mono in sigma_element(ctx, m).terms)
     images = [mod2_apply(lam_cols, v) for v in ker]
@@ -212,7 +220,7 @@ def test_stacked_witness_matches_the_nullspace_route(g):
     rng = random.Random(g)
     for m in range(1, g):
         j = 2 * m
-        d, lam_j = exterior_boundary_matrix(g, j), lambda_matrix(g, j)
+        d, lam_j = exterior_boundary_matrix(ctx, j), lambda_matrix(ctx, j)
         ker, lam_cols, images, old_target = _nullspace_route(g, m)
         cls = _column(ctx.ring, complexes._exterior_basis(ctx, j + 1), dga_mul(lam, sigma_element(ctx, m)))
         assert mod2_columns(cls, 2)[0][0] == old_target, (g, m)
@@ -255,25 +263,25 @@ def test_lambda_ker_contains_matches_brute_force():
     assert answers.count(True) >= 10 and answers.count(False) >= 10
 
 
-def _nullspace_kernel_quotient_dim(g, k, spec):
+def _nullspace_kernel_quotient_dim(ctx, k, spec):
     """dim K_k - dim lam*K_(k-1) through explicit kernel bases and their lam-images."""
     p = spec.prime
-    dim_kk = len(modp_nullspace(exterior_boundary_matrix(g, k).specialize(spec), p))
-    kbasis = modp_nullspace(exterior_boundary_matrix(g, k - 1).specialize(spec), p)
-    lam_mat = lambda_matrix(g, k - 1).specialize(spec)
+    dim_kk = len(modp_nullspace(exterior_boundary_matrix(ctx, k).specialize(spec), p))
+    kbasis = modp_nullspace(exterior_boundary_matrix(ctx, k - 1).specialize(spec), p)
+    lam_mat = lambda_matrix(ctx, k - 1).specialize(spec)
     return dim_kk - modp_rank_of_columns([modp_matvec(lam_mat, v, p) for v in kbasis], p)
 
 
 def test_kernel_quotient_dim_matches_nullspace_route():
     for g in (1, 2, 3):
-        ring = surface_context(g).ring
+        ctx = surface_context(g)
         for k in range(2, 2 * g + 1):
-            maps = (exterior_boundary_matrix(g, k), exterior_boundary_matrix(g, k - 1), lambda_matrix(g, k - 1))
+            maps = (exterior_boundary_matrix(ctx, k), exterior_boundary_matrix(ctx, k - 1), lambda_matrix(ctx, k - 1))
             for prime in (VERIFY_PRIME, 3, 5):
                 for seed in (0, 1, 7):
                     for t in range(3):
-                        spec = _trial_specialization(ring, prime, seed, t)
-                        assert _kernel_quotient_dim(*maps, spec) == _nullspace_kernel_quotient_dim(g, k, spec), \
+                        spec = _trial_specialization(ctx.ring, prime, seed, t)
+                        assert _kernel_quotient_dim(*maps, spec) == _nullspace_kernel_quotient_dim(ctx, k, spec), \
                             (g, k, prime, seed, t)
 
 
@@ -338,9 +346,9 @@ def test_evaluate_F_basics():
 
 
 def test_nonfg_witness_g2():
-    rep = verify_nonfg_witness(2, 2, (2,), (2,))
-    assert rep.passed
     ctx = surface_context(2)
+    rep = verify_nonfg_witness(ctx, 2, (2,), (2,))
+    assert rep.passed
     expected = -dga_mul(dga_mul(monomial_elem(ctx, 1 << 2), ext_gen(ctx, 1)), ext_gen(ctx, 3))
     witness = dga_mul(lambda_element(ctx), boundary(
         dga_mul(dga_mul(ext_gen(ctx, 0), ext_gen(ctx, 1)), ext_gen(ctx, 3))))
@@ -350,7 +358,7 @@ def test_nonfg_witness_g2():
 def test_nonfg_witness_g3():
     ctx = surface_context(3)
     # a = e1 e2 e3 f2: m = 2 (indices 2,3), n = 1 (index 2)
-    rep = verify_nonfg_witness(3, 3, (2, 3), (2,))
+    rep = verify_nonfg_witness(ctx, 3, (2, 3), (2,))
     assert rep.passed
     # F(lam * d(a)) = -f1 e2 e3 f2
     f1 = monomial_elem(ctx, 1 << 3)
@@ -360,12 +368,15 @@ def test_nonfg_witness_g3():
 
 
 def test_nonfg_witness_validation():
+    ctx = surface_context(2)
     with pytest.raises(ValueError):
-        verify_nonfg_witness(2, 2, (1,), (2,))  # index 1 not allowed
+        verify_nonfg_witness(ctx, 2, (1,), (2,))  # index 1 not allowed
     with pytest.raises(ValueError):
-        verify_nonfg_witness(2, 2, (2,), ())  # counts must sum to k
+        verify_nonfg_witness(ctx, 2, (2,), ())  # counts must sum to k
     with pytest.raises(ValueError):
-        verify_nonfg_witness(2, 3, (2,), (2,))  # k > 2g-2
+        verify_nonfg_witness(ctx, 3, (2,), (2,))  # k > 2g-2
+    with pytest.raises(ValueError, match="lam lives in the surface algebra"):
+        verify_nonfg_witness(wedge_context(3), 2, (2,), (2,))
 
 
 def test_nonfg_all_choices_rejects_k_outside_range():
