@@ -13,11 +13,7 @@ from .groupring import (
     GroupRingElement,
     LaurentRing,
     UnitSpecialization,
-    augmentation,
     finite_quotient,
-    gr_add,
-    gr_mul,
-    specialize,
     surface_ring,
     wedge_ring,
 )
@@ -37,7 +33,6 @@ from .complexes import (
     IntegerChainComplex,
     SparseRingMatrix,
     base_change,
-    boundary_matrix,
     build_cover_complex,
     build_Q_complex,
     build_wedge_complex,

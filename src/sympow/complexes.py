@@ -149,9 +149,6 @@ class SparseRingMatrix:
         entries = dict(sorted(acc.items(), key=lambda cell: cell[0][::-1]))
         return SparseRingMatrix(self.ring, self.rows, other.cols, entries)
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def _rows(self, key: object, value: Callable[[GroupRingElement], object],
               negate: Callable[[object], object] | None = None) -> list[dict[int, object]]:
         """Rows ``{col: value(entry)}``; a falsy value is not stored.
@@ -492,10 +489,6 @@ def build_Q_complex(g: int, k: int) -> ChainComplex:
     modules = [BasedFreeModule(j, _exterior_basis(ctx, top - j)) for j in range(top + 1)]
     return ChainComplex("quotient-Q", {"g": g, "k": k, "top": top}, ctx, modules,
                         _boundary_matrices(ctx, modules, lambda_image))
-
-
-def boundary_matrix(c: ChainComplex, i: int) -> SparseRingMatrix:
-    return c.boundary_matrix(i)
 
 
 def base_change(c: ChainComplex, N: int) -> IntegerChainComplex:

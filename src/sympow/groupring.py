@@ -304,24 +304,6 @@ def random_specialization(ring: LaurentRing, prime: int, rng: random.Random) -> 
     return UnitSpecialization(prime, values)
 
 
-# Operation-style aliases over the method surface.
-
-def gr_add(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    return a + b
-
-
-def gr_mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    return a * b
-
-
-def augmentation(a: GroupRingElement) -> int:
-    return a.augmentation()
-
-
-def specialize(a: GroupRingElement, spec: UnitSpecialization) -> int:
-    return a.specialize(spec)
-
-
 def _translation(exps: tuple[int, ...], N: int) -> list[int]:
     """Lex index of ``b + exps`` mod N for every b in (Z/N)^m, listed in lex order of b."""
     index = [0]
@@ -335,7 +317,7 @@ def finite_quotient(a: GroupRingElement, N: int) -> list[list[int]]:
 
     Basis: exponent vectors reduced mod N, ordered lexicographically.  This is
     the base change realizing the chain complex of the corresponding finite
-    cover; ``finite_quotient(a, 1)`` is the 1x1 matrix [augmentation(a)].
+    cover; ``finite_quotient(a, 1)`` is the 1x1 matrix [a.augmentation()].
     """
     if N < 1:
         raise ValueError("N must be >= 1")

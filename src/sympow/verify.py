@@ -118,15 +118,8 @@ def _random_monomials(ctx, max_weight: int):
 
 
 def _random_element(ctx, monos, rng: random.Random) -> DgaElement:
-    out = DgaElement(ctx, {})
-    for _ in range(rng.randint(1, 3)):
-        mask, s = monos[rng.randrange(len(monos))]
-        out = out + monomial_elem(ctx, mask, s, _random_groupring(ctx.ring, rng))
-    return out
-
-
-def _random_homogeneous(ctx, by_degree, rng: random.Random) -> DgaElement:
-    monos = rng.choice(by_degree)
+    """One to three random terms on ``monos``; ``rng.choice(by_degree)`` as
+    ``monos`` gives a homogeneous element."""
     out = DgaElement(ctx, {})
     for _ in range(rng.randint(1, 3)):
         mask, s = rng.choice(monos)
@@ -159,7 +152,7 @@ def verify_dga_suite(g: int, k: int, seed: int = 0) -> VerifyReport:
 
     bad = None
     for _ in range(50):
-        a = _random_homogeneous(ctx, by_degree, rng)
+        a = _random_element(ctx, rng.choice(by_degree), rng)
         b = _random_element(ctx, monos, rng)
         d = a.degree()
         lhs = boundary(dga_mul(a, b))
@@ -171,8 +164,8 @@ def verify_dga_suite(g: int, k: int, seed: int = 0) -> VerifyReport:
 
     bad = None
     for _ in range(50):
-        a = _random_homogeneous(ctx, by_degree, rng)
-        b = _random_homogeneous(ctx, by_degree, rng)
+        a = _random_element(ctx, rng.choice(by_degree), rng)
+        b = _random_element(ctx, rng.choice(by_degree), rng)
         sign = (-1) ** (a.degree() * b.degree())
         if dga_mul(a, b) != sign * dga_mul(b, a):
             bad = f"a = {a.canonical_str()}, b = {b.canonical_str()}"
@@ -201,7 +194,7 @@ def verify_dga_suite(g: int, k: int, seed: int = 0) -> VerifyReport:
     # (it does drop it on exterior generators, e.g. d(e1) = 1 - x1)
     bad = None
     for _ in range(50):
-        a = _random_homogeneous(ctx, by_degree, rng)
+        a = _random_element(ctx, rng.choice(by_degree), rng)
         da = boundary(a)
         if da and max(da.weights()) > max(a.weights()):
             bad = f"a = {a.canonical_str()}"
@@ -402,13 +395,17 @@ def verify_theorem_main(g: int, k: int, trials: int = DEFAULT_TRIALS, seed: int 
     independently from wedge-complex specializations; for k > 2g it must
     vanish everywhere.  Finite covers add the Euler scaling
     chi(N) = N^{2g} chi(1) and, for 2 <= k <= 2g-2, strict rank growth of
-    H_k (the non-finite-generation witness).  chi(N), the alternating sum of
-    the free ranks, telescopes to N^{2g} sum (-1)^i rank C_i whatever the
-    boundary ranks are: euler-scaling checks the cover's cell counts against
-    Macdonald's chi(1), and rank growth is the only check that reads ranks.
+    H_k (the non-finite-generation witness).  The alternating sum of the free
+    ranks of the N-cover telescopes to N^{2g} sum (-1)^i rank C_i whatever the
+    boundary ranks are, so euler-scaling reads chi(N) from the cell counts and
+    checks them against Macdonald's chi(1).  Rank growth is the only check
+    that reads ranks, and the only one that base-changes: once for each
+    N >= 2, and never when k is outside 2..2g-2.
     """
     if g < 1 or k < 2:
         raise ValueError("need g >= 1 and k >= 2")
+    if any(N < 1 for N in N_list):
+        raise ValueError("N must be >= 1")
     report = VerifyReport("theorem-main",
                           {"g": g, "k": k, "trials": trials, "seed": seed, "prime": prime,
                            "N_list": list(N_list)})
@@ -427,12 +424,12 @@ def verify_theorem_main(g: int, k: int, trials: int = DEFAULT_TRIALS, seed: int 
         why = f"k > 2g = {2 * g}: the complex is exact, so 0 is expected in every degree"
     report.add("generic-dims-pattern", dims == expected, f"generic dims {dims}, expected {expected} ({why})")
 
-    # exact Q-ranks suffice for the finite-cover checks (torsion not needed)
+    # chi(N) of the (Z/N)^{2g}-cover from its cell counts, which the free ranks telescope to
     chi1 = euler_characteristic(g, k)
-    free_ranks = {N: integer_free_ranks(base_change(cover, N)) for N in N_list}
+    chi_cells = sum((-1) ** i * r for i, r in enumerate(cover.ranks))
     bad_detail = None
     for N in N_list:
-        chi_n = sum((-1) ** i * r for i, r in enumerate(free_ranks[N]))
+        chi_n = N ** (2 * g) * chi_cells
         if chi_n != N ** (2 * g) * chi1:
             bad_detail = f"N={N}: euler {chi_n} != {N ** (2 * g)} * {chi1}"
             break
@@ -440,6 +437,8 @@ def verify_theorem_main(g: int, k: int, trials: int = DEFAULT_TRIALS, seed: int 
                bad_detail or f"chi(N) = N^{2 * g} * {chi1} for N in {list(N_list)}")
 
     if 2 <= k <= 2 * g - 2:
+        # exact Q-ranks suffice here (torsion not needed)
+        free_ranks = {N: integer_free_ranks(base_change(cover, N)) for N in N_list if N >= 2}
         base_rank = betti_symmetric_power(g, k)[k]
         bad_detail = None
         growth_details = []

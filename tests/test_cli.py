@@ -405,6 +405,18 @@ def test_oversized_base_change_exits_two_up_front():
     assert peak < 5_000_000
 
 
+def test_theorem_main_exits_two_only_where_rank_growth_base_changes():
+    # k = 7 > 2g - 2 has no rank-growth check, so no cover is base-changed;
+    # at k = 3 rank growth still needs the N=2 cover, over the size limit
+    code, text, _ = run(["verify", "--suite", "theorem-main", "--genus", "4", "--k", "7", "--N", "2"])
+    assert code == 0
+    assert [c["name"] for c in json.loads(text)["checks"]] == ["generic-dims-pattern", "euler-scaling"]
+    code, text, _ = run(["verify", "--suite", "theorem-main", "--genus", "4", "--k", "3", "--N", "2"])
+    assert code == 2
+    assert text == ("usage error: base change of d_3 (29 x 64) at N=2 would be a 7424 x 16384 matrix "
+                    "of 121,634,816 cells, over the limit of 20,000,000 cells per matrix\n")
+
+
 def test_snf_cover_genus3_k2_N2():
     # formerly too slow for the suite under the dense SNF; stdout pinned at the dense SNF
     from sympow.complexes import base_change, build_cover_complex

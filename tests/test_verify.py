@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -121,13 +122,17 @@ DGA_SEED7_SHA256 = "236ee151a0b4043b87c3792a1ef571802931b9c5645e60a30e8c18405f3b
 
 
 def test_dga_suite_random_draws_are_pinned(monkeypatch):
+    # _random_element is the suite's one draw helper: it also makes each
+    # homogeneous element, from the degree list the suite picks
     draws = []
-    for name in ("_random_element", "_random_homogeneous"):
-        def recording(*args, _orig=getattr(verify, name)):
-            a = _orig(*args)
-            draws.append(a.canonical_str())
-            return a
-        monkeypatch.setattr(verify, name, recording)
+    orig = verify._random_element
+
+    def recording(*args):
+        a = orig(*args)
+        draws.append(a.canonical_str())
+        return a
+
+    monkeypatch.setattr(verify, "_random_element", recording)
     assert verify_dga_suite(2, 3, seed=7).passed
     assert len(draws) == 350
     assert draws[0] == DGA_SEED7_FIRST
@@ -314,6 +319,41 @@ def test_theorem_main_above_2g_expects_zero_without_wedge_maps(monkeypatch):
         f"generic dims {[0] * 11}, expected {[0] * 11} "
         "(k > 2g = 4: the complex is exact, so 0 is expected in every degree)")
     assert not calls
+
+
+@pytest.mark.parametrize("g,k,N_list,base_changed", [
+    (2, 3, (1, 2, 3), []),  # k outside 2..2g-2: no rank-growth check
+    (2, 2, (1,), []),
+    (2, 2, (1, 2), [2]),
+])
+def test_theorem_main_base_changes_only_for_rank_growth(monkeypatch, g, k, N_list, base_changed):
+    # euler-scaling reads the cover's cell counts; only rank growth ranks a cover
+    calls = []
+    orig = verify.base_change
+
+    def counting(c, N):
+        calls.append(N)
+        return orig(c, N)
+
+    monkeypatch.setattr(verify, "base_change", counting)
+    rep = verify_theorem_main(g, k, trials=3, seed=1, N_list=N_list)
+    assert rep.passed
+    assert _check(rep, "euler-scaling").detail == f"chi(N) = N^{2 * g} * {(-1) ** k * math.comb(2 * g - 2, k)} " \
+                                                   f"for N in {list(N_list)}"
+    assert calls == base_changed
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        verify_theorem_main(g, k, trials=1, N_list=(1, 0))
+
+
+def test_theorem_main_euler_scaling_fails_on_a_wrong_chi(monkeypatch):
+    orig = verify.euler_characteristic
+    monkeypatch.setattr(verify, "euler_characteristic", lambda g, k: orig(g, k) + 1)
+    rep = verify_theorem_main(2, 2, trials=3, seed=1, N_list=(1, 2))
+    euler = _check(rep, "euler-scaling")
+    assert not euler.passed and euler.detail == "N=1: euler 1 != 1 * 2"
+    assert _check(rep, "finite-cover-rank-growth").passed
+    rep = verify_theorem_main(2, 3, trials=3, seed=1, N_list=(2, 3))
+    assert _check(rep, "euler-scaling").detail == "N=2: euler 0 != 16 * 1"
 
 
 @pytest.mark.parametrize("g,k,top_dim", [(2, 3, 0), (3, 3, 4), (3, 2, 6)])
