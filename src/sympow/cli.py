@@ -120,14 +120,11 @@ def _or(value: int | None, default: int) -> int:
 
 
 def _validate(args) -> None:
-    for name in ("k", "N", "trials", "prime"):
+    # the least value of each numeric flag; --genus and --arity get theirs from _require
+    for name, least in (("k", 0), ("N", 1), ("trials", 1), ("prime", 0)):
         v = getattr(args, name, None)
-        if v is not None and v < 0:
-            raise UsageError(f"--{name} must be nonnegative")
-    if getattr(args, "trials", 1) is not None and getattr(args, "trials", 1) < 1:
-        raise UsageError("--trials must be >= 1")
-    if getattr(args, "N", None) is not None and args.N < 1:
-        raise UsageError("--N must be >= 1")
+        if v is not None and v < least:
+            raise UsageError(f"--{name} must be >= {least}")
 
 
 def _check_suite_flags(args) -> None:

@@ -129,7 +129,8 @@ class SparseRingMatrix:
         return self.entries.get((r, c), self.ring.zero())
 
     def compose(self, other: SparseRingMatrix) -> SparseRingMatrix:
-        """self @ other, for checking d o d = 0; its entries are column-major."""
+        """self @ other, for checking d o d = 0 and for lemma-cohomology's kernel
+        check (the next lam-map times lam*sigma_m); its entries are column-major."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         acc: dict[tuple[int, int], GroupRingElement] = {}

@@ -188,9 +188,9 @@ def _sparse_rank(M: Iterable[dict[int, int]], p: int | None, pivots: list[int] |
     Sparse Gaussian elimination (LaMacchia-Odlyzko) on the rows of ``M``,
     which it takes over; ``col_rows`` maps each column to the active rows that
     use it.  Markowitz-style pivoting takes the sparsest active row and, in it,
-    the column with the fewest active rows (over Q a +-1 entry first, which
-    needs no row scaling).  Only the rows still active are eliminated: the rank
-    needs no back-substitution into earlier pivot rows.  Over Q the update is
+    the column with the fewest active rows; F_p and Q share this one rule.
+    Only the rows still active are eliminated: the rank needs no
+    back-substitution into earlier pivot rows.  Over Q the update is
     fraction-free, e <- a*e - b*d with a, b the pivot-column entries over
     their gcd, and the updated row is divided by its content, so no fractions
     appear and the coefficients stay small.  The rank does not depend on the
@@ -212,10 +212,7 @@ def _sparse_rank(M: Iterable[dict[int, int]], p: int | None, pivots: list[int] |
         del rows[r]
         for j in prow:
             col_rows[j].discard(r)
-        if modular:
-            c = min(prow, key=lambda j: len(col_rows[j]))
-        else:
-            c = min(prow, key=lambda j: (abs(prow[j]) != 1, len(col_rows[j])))
+        c = min(prow, key=lambda j: len(col_rows[j]))
         found.append(c)
         targets = col_rows.pop(c)
         a = prow.pop(c)

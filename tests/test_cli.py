@@ -225,6 +225,16 @@ def test_N_rejected_outside_snf():
         assert code == 2 and "usage error" in text and "--N" in text, argv
 
 
+def test_each_numeric_flag_has_one_least_value():
+    base = ["cover-homology", "--genus", "2", "--k", "2", "--method", "snf"]
+    for flag, least, argv in (("k", 0, ["cover-homology", "--genus", "2"]),
+                              ("N", 1, base),
+                              ("trials", 1, base[:5]),
+                              ("prime", 0, base[:5])):
+        code, text, _ = run(argv + [f"--{flag}", str(least - 1)])
+        assert (code, text) == (2, f"usage error: --{flag} must be >= {least}\n"), flag
+
+
 def test_betti_rejects_N():
     code, text, _ = run(["betti", "--genus", "2", "--k", "2", "--N", "3"])
     assert code == 2 and "usage error" in text and "--N" in text

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -163,14 +164,62 @@ def test_lemma_cohomology_g2():
     assert rep.passed, [c for c in rep.checks if not c.passed]
     assert "positions [3]" in _check(rep, "lambda-sigma-cocycles").detail
     assert "position 3" in _check(rep, "lambda-sigma-nonzero-finite-cover").detail
+    assert _check(rep, "lambda-sigma-kernel-specialized").detail == (
+        "next lam-map times lam*sigma_m is 0, an exact product over Z[pi], for m = 1..1")
+    assert _check(rep, "lambda-complex-integral-shadow").detail == (
+        "N=1: lam augments to 0, so every boundary is zero and the check reads the cell counts binom(4,i); "
+        "N=2: SNF free of rank binom(4,i), no torsion")
 
 
 def test_lemma_cohomology_g3():
     rep = verify_lemma_cohomology(3, trials=2, seed=1)
     assert rep.passed
     assert "positions [3, 5]" in _check(rep, "lambda-sigma-cocycles").detail
+    assert _check(rep, "lambda-sigma-kernel-specialized").detail == (
+        "next lam-map times lam*sigma_m is 0, an exact product over Z[pi], for m = 1..2")
+    assert _check(rep, "lambda-complex-integral-shadow").detail == (
+        "only N=1: lam augments to 0, so every boundary is zero and the check reads the cell counts binom(6,i)")
     with pytest.raises(ValueError):
         verify_lemma_cohomology(1)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_lemma_cohomology_kernel_check_catches_a_flipped_lambda_matrix(monkeypatch, g):
+    # the matrix rule alone negates generator 0's lam coefficient; lam*sigma_m
+    # still comes from dga_mul with the true lam, so only the product with
+    # the built lam-map sees the mutant
+    def flipped(m, table):
+        (c, neg), *rest = table[1]
+        return dga.lambda_image(m, (table[0], ((neg, c), *rest)))
+
+    monkeypatch.setattr(complexes, "lambda_image", flipped)
+    rep = verify_lemma_cohomology(g, trials=2, seed=1)
+    assert _check(rep, "lambda-sigma-cocycles").passed
+    kernel = _check(rep, "lambda-sigma-kernel-specialized")
+    assert not kernel.passed and kernel.detail == "lam*sigma_1 not in ker of next lam-map over Z[pi]"
+
+
+def test_lemma_cohomology_integral_shadow_catches_a_nonaugmented_lambda(monkeypatch):
+    # lam's first coefficient 2 - y1 augments to 1, so the N=1 boundaries are
+    # no longer zero and the ranks leave the cell counts binom(2g, i)
+    original = dga._lambda_coeff
+
+    def shifted(ctx, i):
+        c = original(ctx, i)
+        return c + ctx.ring.one() if i == 0 else c
+
+    monkeypatch.setattr(dga, "_lambda_coeff", shifted)
+    for g in (2, 3):
+        shadow = _check(verify_lemma_cohomology(g, trials=2, seed=1), "lambda-complex-integral-shadow")
+        assert not shadow.passed and shadow.detail.startswith("N=1 position "), shadow.detail
+
+
+def test_lemma_cohomology_kernel_check_reads_no_rank_flag():
+    results = {(c.passed, c.detail)
+               for trials, seed, prime in itertools.product((1, 5), (0, 7), (1000003, 2147483647))
+               for c in verify_lemma_cohomology(2, trials=trials, seed=seed, prime=prime).checks
+               if c.name == "lambda-sigma-kernel-specialized"}
+    assert results == {(True, "next lam-map times lam*sigma_m is 0, an exact product over Z[pi], for m = 1..1")}
 
 
 @pytest.mark.parametrize("g", [5, 6])
