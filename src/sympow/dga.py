@@ -22,7 +22,9 @@ sum_i ((1 - y_i) e_i - (1 - x_i) f_i).
 Each generator's boundary and lam coefficient sit in one table per context,
 ``DgaContext.table``, built from ``_ext_boundary_coeff`` and ``_lambda_coeff``
 when it is first read and kept: a context made after a source is patched
-sees the patch, and one whose table was read before keeps it.
+sees the patch, and one whose table was read before keeps it.  Beside the
+table, ``DgaContext.boundary_pairs`` keeps each monomial's boundary pairs,
+filled from the table on first use in the same way.
 A genus or arity enters only at a builder or a suite: it makes one fresh
 context (``surface_context``, ``wedge_context``) and hands it to every
 element, matrix and witness below it, so each build and each suite reads
@@ -35,7 +37,7 @@ import itertools
 import math
 from functools import cached_property
 
-from .groupring import GroupRingElement, LaurentRing, add_product, surface_ring, wedge_ring
+from .groupring import GroupRingElement, LaurentRing, surface_ring, wedge_ring
 from .records import Record
 
 Monomial = tuple[int, int]
@@ -66,6 +68,13 @@ class DgaContext(Record):
         if self.case == "surface":
             lam = tuple((c, -c) for c in (_lambda_coeff(self, i) for i in range(self.ngens)))
         return ext, lam
+
+    @cached_property
+    def boundary_pairs(self) -> dict[Monomial, list[tuple[Monomial, tuple[tuple[int, int], ...]]]]:
+        """``boundary_pairs[m]`` is ``monomial_boundary(m, self.table)`` with each
+        coefficient as its packed ``(key, value)`` items; ``boundary`` fills it
+        on first use of each monomial and keeps it beside the table."""
+        return {}
 
     def gen_name(self, i: int) -> str:
         if self.case == "wedge":
@@ -240,21 +249,32 @@ def _merge_sign(m1: int, m2: int) -> int:
 def dga_mul(a: DgaElement, b: DgaElement) -> DgaElement:
     """Graded-commutative product; zero on repeated exterior generators.
 
-    Every ``c1 * c2 * sign * binomial`` is added straight into the packed
-    terms of its target monomial; each nonzero sum is wrapped once.
+    Every ``c1 * c2 * sign * binomial`` is multiplied straight into the
+    packed terms of its target monomial; each nonzero sum is wrapped once.
     """
     a._check_ctx(b)
-    ctx = a.ctx
     acc: dict[Monomial, dict[int, int]] = {}
     for (m1, s1), c1 in a.terms.items():
+        items1 = c1.packed.items()
         for (m2, s2), c2 in b.terms.items():
             if m1 & m2:
                 continue
             scale = _gamma_product_coeff(s1, s2) if s1 or s2 else 1
             if _merge_sign(m1, m2) < 0:
                 scale = -scale
-            add_product(acc.setdefault((m1 | m2, s1 + s2), {}), c1, c2, scale)
-    return _wrap(ctx, acc)
+            t = acc.setdefault((m1 | m2, s1 + s2), {})
+            get = t.get
+            items2 = c2.packed.items()
+            for e1, x1 in items1:
+                x1 *= scale
+                for e2, x2 in items2:
+                    e = e1 + e2
+                    v = get(e, 0) + x1 * x2
+                    if v:
+                        t[e] = v
+                    else:
+                        t.pop(e, None)  # a zero scale leaves e absent
+    return _wrap(a.ctx, acc)
 
 
 def _wrap(ctx: DgaContext, acc: dict[Monomial, dict[int, int]]) -> DgaElement:
@@ -303,15 +323,30 @@ def monomial_boundary(m: Monomial, table: CoefficientTable) -> list[tuple[Monomi
 def boundary(a: DgaElement) -> DgaElement:
     """The boundary derivation; lowers degree by 1 and preserves weight.
 
-    Every ``c * unit`` is added straight into the packed terms of its target
+    Each monomial's pairs come from ``ctx.boundary_pairs``, and every
+    ``c * unit`` is multiplied straight into the packed terms of its target
     monomial, as in ``dga_mul``.
     """
     ctx = a.ctx
-    table = ctx.table
+    pairs = ctx.boundary_pairs
     acc: dict[Monomial, dict[int, int]] = {}
     for m, c in a.terms.items():
-        for key, unit in monomial_boundary(m, table):
-            add_product(acc.setdefault(key, {}), c, unit)
+        image = pairs.get(m)
+        if image is None:
+            image = pairs[m] = [(key, tuple(unit.packed.items()))
+                                for key, unit in monomial_boundary(m, ctx.table)]
+        items = c.packed.items()
+        for key, unit in image:
+            t = acc.setdefault(key, {})
+            get = t.get
+            for e1, x1 in items:
+                for e2, x2 in unit:
+                    e = e1 + e2
+                    v = get(e, 0) + x1 * x2
+                    if v:
+                        t[e] = v
+                    else:
+                        t.pop(e, None)
     return _wrap(ctx, acc)
 
 

@@ -154,7 +154,16 @@ class GroupRingElement:
             return NotImplemented
         self._check_ring(other)
         terms: dict[int, int] = {}
-        add_product(terms, self, other)
+        get = terms.get
+        bterms = other.packed.items()
+        for e1, c1 in self.packed.items():
+            for e2, c2 in bterms:
+                e = e1 + e2
+                v = get(e, 0) + c1 * c2
+                if v:
+                    terms[e] = v
+                else:
+                    terms.pop(e, None)
         return GroupRingElement(self.ring, terms)
 
     __rmul__ = __mul__
@@ -224,24 +233,6 @@ class GroupRingElement:
         for neg, body in parts[1:]:
             out += (" - " if neg else " + ") + body
         return out
-
-
-def add_product(acc: dict[int, int], a: GroupRingElement, b: GroupRingElement, scale: int = 1) -> None:
-    """Add ``scale * a * b`` into the packed terms ``acc`` in place; zero sums are dropped.
-
-    The rings of ``a`` and ``b`` are not compared: callers check them.
-    """
-    get = acc.get
-    bterms = b.packed.items()
-    for e1, c1 in a.packed.items():
-        c1 *= scale
-        for e2, c2 in bterms:
-            e = e1 + e2
-            v = get(e, 0) + c1 * c2
-            if v:
-                acc[e] = v
-            else:
-                acc.pop(e, None)
 
 
 # The least strong pseudoprime to every base 2..37 (Sorenson-Webster 2017).

@@ -46,7 +46,7 @@ from .dga import (
     sigma_element,
     surface_context,
 )
-from .groupring import UnitSpecialization
+from .groupring import _FIELD, GroupRingElement, UnitSpecialization
 from .homology import (
     DEFAULT_TRIALS,
     VERIFY_PRIME,
@@ -92,12 +92,19 @@ class VerifyReport:
 # Random elements for the DGA property suite
 
 
-def _random_groupring(ring, rng: random.Random):
-    terms: dict[tuple[int, ...], int] = {}
-    for _ in range(rng.randint(1, 2)):
-        exps = tuple(rng.randint(-2, 2) for _ in range(ring.nvars))
-        terms[exps] = terms.get(exps, 0) + rng.choice([-3, -2, -1, 1, 2, 3])
-    return ring.from_terms(terms)
+_UNITS = (-3, -2, -1, 1, 2, 3)
+
+
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """``Random._randbelow(n)`` for ``bits = rng.getrandbits``: draw ``n.bit_length()``
+    bits until the value is below ``n`` (CPython's ``_randbelow_with_getrandbits``).
+    ``randint(a, b)`` is ``a + _below(bits, b - a + 1)`` and ``choice(seq)`` is
+    ``seq[_below(bits, len(seq))]``, draw for draw and state for state."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
 def _random_monomials(ctx, max_weight: int):
@@ -118,13 +125,32 @@ def _random_monomials(ctx, max_weight: int):
 
 
 def _random_element(ctx, monos, rng: random.Random) -> DgaElement:
-    """One to three random terms on ``monos``; ``rng.choice(by_degree)`` as
-    ``monos`` gives a homogeneous element."""
-    out = DgaElement(ctx, {})
-    for _ in range(rng.randint(1, 3)):
-        mask, s = rng.choice(monos)
-        out = out + monomial_elem(ctx, mask, s, _random_groupring(ctx.ring, rng))
-    return out
+    """One to three random terms on ``monos``, each coefficient one or two random
+    terms, exponents in -2..2 and values in ``_UNITS``; ``by_degree[i]`` as ``monos``
+    gives a homogeneous element.
+
+    The draws are ``randint``'s and ``choice``'s own (``_below``), so a seed gives
+    the same elements and the same generator state.  Exponents in -2..2 pass
+    ``LaurentRing.pack``'s checks, so each value is added straight into the packed
+    dict of its monomial: every sum, and so the element, is what ``+`` would give.
+    """
+    bits = rng.getrandbits
+    ring = ctx.ring
+    shifts = range(0, _FIELD * ring.nvars, _FIELD)
+    nmonos = len(monos)
+    terms: dict = {}
+    for _ in range(1 + _below(bits, 3)):
+        packed = terms.setdefault(monos[_below(bits, nmonos)], {})
+        for _ in range(1 + _below(bits, 2)):
+            key = 0
+            for shift in shifts:
+                key += (_below(bits, 5) - 2) << shift
+            v = packed.get(key, 0) + _UNITS[_below(bits, 6)]
+            if v:
+                packed[key] = v
+            else:
+                del packed[key]
+    return DgaElement(ctx, {m: GroupRingElement(ring, p) for m, p in terms.items() if p})
 
 
 def verify_dga_suite(g: int, k: int, seed: int = 0) -> VerifyReport:
@@ -134,6 +160,7 @@ def verify_dga_suite(g: int, k: int, seed: int = 0) -> VerifyReport:
         raise ValueError("k must be >= 0")
     monos, by_degree = _random_monomials(ctx, k)
     rng = random.Random(seed)
+    bits = rng.getrandbits
     report = VerifyReport("dga", {"g": g, "k": k, "seed": seed})
 
     bad = next((m for m in monos if boundary(boundary(monomial_elem(ctx, *m)))), None)
@@ -152,11 +179,12 @@ def verify_dga_suite(g: int, k: int, seed: int = 0) -> VerifyReport:
 
     bad = None
     for _ in range(50):
-        a = _random_element(ctx, rng.choice(by_degree), rng)
+        a = _random_element(ctx, by_degree[_below(bits, len(by_degree))], rng)
         b = _random_element(ctx, monos, rng)
         d = a.degree()
         lhs = boundary(dga_mul(a, b))
-        rhs = dga_mul(boundary(a), b) + ((-1) ** d) * dga_mul(a, boundary(b))
+        a_db = dga_mul(a, boundary(b))
+        rhs = dga_mul(boundary(a), b) + (-a_db if d & 1 else a_db)
         if lhs != rhs:
             bad = f"a = {a.canonical_str()}, b = {b.canonical_str()}"
             break
@@ -164,8 +192,8 @@ def verify_dga_suite(g: int, k: int, seed: int = 0) -> VerifyReport:
 
     bad = None
     for _ in range(50):
-        a = _random_element(ctx, rng.choice(by_degree), rng)
-        b = _random_element(ctx, rng.choice(by_degree), rng)
+        a = _random_element(ctx, by_degree[_below(bits, len(by_degree))], rng)
+        b = _random_element(ctx, by_degree[_below(bits, len(by_degree))], rng)
         sign = (-1) ** (a.degree() * b.degree())
         if dga_mul(a, b) != sign * dga_mul(b, a):
             bad = f"a = {a.canonical_str()}, b = {b.canonical_str()}"
@@ -194,7 +222,7 @@ def verify_dga_suite(g: int, k: int, seed: int = 0) -> VerifyReport:
     # (it does drop it on exterior generators, e.g. d(e1) = 1 - x1)
     bad = None
     for _ in range(50):
-        a = _random_element(ctx, rng.choice(by_degree), rng)
+        a = _random_element(ctx, by_degree[_below(bits, len(by_degree))], rng)
         da = boundary(a)
         if da and max(da.weights()) > max(a.weights()):
             bad = f"a = {a.canonical_str()}"

@@ -6,7 +6,8 @@ enumeration for regular representations, the group-ring product on plain
 dicts of exponent tuples, the dense base change that the
 library's sparse rows replaced, the per-term DGA boundary and product
 that the library's fused accumulation into packed exponent keys replaced,
-sympy for Smith normal forms, the dense
+the ``randint``/``choice`` draws of the ``dga`` suite's random elements that
+its ``getrandbits`` replica replaced, sympy for Smith normal forms, the dense
 elimination loops that the library's sparse rank kernel and sparse Smith
 normal form replaced, the every-trial generic homology loop that its
 certified early stop replaced, the mod-2 bitset witness on the N=2 cover
@@ -23,7 +24,7 @@ import random
 
 from sympow import dga
 from sympow.complexes import SparseRingMatrix
-from sympow.dga import DgaElement
+from sympow.dga import DgaElement, monomial_elem
 from sympow.groupring import _translation, random_specialization
 from sympow.homology import SnfResult, mod2_in_span
 
@@ -125,6 +126,26 @@ def per_term_dga_mul(a: DgaElement, b: DgaElement) -> DgaElement:
                 coeff = -coeff
             _add_term(terms, (m1 | m2, s1 + s2), coeff)
     return DgaElement(a.ctx, terms)
+
+
+def choice_random_groupring(ring, rng: random.Random):
+    """One or two terms, exponents ``randint(-2, 2)``, values ``choice`` of +-1..3,
+    merged through ``from_terms``."""
+    terms: dict[tuple[int, ...], int] = {}
+    for _ in range(rng.randint(1, 2)):
+        exps = tuple(rng.randint(-2, 2) for _ in range(ring.nvars))
+        terms[exps] = terms.get(exps, 0) + rng.choice([-3, -2, -1, 1, 2, 3])
+    return ring.from_terms(terms)
+
+
+def choice_random_element(ctx, monos, rng: random.Random) -> DgaElement:
+    """``verify._random_element`` by ``randint`` and ``choice``: one to three
+    terms on ``monos``, each added with ``+``."""
+    out = DgaElement(ctx, {})
+    for _ in range(rng.randint(1, 3)):
+        mask, s = rng.choice(monos)
+        out = out + monomial_elem(ctx, mask, s, choice_random_groupring(ctx.ring, rng))
+    return out
 
 
 def dense_base_change(M, N: int) -> list[list[int]]:

@@ -20,8 +20,8 @@ from sympow.dga import (
     wedge_context,
 )
 from sympow.groupring import EXPONENT_BOUND
-from sympow.verify import _random_element, _random_monomials
-from oracles import per_term_boundary, per_term_dga_mul
+from sympow.verify import _below, _random_element, _random_monomials
+from oracles import choice_random_element, per_term_boundary, per_term_dga_mul
 
 C1 = surface_context(1)
 C2 = surface_context(2)
@@ -218,6 +218,55 @@ def test_fused_boundary_and_product_match_per_term_oracles(ctx, weight):
         assert not boundary(boundary(a))
 
 
+@pytest.mark.parametrize("ctx,k,cases", [
+    (surface_context(2), 4, 128),
+    (surface_context(3), 3, 180),
+    (wedge_context(4), 4, 60),
+])
+def test_exterior_generator_is_a_contracting_homotopy_up_to_its_unit(ctx, k, cases):
+    # d(e_i c) + e_i d(c) = d(e_i) c = (1 - x_i) c for every monomial c of weight < k:
+    # an exact oracle for the fused boundary and product on every basis monomial
+    monos, _ = _random_monomials(ctx, k - 1)
+    checked = 0
+    for i in range(ctx.ngens):
+        e = ext_gen(ctx, i)
+        unit = ctx.ring.one() - ctx.ring.gen(i)
+        for mask, s in monos:
+            c = monomial_elem(ctx, mask, s)
+            assert boundary(dga_mul(e, c)) + dga_mul(e, boundary(c)) == monomial_elem(ctx, mask, s, unit), \
+                (i, monomial_str(ctx, (mask, s)))
+            checked += 1
+    assert checked == cases
+
+
+def test_boundary_pairs_belong_to_their_context(monkeypatch):
+    # two contexts of one genus are equal, but each keeps the pairs of its own
+    # table: one made after the convention is patched sees the patch
+    orig = dga._ext_boundary_coeff
+
+    def flipped(ctx, i):
+        if ctx.case == "surface" and i == ctx.size:  # the first f-generator
+            return ctx.ring.gen(i) - ctx.ring.one()
+        return orig(ctx, i)
+
+    first = surface_context(2)
+    before = boundary(monomial_elem(first, 0b0101, 1))  # e1*f1*g^(1)
+    monkeypatch.setattr(dga, "_ext_boundary_coeff", flipped)
+    second = surface_context(2)
+    assert second == first
+    after = boundary(monomial_elem(second, 0b0101, 1))
+    assert after == per_term_boundary(monomial_elem(second, 0b0101, 1))
+    assert after != before
+    assert boundary(monomial_elem(first, 0b0101, 1)) == before
+    assert boundary(ext_gen(second, 2)) == -boundary(ext_gen(first, 2))
+
+
+def test_product_with_a_zero_scale_is_zero(monkeypatch):
+    # a zero binomial leaves every packed key absent; dropping its sum must not raise
+    monkeypatch.setattr(dga, "_gamma_product_coeff", lambda a, b: 0)
+    assert dga_mul(gamma_power(C2, 1), gamma_power(C2, 1)) == DgaElement(C2, {})
+
+
 def test_fused_product_round_trips_exponents_near_the_bound():
     ctx = wedge_context(12)
     top = EXPONENT_BOUND - 1
@@ -249,3 +298,27 @@ def test_dga_suite_draws_are_pinned(seed):
     draws += [_random_element(ctx, rng.choice(by_degree), rng) for _ in range(150)]
     digest = hashlib.sha256(b"".join(a.canonical_str().encode() + b"\n" for a in draws))
     assert digest.hexdigest() == DGA_DRAW_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("ctx,weight", [
+    (surface_context(g), w) for g in (1, 2, 3) for w in (0, 1, 3)
+] + [(wedge_context(4), w) for w in (0, 1, 3)])
+def test_getrandbits_draws_match_the_randint_choice_oracle(ctx, weight):
+    # monomial lists of length 1, of a power of two and of other lengths; the
+    # canonical string and the generator state agree after every draw
+    monos, by_degree = _random_monomials(ctx, weight)
+    for seed in range(20):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for i in range(24):
+            if i % 3 == 2:
+                fast_monos = by_degree[_below(fast.getrandbits, len(by_degree))]
+                slow_monos = slow.choice(by_degree)
+                assert fast_monos == slow_monos
+                assert fast.getstate() == slow.getstate()
+            else:
+                fast_monos = slow_monos = monos
+            a = _random_element(ctx, fast_monos, fast)
+            b = choice_random_element(ctx, slow_monos, slow)
+            assert a.canonical_str() == b.canonical_str()
+            assert a == b
+            assert fast.getstate() == slow.getstate()
