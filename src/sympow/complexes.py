@@ -33,7 +33,8 @@ its text (export).  ``_columns`` walks the same mapped table by source, for
 the values at a point by column (``specialize_columns``), and runs the rule
 on no source it is told to skip.  A rule-backed matrix maps only its table
 and runs the rule over the bases, so no view but ``entries`` builds the
-entries; only ``compose``, ``entry`` and the tests read them.
+entries; only ``compose``, ``entry`` and the tests read them.  The last
+mapped table is kept on the matrix's context (``DgaContext.last_view``).
 ``base_change`` refuses, from the shapes alone, any boundary of more than
 ``MAX_DENSE_CELLS`` cells.
 """
@@ -115,7 +116,7 @@ class SparseRingMatrix:
         m = cls.__new__(cls)
         m.ring, m.rows, m.cols = ctx.ring, len(tgt), len(src)
         m._entries = None
-        m._rule = (src, tgt, image, ctx.table)
+        m._rule = (src, tgt, image, ctx.table, ctx.last_view)
         return m
 
     @property
@@ -154,8 +155,8 @@ class SparseRingMatrix:
               negate: Callable[[object], object] | None = None) -> list[dict[int, object]]:
         """Rows ``{col: value(entry)}``; a falsy value is not stored.
 
-        A rule-backed matrix maps only its coefficient table (``_map_table``,
-        once per ``key``) and runs its rule over the bases on the mapped
+        A rule-backed matrix maps only its table (``_mapped_rule``, once per
+        ``key`` for its context) and runs its rule over the bases on the mapped
         table, as it would on the table itself: the rule only moves the
         table's values about, so no entry is built.  ``negate``, when given,
         derives the value of each pair's ``-c`` from that of ``c``.  Explicit
@@ -202,10 +203,19 @@ class SparseRingMatrix:
 
     def _mapped_rule(self, key: object, value: Callable[[GroupRingElement], object],
                      negate: Callable[[object], object] | None) -> tuple:
-        """The sources, the rule, the table mapped by ``value`` (``_map_table``)
-        and the target index lookup of a rule-backed matrix."""
-        src, tgt, image, table = self._rule
-        return src, image, _map_table(table, key, value, negate), {m: i for i, m in enumerate(tgt)}.get
+        """The sources, the rule, the table with each ``c`` mapped to ``value(c)``
+        (each pair ``(c, -c)`` to ``(x, negate(x))`` when ``negate`` is given)
+        and the target lookup.  The boundaries of a complex are mapped with one
+        key in turn, so the context's ``last_view`` keeps the last mapping."""
+        src, tgt, image, table, view = self._rule
+        if view[0] != key:
+            if negate is None:
+                mapped = tuple(tuple((value(c), value(n)) for c, n in part) for part in table)
+            else:
+                mapped = tuple(tuple((x, negate(x)) for x in (value(c) for c, _ in part))
+                               for part in table)
+            view[:] = key, mapped
+        return src, image, view[1], {m: i for i, m in enumerate(tgt)}.get
 
     def _entry_cells(self, value: Callable[[GroupRingElement], object]) -> Iterator[tuple[int, int, object]]:
         """``(r, c, value(entry))`` of the explicit entries whose value is truthy;
@@ -327,31 +337,6 @@ class IntegerChainComplex:
         self.params = params
         self.ranks = ranks
         self.boundaries = boundaries
-
-
-# The last table mapped, its key and the mapped table: one slot, read and
-# written whole.
-_last_map: list[tuple] = [(None, None, ())]
-
-
-def _map_table(table: CoefficientTable, key: object, value: Callable[[GroupRingElement], object],
-               negate: Callable[[object], object] | None) -> tuple:
-    """The table with each object ``c`` replaced by ``value(c)``, and each pair
-    ``(c, -c)`` by ``(x, negate(x))`` when ``negate`` is given.
-
-    The boundaries of a complex share one table and are mapped with one key
-    (a point, a cover order, a view) in turn, so the last mapping is kept; it
-    holds its table, whose identity is therefore not reused.
-    """
-    last_table, last_key, mapped = _last_map[0]
-    if last_table is not table or last_key != key:
-        if negate is None:
-            mapped = tuple(tuple((value(c), value(n)) for c, n in part) for part in table)
-        else:
-            mapped = tuple(tuple((x, negate(x)) for x in (value(c) for c, _ in part))
-                           for part in table)
-        _last_map[0] = (table, key, mapped)
-    return mapped
 
 
 def _column_major(rows: list[dict[int, object]]) -> dict[tuple[int, int], object]:

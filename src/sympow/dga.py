@@ -24,7 +24,8 @@ Each generator's boundary and lam coefficient sit in one table per context,
 when it is first read and kept: a context made after a source is patched
 sees the patch, and one whose table was read before keeps it.  Beside the
 table, ``DgaContext.boundary_pairs`` keeps each monomial's boundary pairs,
-filled from the table on first use in the same way.
+filled from the table on first use in the same way, and
+``DgaContext.last_view`` the table's last mapping by a matrix over it.
 A genus or arity enters only at a builder or a suite: it makes one fresh
 context (``surface_context``, ``wedge_context``) and hands it to every
 element, matrix and witness below it, so each build and each suite reads
@@ -75,6 +76,12 @@ class DgaContext(Record):
         coefficient as its packed ``(key, value)`` items; ``boundary`` fills it
         on first use of each monomial and keeps it beside the table."""
         return {}
+
+    @cached_property
+    def last_view(self) -> list:
+        """``[key, mapped]``: the last key (a point, a cover order, a view) under
+        which a matrix over this context mapped ``self.table``, and the result."""
+        return [None, None]
 
     def gen_name(self, i: int) -> str:
         if self.case == "wedge":
@@ -199,7 +206,7 @@ def monomial_elem(ctx: DgaContext, mask: int = 0, gamma: int = 0,
     if mask >> ctx.ngens:
         raise ValueError("mask uses generators beyond the context")
     if isinstance(coeff, int):
-        coeff = ctx.ring.one() * coeff
+        coeff = ctx.ring.monomial((0,) * ctx.ring.nvars, coeff)
     if not coeff:
         return DgaElement(ctx, {})
     return DgaElement(ctx, {(mask, gamma): coeff})

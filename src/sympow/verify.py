@@ -312,8 +312,9 @@ def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
       it grows the rank of the stacked [d; lam] (rank-increase check); any
       relation over the group ring would descend, so the class is nonzero;
     * the integral shadow of the full lam-complex over Z[(Z/N)^{2g}]: at N=1
-      lam augments to 0, so the check reads the cell counts binom(2g, i); only
-      g=2 also runs N=2, whose SNF is torsion-free of rank binom(2g, i);
+      it checks from the table that lam augments to 0, so that the homology is
+      the cell counts binom(2g, i); only g=2 also runs N=2, whose SNF is
+      torsion-free of rank binom(2g, i);
     * the honest fraction-field shadow: the specialized lam-complex is
       exact everywhere, because the integral classes are copies of Z with
       trivial deck action and die under any unit specialization.  It is the
@@ -374,18 +375,19 @@ def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
                f"lam*sigma_{bad} lies in lam*ker(d_{2 * bad}) over F_2[pi]/I^2" if bad else
                "; ".join(detail_parts))
 
-    # integral shadow of the full lam-complex (torsion-free Tor pattern)
-    n_values = (1, 2) if g == 2 else (1,)
-    bad_detail = None
-    for N in n_values:
-        rep = integer_homology(base_change(full_q, N))
-        for e in rep.entries:
+    # integral shadow of the full lam-complex (torsion-free Tor pattern).  At N=1
+    # each entry is +- the augmentation of a lam coefficient, and each coefficient
+    # is an entry of the first map: the homology is free on the cells iff all are 0.
+    bad_detail = next((f"N=1: lam coefficient of {ctx.gen_name(i)} augments to {c.augmentation()}"
+                       for i, (c, _) in enumerate(ctx.table[1]) if c.augmentation()), None)
+    if bad_detail is None and full_q.ranks != [math.comb(2 * g, i) for i in range(2 * g + 1)]:
+        bad_detail = f"N=1: cell counts {full_q.ranks}, not binom({2 * g},i)"
+    if bad_detail is None and g == 2:
+        for e in integer_homology(base_change(full_q, 2)).entries:
             pos = 2 * g - e.degree
             if e.rank != math.comb(2 * g, pos) or e.torsion:
-                bad_detail = f"N={N} position {pos}: rank {e.rank} torsion {list(e.torsion)}"
+                bad_detail = f"N=2 position {pos}: rank {e.rank} torsion {list(e.torsion)}"
                 break
-        if bad_detail:
-            break
     n1 = f"N=1: lam augments to 0, so every boundary is zero and the check reads the cell counts binom({2 * g},i)"
     report.add("lambda-complex-integral-shadow", bad_detail is None,
                bad_detail or (f"{n1}; N=2: SNF free of rank binom({2 * g},i), no torsion" if g == 2 else

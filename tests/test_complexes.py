@@ -583,6 +583,25 @@ def test_boundaries_of_a_complex_evaluate_its_table_once_per_point(monkeypatch):
     assert len(calls) == 3 * 2 * 8
 
 
+def test_interleaved_complexes_keep_their_own_table_view(monkeypatch):
+    from sympow.groupring import GroupRingElement
+
+    calls = []
+    orig = GroupRingElement.specialize
+
+    def counting(self, spec):
+        calls.append(spec)
+        return orig(self, spec)
+
+    monkeypatch.setattr(GroupRingElement, "specialize", counting)
+    c, twin = build_cover_complex(2, 2), build_cover_complex(2, 2)  # equal tables, two objects
+    spec = random_specialization(c.ctx.ring, 1000003, random.Random(23))
+    for M, N in zip(c.boundaries[1:], twin.boundaries[1:]):
+        assert M.specialize_rows(spec) == N.specialize_rows(spec)
+    # each context maps its 8 coefficients once, however its boundaries interleave
+    assert c.top_degree == 4 and len(calls) == 2 * 8
+
+
 def test_patched_convention_reaches_rule_rows(monkeypatch):
     orig = dga._ext_boundary_coeff
 

@@ -36,7 +36,7 @@ def test_hashed_records_compare_and_hash_by_value(cls, values, variants):
     for changed in variants:
         c = cls(*changed)
         assert a != c and not a == c, changed
-    # another type is never equal: _map_table compares keys of mixed types
+    # another type is never equal: DgaContext.last_view is keyed by values of mixed types
     assert a != values and a != 0
 
 

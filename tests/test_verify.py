@@ -201,7 +201,7 @@ def test_lemma_cohomology_kernel_check_catches_a_flipped_lambda_matrix(monkeypat
 
 def test_lemma_cohomology_integral_shadow_catches_a_nonaugmented_lambda(monkeypatch):
     # lam's first coefficient 2 - y1 augments to 1, so the N=1 boundaries are
-    # no longer zero and the ranks leave the cell counts binom(2g, i)
+    # no longer zero and the homology leaves the cell counts binom(2g, i)
     original = dga._lambda_coeff
 
     def shifted(ctx, i):
@@ -211,7 +211,25 @@ def test_lemma_cohomology_integral_shadow_catches_a_nonaugmented_lambda(monkeypa
     monkeypatch.setattr(dga, "_lambda_coeff", shifted)
     for g in (2, 3):
         shadow = _check(verify_lemma_cohomology(g, trials=2, seed=1), "lambda-complex-integral-shadow")
-        assert not shadow.passed and shadow.detail.startswith("N=1 position "), shadow.detail
+        assert not shadow.passed and shadow.detail == "N=1: lam coefficient of e1 augments to 1", shadow.detail
+
+
+@pytest.mark.parametrize("g, orders", [(2, [2]), (3, []), (4, [])])
+def test_lemma_cohomology_base_changes_only_at_genus_two(monkeypatch, g, orders):
+    # the N=1 shadow reads the table; only g=2 base-changes, at N=2
+    calls = []
+    orig = verify.base_change
+
+    def counting(c, N):
+        calls.append(N)
+        return orig(c, N)
+
+    monkeypatch.setattr(verify, "base_change", counting)
+    shadow = _check(verify_lemma_cohomology(g, trials=2, seed=1), "lambda-complex-integral-shadow")
+    assert calls == orders
+    n1 = f"N=1: lam augments to 0, so every boundary is zero and the check reads the cell counts binom({2 * g},i)"
+    assert shadow.passed and shadow.detail == (
+        f"{n1}; N=2: SNF free of rank binom({2 * g},i), no torsion" if g == 2 else f"only {n1}")
 
 
 def test_lemma_cohomology_kernel_check_reads_no_rank_flag():
