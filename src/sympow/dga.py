@@ -38,7 +38,7 @@ import itertools
 import math
 from functools import cached_property
 
-from .groupring import GroupRingElement, LaurentRing, surface_ring, wedge_ring
+from .groupring import GroupRingElement, LaurentRing, add_product, surface_ring, wedge_ring
 from .records import Record
 
 Monomial = tuple[int, int]
@@ -256,8 +256,8 @@ def _merge_sign(m1: int, m2: int) -> int:
 def dga_mul(a: DgaElement, b: DgaElement) -> DgaElement:
     """Graded-commutative product; zero on repeated exterior generators.
 
-    Every ``c1 * c2 * sign * binomial`` is multiplied straight into the
-    packed terms of its target monomial; each nonzero sum is wrapped once.
+    ``groupring.add_product`` adds every ``sign * binomial * c1 * c2`` into
+    the packed terms of its target monomial; each nonzero sum is wrapped once.
     """
     a._check_ctx(b)
     acc: dict[Monomial, dict[int, int]] = {}
@@ -269,18 +269,7 @@ def dga_mul(a: DgaElement, b: DgaElement) -> DgaElement:
             scale = _gamma_product_coeff(s1, s2) if s1 or s2 else 1
             if _merge_sign(m1, m2) < 0:
                 scale = -scale
-            t = acc.setdefault((m1 | m2, s1 + s2), {})
-            get = t.get
-            items2 = c2.packed.items()
-            for e1, x1 in items1:
-                x1 *= scale
-                for e2, x2 in items2:
-                    e = e1 + e2
-                    v = get(e, 0) + x1 * x2
-                    if v:
-                        t[e] = v
-                    else:
-                        t.pop(e, None)  # a zero scale leaves e absent
+            add_product(acc.setdefault((m1 | m2, s1 + s2), {}), items1, c2.packed.items(), scale)
     return _wrap(a.ctx, acc)
 
 
@@ -330,9 +319,9 @@ def monomial_boundary(m: Monomial, table: CoefficientTable) -> list[tuple[Monomi
 def boundary(a: DgaElement) -> DgaElement:
     """The boundary derivation; lowers degree by 1 and preserves weight.
 
-    Each monomial's pairs come from ``ctx.boundary_pairs``, and every
-    ``c * unit`` is multiplied straight into the packed terms of its target
-    monomial, as in ``dga_mul``.
+    Each monomial's pairs come from ``ctx.boundary_pairs``, and
+    ``groupring.add_product`` adds every ``c * unit`` into the packed terms
+    of its target monomial, as in ``dga_mul``.
     """
     ctx = a.ctx
     pairs = ctx.boundary_pairs
@@ -344,16 +333,7 @@ def boundary(a: DgaElement) -> DgaElement:
                                 for key, unit in monomial_boundary(m, ctx.table)]
         items = c.packed.items()
         for key, unit in image:
-            t = acc.setdefault(key, {})
-            get = t.get
-            for e1, x1 in items:
-                for e2, x2 in unit:
-                    e = e1 + e2
-                    v = get(e, 0) + x1 * x2
-                    if v:
-                        t[e] = v
-                    else:
-                        t.pop(e, None)
+            add_product(acc.setdefault(key, {}), items, unit)
     return _wrap(ctx, acc)
 
 

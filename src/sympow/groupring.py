@@ -7,11 +7,13 @@ from exponent vectors to nonzero arbitrary-precision integer coefficients.
 
 Each exponent vector is stored packed into one int (Kronecker
 substitution): exponent i fills the signed 64-bit field at bit 64*i, so
-multiplying two monomials is one integer addition of their keys.  A vector
-is accepted only from ``LaurentRing.monomial`` and ``from_terms``, which
-raise ``ValueError`` for a vector of the wrong length, a non-int exponent,
-or an exponent with |e| >= 2^31.  Fields then overflow only after 2^32
-chained products.  ``GroupRingElement.terms`` decodes the keys back into
+multiplying two monomials is one integer addition of their keys, made only
+in ``add_product``, the product loop of ``GroupRingElement.__mul__`` and of
+the DGA product and boundary.  A vector is accepted only from
+``LaurentRing.monomial`` and ``from_terms``, which raise ``ValueError`` for a
+vector of the wrong length, a non-int exponent, or an exponent with
+|e| >= 2^31.  Fields then overflow only after 2^32 chained products.
+``GroupRingElement.terms`` decodes the keys back into
 ``{exponent tuple: coefficient}``.
 
 Two rings appear in practice: the "surface" ring with variables
@@ -146,6 +148,7 @@ class GroupRingElement:
         return self + (-other)
 
     def __mul__(self, other: GroupRingElement | int) -> GroupRingElement:
+        """An int scales every coefficient; two elements multiply through ``add_product``."""
         if isinstance(other, int):
             if other == 0:
                 return self.ring.zero()
@@ -154,16 +157,7 @@ class GroupRingElement:
             return NotImplemented
         self._check_ring(other)
         terms: dict[int, int] = {}
-        get = terms.get
-        bterms = other.packed.items()
-        for e1, c1 in self.packed.items():
-            for e2, c2 in bterms:
-                e = e1 + e2
-                v = get(e, 0) + c1 * c2
-                if v:
-                    terms[e] = v
-                else:
-                    terms.pop(e, None)
+        add_product(terms, self.packed.items(), other.packed.items())
         return GroupRingElement(self.ring, terms)
 
     __rmul__ = __mul__
@@ -233,6 +227,22 @@ class GroupRingElement:
         for neg, body in parts[1:]:
             out += (" - " if neg else " + ") + body
         return out
+
+
+def add_product(acc: dict[int, int], items1, items2, scale: int = 1) -> None:
+    """Add ``scale`` times the product of the packed ``(key, coefficient)`` lists
+    ``items1`` and ``items2`` into ``acc``: a monomial product is one addition of
+    keys, and a zero sum is popped.  Rings are not compared: callers check them."""
+    get = acc.get
+    for e1, c1 in items1:
+        c1 *= scale
+        for e2, c2 in items2:
+            e = e1 + e2
+            v = get(e, 0) + c1 * c2
+            if v:
+                acc[e] = v
+            else:
+                acc.pop(e, None)
 
 
 # The least strong pseudoprime to every base 2..37 (Sorenson-Webster 2017).

@@ -7,7 +7,8 @@ dicts of exponent tuples, the dense base change that the
 library's sparse rows replaced, the per-term DGA boundary and product
 that the library's fused accumulation into packed exponent keys replaced,
 the ``randint``/``choice`` draws of the ``dga`` suite's random elements that
-its ``getrandbits`` replica replaced, sympy for Smith normal forms, the dense
+its ``getrandbits`` replica replaced, the scan over every exterior mask that
+the suite's monomials from the builders' enumeration replaced, sympy for Smith normal forms, the dense
 elimination loops that the library's sparse rank kernel and sparse Smith
 normal form replaced, the every-trial generic homology loop that its
 certified early stop replaced, the mod-2 bitset witness on the N=2 cover
@@ -146,6 +147,24 @@ def choice_random_element(ctx, monos, rng: random.Random) -> DgaElement:
         mask, s = rng.choice(monos)
         out = out + monomial_elem(ctx, mask, s, choice_random_groupring(ctx.ring, rng))
     return out
+
+
+def scan_random_monomials(ctx, max_weight: int):
+    """``verify._random_monomials`` by a scan of all ``2^ngens`` masks in
+    increasing order, each with its divided powers ``0..max_weight - |mask|``
+    (surface) or none (wedge); and the monomials grouped by degree."""
+    monos = []
+    for mask in range(1 << ctx.ngens):
+        ext = mask.bit_count()
+        if ext > max_weight:
+            continue
+        top_s = max_weight - ext if ctx.case == "surface" else 0
+        for s in range(top_s + 1):
+            monos.append((mask, s))
+    by_degree: dict[int, list] = {}
+    for m in monos:
+        by_degree.setdefault(dga.monomial_degree(m), []).append(m)
+    return monos, [by_degree[d] for d in sorted(by_degree)]
 
 
 def dense_base_change(M, N: int) -> list[list[int]]:

@@ -5,6 +5,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -413,6 +414,20 @@ def test_oversized_base_change_exits_two_up_front():
     assert code == 2
     assert "d_2 (6 x 16) at N=3" in text and "4374 x 11664" in text and "51,018,336 cells" in text
     assert peak < 5_000_000
+
+
+@pytest.mark.parametrize("argv,estimate", [
+    (["cover-homology", "--genus", "15", "--k", "15"],
+     "the cover complex at g=15, k=15 would have 1,777,811,072 cells"),
+    (["verify", "--suite", "lemma-cohomology", "--genus", "15"],
+     "the lam-complex at g=15, k=30 would have 1,073,741,824 cells"),
+])
+def test_oversized_build_exits_two_up_front(argv, estimate):
+    start = time.process_time()
+    code, text, _ = run(argv)
+    assert time.process_time() - start < 1.0
+    assert code == 2
+    assert text == f"usage error: {estimate}, over the limit of 2,000,000 cells\n"
 
 
 def test_theorem_main_exits_two_only_where_rank_growth_base_changes():

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import sympow.complexes as complexes
 import sympow.dga as dga
 from sympow.complexes import (
     MAX_DENSE_CELLS,
@@ -779,3 +780,18 @@ def test_base_change_refuses_oversized_matrix_from_its_shape():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000  # d_1 alone would take 25 MB of row lists
+
+
+@pytest.mark.parametrize("build,size,ks", [
+    *[(build_cover_complex, g, range(0, 2 * g + 3)) for g in (1, 2, 3, 4)],
+    *[(build_wedge_complex, n, range(0, n + 1)) for n in (1, 3, 6)],
+    *[(build_Q_complex, g, range(1, 2 * g + 2)) for g in (1, 2, 3)],
+])
+def test_cell_cap_reads_the_closed_form_cell_count(monkeypatch, build, size, ks):
+    # the cap admits a build of exactly its cell count and refuses it one cell lower
+    for k, cells in [(k, sum(build(size, k).ranks)) for k in ks]:
+        monkeypatch.setattr(complexes, "MAX_CELLS", cells)
+        assert sum(build(size, k).ranks) == cells
+        monkeypatch.setattr(complexes, "MAX_CELLS", cells - 1)
+        with pytest.raises(ValueError, match=f"would have {cells:,} cells, over the limit of {cells - 1:,} cells"):
+            build(size, k)

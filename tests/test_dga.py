@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 
 import pytest
 
@@ -21,7 +22,7 @@ from sympow.dga import (
 )
 from sympow.groupring import EXPONENT_BOUND
 from sympow.verify import _below, _random_element, _random_monomials
-from oracles import choice_random_element, per_term_boundary, per_term_dga_mul
+from oracles import choice_random_element, per_term_boundary, per_term_dga_mul, scan_random_monomials
 
 C1 = surface_context(1)
 C2 = surface_context(2)
@@ -322,3 +323,19 @@ def test_getrandbits_draws_match_the_randint_choice_oracle(ctx, weight):
             assert a.canonical_str() == b.canonical_str()
             assert a == b
             assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("ctx", [surface_context(g) for g in (1, 2, 3, 4)]
+                         + [wedge_context(4), wedge_context(12)])
+def test_suite_monomials_match_the_full_mask_scan(ctx):
+    # the builders' enumeration gives the scan's list in the scan's order at every weight
+    for weight in range(ctx.ngens + 1):
+        assert _random_monomials(ctx, weight) == scan_random_monomials(ctx, weight)
+
+
+def test_suite_monomials_visit_no_mask_above_the_weight():
+    # 2^26 masks at g=13 would take seconds to scan; C(26, <=3) masks do not
+    start = time.process_time()
+    monos, by_degree = _random_monomials(surface_context(13), 3)
+    assert time.process_time() - start < 1.0
+    assert len(monos) == 3332 == sum(map(len, by_degree))

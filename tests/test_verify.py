@@ -64,6 +64,14 @@ def test_dga_suite_passes():
     assert rep.passed
 
 
+def test_dga_suite_refuses_more_monomials_than_a_build_may_have():
+    # the suite enumerates the cover complex's monomials, under the builders' cap
+    with pytest.raises(ValueError, match="the dga suite's monomials at g=15, k=15 would have "
+                                         "1,777,811,072 cells, over the limit of 2,000,000 cells"):
+        verify_dga_suite(15, 15)
+    assert verify_dga_suite(13, 1).passed
+
+
 def test_dga_suite_detects_sign_flip_mutant(monkeypatch):
     orig = dga._ext_boundary_coeff
 
