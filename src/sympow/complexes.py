@@ -35,9 +35,10 @@ on no source it is told to skip.  A rule-backed matrix maps only its table
 and runs the rule over the bases, so no view but ``entries`` builds the
 entries; only ``compose``, ``entry`` and the tests read them.  The last
 mapped table is kept on the matrix's context (``DgaContext.last_view``).
-``base_change`` refuses, from the shapes alone, any boundary of more than
-``MAX_DENSE_CELLS`` cells, and each builder, from a closed form before it
-enumerates, any complex of more than ``MAX_CELLS`` cells (``check_cells``).
+``base_change`` refuses, from the entries' term counts before it builds a
+row, more than ``MAX_BASE_CHANGE_NONZEROS`` nonzeros, and each builder, from
+a closed form before it enumerates, any complex of more than ``MAX_CELLS``
+cells (``check_cells``).
 """
 
 from __future__ import annotations
@@ -66,9 +67,14 @@ from .records import Record
 # image, with coefficients drawn from a coefficient table.
 Rule = Callable[[Monomial, CoefficientTable], list[tuple[Monomial, object]]]
 
-# Largest base-changed matrix (rows x cols cells) allowed: the cell count
-# bounds what elimination on its rows can fill in.
-MAX_DENSE_CELLS = 20_000_000
+# Most nonzeros one base change may build, over all the matrices it returns,
+# as bounded by ``SparseRingMatrix.base_change_nonzeros`` (which equalled the
+# built count on every cover measured).  On a 2-vCPU x86_64 host with CPython
+# 3.11, net of the 16 MB interpreter, peak RSS per nonzero was 126-231 bytes
+# for the Q ranks of theorem-main at (g, k, N) = (4,3,2), (3,3,3), (3,2,4) and
+# (4,4,2), and 307-339 bytes for the Smith normal form of cover(4, 3) at N=2
+# and cover(3, 3) at N=3: at this cap the SNF stays near 1 GB.
+MAX_BASE_CHANGE_NONZEROS = 3_000_000
 
 # Most cells (basis monomials over all degrees) one build may enumerate.  On a
 # 2-vCPU x86_64 host with CPython 3.11, building cover(10, 10), 1,540,446 cells,
@@ -261,14 +267,18 @@ class SparseRingMatrix:
                 out[c] = x
         return M
 
-    def check_base_change_size(self, N: int, name: str = "a matrix") -> None:
-        """Refuse, from the shape alone, a base change of more than MAX_DENSE_CELLS cells."""
-        bs = N ** self.ring.nvars
-        rows, cols = self.rows * bs, self.cols * bs
-        if rows * cols > MAX_DENSE_CELLS:
-            raise ValueError(f"base change of {name} ({self.rows} x {self.cols}) at N={N} would be "
-                             f"a {rows} x {cols} matrix of {rows * cols:,} cells, "
-                             f"over the limit of {MAX_DENSE_CELLS:,} cells per matrix")
+    def base_change_nonzeros(self, N: int) -> int:
+        """Bound on the nonzeros of ``base_change(N)``, from the entries' term
+        counts and before any row is built: each term puts one value in each of
+        the ``N^m`` columns of its block, and terms that meet mod N only merge.
+        A rule-backed matrix runs its rule on the table itself, so the mapped
+        table it keeps for its views stays as it is."""
+        if self._rule is None:
+            terms = sum(len(v.terms) for v in self.entries.values())
+        else:
+            src, _, image, table, _ = self._rule
+            terms = sum(len(v.terms) for mono in src for _, v in image(mono, table))
+        return terms * N ** self.ring.nvars
 
     def base_change(self, N: int) -> list[dict[int, int]]:
         """Rows ``{col: value}`` of the entrywise ``finite_quotient`` blocks; ranks multiply by N^m.
@@ -278,7 +288,7 @@ class SparseRingMatrix:
         summed by ``e mod N``, so terms that meet add, a zero sum is dropped,
         and every cell is written at most once.
         """
-        self.check_base_change_size(N)
+        _check_base_change_nonzeros(self.base_change_nonzeros(N), f"a {self.rows} x {self.cols} matrix", N)
 
         def block(v: GroupRingElement) -> list[tuple[int, int, int]]:
             terms: dict[tuple[int, ...], int] = {}
@@ -389,6 +399,13 @@ def _boundary_matrices(ctx: DgaContext, modules: list[BasedFreeModule],
     ``m`` of ``modules[i]`` to ``image(m, ctx.table)`` in ``modules[i - 1]``."""
     return [None] + [SparseRingMatrix.from_rule(ctx, modules[i].basis, modules[i - 1].basis, image)
                      for i in range(1, len(modules))]
+
+
+def _check_base_change_nonzeros(nonzeros: int, name: str, N: int) -> None:
+    """Refuse a base change bounded by more than MAX_BASE_CHANGE_NONZEROS nonzeros."""
+    if nonzeros > MAX_BASE_CHANGE_NONZEROS:
+        raise ValueError(f"base change of {name} at N={N} would build up to {nonzeros:,} nonzeros, "
+                         f"over the limit of {MAX_BASE_CHANGE_NONZEROS:,} nonzeros")
 
 
 def check_cells(ctx: DgaContext, k: int, divided_powers: bool, name: str) -> None:
@@ -503,8 +520,8 @@ def base_change(c: ChainComplex, N: int) -> IntegerChainComplex:
     """Integer chain complex of the (Z/N)^m-cover; ranks multiply by N^m."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    for i in range(1, len(c.modules)):
-        c.boundaries[i].check_base_change_size(N, f"d_{i}")
+    _check_base_change_nonzeros(sum(M.base_change_nonzeros(N) for M in c.boundaries[1:]),
+                                f"the {c.case} complex", N)
     bs = N ** c.ctx.ring.nvars
     ranks = [m.rank * bs for m in c.modules]
     boundaries: list[list[dict[int, int]] | None] = [None]

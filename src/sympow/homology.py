@@ -79,7 +79,8 @@ def smith_normal_form(M: list[dict[int, int]], ncols: int) -> SnfResult:
     ``diag(a, b)`` is equivalent to ``diag(gcd, lcm)``, gives the chain.
     """
     size = min(len(M), ncols)
-    rows, col_rows = _row_dicts(map(dict, M))
+    rows = {i: dict(row) for i, row in enumerate(M) if row}
+    col_rows = _column_index(rows)
 
     def key(row: dict[int, int]) -> tuple[int, int]:
         return min(map(abs, row.values())), len(row)
@@ -167,17 +168,13 @@ def integer_matmul(A: list[dict[int, int]], B: list[dict[int, int]]) -> list[dic
 # Rank: one sparse elimination kernel for F_p and Q
 
 
-def _row_dicts(M: Iterable[dict[int, int]]) -> tuple[dict[int, dict[int, int]], dict[int, set[int]]]:
-    """The nonzero ``{col: value}`` rows of ``M`` by row index, taken over for
-    elimination in place, and the index from each column to the rows using it."""
-    rows: dict[int, dict[int, int]] = {}
+def _column_index(rows: dict[int, dict[int, int]]) -> dict[int, set[int]]:
+    """The index from each column to the rows of ``rows`` (by row index) that use it."""
     col_rows: dict[int, set[int]] = {}
-    for i, row in enumerate(M):
-        if row:
-            rows[i] = row
-            for j in row:
-                col_rows.setdefault(j, set()).add(i)
-    return rows, col_rows
+    for i, row in rows.items():
+        for j in row:
+            col_rows.setdefault(j, set()).add(i)
+    return col_rows
 
 
 def _sparse_rank(M: Iterable[dict[int, int]], p: int | None, pivots: list[int] | None = None) -> int:
@@ -187,8 +184,9 @@ def _sparse_rank(M: Iterable[dict[int, int]], p: int | None, pivots: list[int] |
 
     Sparse Gaussian elimination (LaMacchia-Odlyzko) on the rows of ``M``,
     which it takes over; ``col_rows`` maps each column to the active rows that
-    use it.  Markowitz-style pivoting takes the sparsest active row and, in it,
-    the column with the fewest active rows; F_p and Q share this one rule.
+    use it.  Markowitz-style pivoting takes the sparsest active row (ties: the
+    lower row index) and, in it, the first column with the fewest active rows;
+    F_p and Q share this one rule.
     Only the rows still active are eliminated: the rank needs no
     back-substitution into earlier pivot rows.  Over Q the update is
     fraction-free, e <- a*e - b*d with a, b the pivot-column entries over
@@ -196,14 +194,41 @@ def _sparse_rank(M: Iterable[dict[int, int]], p: int | None, pivots: list[int] |
     appear and the coefficients stay small.  The rank does not depend on the
     pivot order.  The pivot columns are linearly independent: in elimination
     order, each pivot row is zero in the pivot columns before its own.
+
+    Pre-pass.  The steps that eliminate nothing, up to the first that does,
+    are taken before ``col_rows`` is built.  While no row has changed, the
+    heap of (length, row id) pops the rows in ``queue`` order, sorted by
+    (length, index): a row's heap entry goes stale only when the row changes.
+    When row ``r`` is popped the active rows are those after it in that
+    order, so column ``j`` of ``r`` has no other active row exactly when
+    ``last[j]``, the last row in that order that uses ``j``, is ``r``.  If
+    ``r`` has such a column, the fewest active rows is 0, the first such
+    column in ``r`` is the one Markowitz's rule picks, and it has nothing to
+    eliminate, so no row changes.  At the first row without one, the loop
+    takes over with the state it would have reached: the rows not yet popped,
+    ``col_rows`` over them, and the rest of ``queue``, which is sorted and
+    hence a heap.  Clearing makes this the common case: where the homology
+    sits at the meeting degree no vector is eliminated down to zero
+    (``_cleared_ranks``), and on ``generic_homology`` of cover(g, g) for
+    g = 3, 4, 5, cover(5, 4), Q(5, 5) and wedge(10, 5) every step is taken here.
     """
     modular = p is not None
-    rows, col_rows = _row_dicts(M)
+    rows = list(M)
+    queue = sorted((len(row), i) for i, row in enumerate(rows) if row)
+    last = {j: i for _, i in queue for j in rows[i]}
+    found: list[int] = []  # pivot column of each step
+    for _, r in queue:
+        for c in rows[r]:
+            if last[c] == r:
+                found.append(c)
+                break
+        else:
+            break
     # (length, row id) pushed whenever a row's length changes; stale entries
     # are skipped when popped, so the heap top is always the sparsest row
-    queue = [(len(row), i) for i, row in rows.items()]
-    heapq.heapify(queue)
-    found: list[int] = []  # pivot column of each step
+    queue = queue[len(found):]
+    rows = {i: rows[i] for _, i in queue}
+    col_rows = _column_index(rows)
     while queue:
         n, r = heapq.heappop(queue)
         prow = rows.get(r)

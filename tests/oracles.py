@@ -10,7 +10,8 @@ the ``randint``/``choice`` draws of the ``dga`` suite's random elements that
 its ``getrandbits`` replica replaced, the scan over every exterior mask that
 the suite's monomials from the builders' enumeration replaced, sympy for Smith normal forms, the dense
 elimination loops that the library's sparse rank kernel and sparse Smith
-normal form replaced, the every-trial generic homology loop that its
+normal form replaced, the sparse rank loop as it was before its pre-pass
+(``heap_sparse_rank``), the every-trial generic homology loop that its
 certified early stop replaced, the mod-2 bitset witness on the N=2 cover
 that the ``lemma-cohomology`` span test over F_2[pi]/I^2 replaced, and that
 span test by enumeration over truncated power series.  ``sparse_rows`` and
@@ -20,7 +21,9 @@ library's ``{col: value}`` rows; ``random_laurent_matrix`` draws test input.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 import random
 
 from sympow import dga
@@ -367,6 +370,82 @@ def bareiss_rank(M: list[list[int]]) -> int:
         if r == rows:
             break
     return r
+
+
+def heap_sparse_rank(M, p: int | None, pivots: list[int] | None = None,
+                     updates: list[int] | None = None) -> int:
+    """Rank over F_p (``p`` prime) or Q (``p`` None) of ``{col: value}`` rows by
+    the sparse Markowitz loop as it was before its pre-pass: the column index
+    and the heap are built for every row up front.  Appends each step's pivot
+    column to ``pivots`` and the number of rows it eliminates to ``updates``."""
+    modular = p is not None
+    rows: dict[int, dict[int, int]] = {}
+    col_rows: dict[int, set[int]] = {}
+    for i, row in enumerate(M):
+        if row:
+            rows[i] = dict(row)
+            for j in row:
+                col_rows.setdefault(j, set()).add(i)
+    queue = [(len(row), i) for i, row in rows.items()]
+    heapq.heapify(queue)
+    found: list[int] = []
+    while queue:
+        n, r = heapq.heappop(queue)
+        prow = rows.get(r)
+        if prow is None or len(prow) != n:
+            continue
+        del rows[r]
+        for j in prow:
+            col_rows[j].discard(r)
+        c = min(prow, key=lambda j: len(col_rows[j]))
+        found.append(c)
+        targets = col_rows.pop(c)
+        if updates is not None:
+            updates.append(len(targets))
+        a = prow.pop(c)
+        if not targets:
+            continue
+        if modular:
+            inv = pow(a, -1, p)
+            prow = {j: v * inv % p for j, v in prow.items()}
+        elif a < 0:
+            a = -a
+            prow = {j: -v for j, v in prow.items()}
+        for i in targets:
+            row = rows[i]
+            b = row.pop(c)
+            if not modular:
+                g = math.gcd(a, b)
+                s, b = a // g, b // g
+                if s != 1:
+                    for j in row:
+                        row[j] *= s
+            for j, v in prow.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = -b * v % p if modular else -b * v
+                    col_rows[j].add(i)
+                    continue
+                x -= b * v
+                if modular:
+                    x %= p
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+                    col_rows[j].discard(i)
+            if not row:
+                del rows[i]
+                continue
+            if not modular:
+                g = math.gcd(*row.values())
+                if g > 1:
+                    for j in row:
+                        row[j] //= g
+            heapq.heappush(queue, (len(row), i))
+    if pivots is not None:
+        pivots.extend(found)
+    return len(found)
 
 
 def all_trials_generic_homology(c, trials: int, seed: int, prime: int) -> list[int]:

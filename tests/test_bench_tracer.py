@@ -2,15 +2,45 @@
 
 ``benchmarks/tracer.py`` wraps a fixed list of sympow functions and methods
 by name; a renamed or removed one would crash the traced benchmark run.
-This installs the tracer, runs one CLI report and removes the tracer again.
+These install the tracer, run CLI reports and remove the tracer again; every
+job of the benchmark's ``generic`` and ``verify`` workloads must print the
+same stdout with the tracer installed, as the traced benchmark run checks.
 """
 
 import pathlib
+import sys
+
+import pytest
 
 import sympow.cli as cli
 import sympow.homology as homology
 
 BENCHMARKS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _workload_argvs(name):
+    sys.path.insert(0, str(BENCHMARKS))
+    try:
+        from workloads import DEFAULT_SEED, WORKLOADS
+    finally:
+        sys.path.remove(str(BENCHMARKS))
+    return [pytest.param(argv, id=" ".join(argv)) for argv in WORKLOADS[name].argvs(DEFAULT_SEED)]
+
+
+@pytest.mark.parametrize("argv", _workload_argvs("generic") + _workload_argvs("verify"))
+def test_tracer_keeps_every_workload_job_byte_identical(monkeypatch, argv):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    from tracer import Tracer
+
+    plain = cli.run(argv)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        traced = cli.run(argv)
+    finally:
+        tracer.uninstall()
+    assert traced == plain and plain[0] == 0
+    assert tracer.stats["cli.run"]["calls"] == 1
 
 
 def test_tracer_installs_and_keeps_stdout(monkeypatch):

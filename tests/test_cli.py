@@ -406,13 +406,14 @@ def test_export_goldens():
 def test_oversized_base_change_exits_two_up_front():
     tracemalloc.start()
     try:
-        code, text, _ = run(["cover-homology", "--genus", "3", "--k", "2",
-                             "--method", "snf", "--N", "3"])
+        code, text, _ = run(["cover-homology", "--genus", "3", "--k", "3",
+                             "--method", "snf", "--N", "5"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert "d_2 (6 x 16) at N=3" in text and "4374 x 11664" in text and "51,018,336 cells" in text
+    assert text == ("usage error: base change of the surface-cover complex at N=5 would build up to "
+                    "8,625,000 nonzeros, over the limit of 3,000,000 nonzeros\n")
     assert peak < 5_000_000
 
 
@@ -432,14 +433,20 @@ def test_oversized_build_exits_two_up_front(argv, estimate):
 
 def test_theorem_main_exits_two_only_where_rank_growth_base_changes():
     # k = 7 > 2g - 2 has no rank-growth check, so no cover is base-changed;
-    # at k = 3 rank growth still needs the N=2 cover, over the size limit
+    # at k = 3 rank growth base-changes the N=2 cover, within the nonzero cap
+    # at g = 4 and over it at g = 3 with N=5
     code, text, _ = run(["verify", "--suite", "theorem-main", "--genus", "4", "--k", "7", "--N", "2"])
     assert code == 0
     assert [c["name"] for c in json.loads(text)["checks"]] == ["generic-dims-pattern", "euler-scaling"]
     code, text, _ = run(["verify", "--suite", "theorem-main", "--genus", "4", "--k", "3", "--N", "2"])
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(text)["checks"]}
+    assert checks["finite-cover-rank-growth"] == {"name": "finite-cover-rank-growth", "pass": True,
+                                                  "detail": "N=2: rank H_3 = 5164 > 64"}
+    code, text, _ = run(["verify", "--suite", "theorem-main", "--genus", "3", "--k", "3", "--N", "5"])
     assert code == 2
-    assert text == ("usage error: base change of d_3 (29 x 64) at N=2 would be a 7424 x 16384 matrix "
-                    "of 121,634,816 cells, over the limit of 20,000,000 cells per matrix\n")
+    assert text == ("usage error: base change of the surface-cover complex at N=5 would build up to "
+                    "8,625,000 nonzeros, over the limit of 3,000,000 nonzeros\n")
 
 
 def test_snf_cover_genus3_k2_N2():

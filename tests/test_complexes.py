@@ -7,7 +7,7 @@ import pytest
 import sympow.complexes as complexes
 import sympow.dga as dga
 from sympow.complexes import (
-    MAX_DENSE_CELLS,
+    MAX_BASE_CHANGE_NONZEROS,
     SparseRingMatrix,
     _export_cells,
     _exterior_basis,
@@ -521,10 +521,16 @@ def _hand(M):
     return SparseRingMatrix(M.ring, M.rows, M.cols, M.entries)
 
 
+# Base changes up to this many nonzeros are compared with their hand-built
+# copy; the larger ones of these complexes would only add time.
+VIEW_BASE_CHANGE_NONZEROS = 25_000
+
+
 def _assert_views_match_entry_views(M, label):
     hand = _hand(M)
     for N in (1, 2, 3):
-        if M.rows * M.cols * N ** (2 * M.ring.nvars) <= MAX_DENSE_CELLS:
+        assert M.base_change_nonzeros(N) == hand.base_change_nonzeros(N), (label, N)
+        if M.base_change_nonzeros(N) <= VIEW_BASE_CHANGE_NONZEROS:
             assert M.base_change(N) == hand.base_change(N), (label, N)
     assert M.first_order_rows() == hand.first_order_rows(), label
     cells = [(rc, v.canonical_str()) for rc, v in M.entries.items()]
@@ -767,19 +773,37 @@ def test_first_order_rows_is_a_ring_homomorphism():
 # Memory guard on base change
 
 
-def test_base_change_refuses_oversized_matrix_from_its_shape():
-    c = build_cover_complex(3, 2)  # d_2 is 6 x 16, times 729^2 at N=3
-    assert 6 * 16 * 729 ** 2 > MAX_DENSE_CELLS >= 1 * 6 * 729 ** 2
+def test_base_change_refuses_oversized_input_from_its_term_counts():
+    c = build_cover_complex(3, 3)  # d_3 and d_4: 3,000,000 nonzeros each at N=5
+    assert MAX_BASE_CHANGE_NONZEROS == c.boundaries[3].base_change_nonzeros(5) == 3_000_000
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="51,018,336 cells"):
-            base_change(c, 3)
-        with pytest.raises(ValueError, match="over the limit"):
-            c.boundaries[2].base_change(3)
+        with pytest.raises(ValueError, match="base change of the surface-cover complex at N=5 would build "
+                                             "up to 8,625,000 nonzeros, over the limit of 3,000,000 nonzeros"):
+            base_change(c, 5)
+        with pytest.raises(ValueError, match="a 16 x 26 matrix at N=6 would build up to 8,957,952 nonzeros"):
+            c.boundaries[3].base_change(6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000  # d_1 alone would take 25 MB of row lists
+    assert peak < 1_000_000  # d_3 alone would take hundreds of MB of rows
+
+
+@pytest.mark.parametrize("build,args,N", [
+    (build_cover_complex, (2, 2), 3), (build_cover_complex, (3, 2), 2), (build_cover_complex, (2, 3), 2),
+    (build_Q_complex, (2, 3), 3), (build_Q_complex, (3, 3), 2), (build_wedge_complex, (4, 2), 3),
+])
+def test_base_change_cap_reads_the_built_nonzeros(monkeypatch, build, args, N):
+    # the term-count bound is the nonzero count these base changes build:
+    # the cap admits exactly that count and refuses it one nonzero lower
+    c = build(*args)
+    rows = base_change(c, N).boundaries
+    built = sum(len(row) for matrix in rows[1:] for row in matrix)
+    monkeypatch.setattr(complexes, "MAX_BASE_CHANGE_NONZEROS", built)
+    assert base_change(c, N).boundaries == rows
+    monkeypatch.setattr(complexes, "MAX_BASE_CHANGE_NONZEROS", built - 1)
+    with pytest.raises(ValueError, match=f"up to {built:,} nonzeros, over the limit of {built - 1:,} nonzeros"):
+        base_change(c, N)
 
 
 @pytest.mark.parametrize("build,size,ks", [

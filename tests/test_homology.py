@@ -38,6 +38,7 @@ from oracles import (
     dense_modp_rank,
     dense_smith_normal_form,
     gf_betti,
+    heap_sparse_rank,
     sparse_rows,
     sympy_snf_diagonal,
 )
@@ -217,6 +218,50 @@ def test_rank_kernel_against_dense_oracles():
         for p in RANK_PRIMES:
             assert modp_rank(M, p) == dense_modp_rank(M, p), (M, p)
         assert _rank(M) == bareiss_rank(M), M
+
+
+def _prepass_matrices(rng: random.Random, p: int | None, count: int):
+    """Seeded ``(kind, rows)``: ``none`` needs no row update (every row ends
+    with a column of its own), ``mid`` first needs one mid-way (short rows
+    with a column of their own, then at least two longer rows on one shared
+    set of four columns), ``any`` is unshaped.  Row indices are shuffled
+    against length."""
+    def value():
+        return rng.randrange(1, p) if p else rng.choice([-5, -3, -2, -1, 1, 2, 3, 4])
+
+    for n in range(count):
+        cols = rng.randint(4, 30)
+        kind = ("none", "mid", "any")[n % 3]
+        rows = []
+        if kind in ("none", "mid"):
+            for own in range(cols, cols + rng.randint(1, 20)):
+                cs = rng.sample(range(cols), rng.randint(0, 1 if kind == "mid" else min(cols, 6)))
+                rows.append({**{c: value() for c in cs}, own: value()})
+        if kind == "mid":
+            shared = rng.sample(range(cols), 4)
+            rows += [{c: value() for c in shared} for _ in range(rng.randint(2, 8))]
+            rows += [{} for _ in range(rng.randint(0, 2))]
+        if kind == "any":
+            rows = [{c: value() for c in rng.sample(range(cols), rng.randint(0, min(cols, 6)))}
+                    for _ in range(rng.randint(1, 30))]
+        rng.shuffle(rows)
+        yield kind, rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 1000003, None])
+def test_sparse_rank_pre_pass_matches_the_heap_loop(p):
+    # the pre-pass takes the steps that eliminate nothing without the heap;
+    # rank and pivot order must equal the loop that builds everything first
+    for kind, M in _prepass_matrices(random.Random(p or 1), p, 150):
+        want, updates = [5], []
+        rank = heap_sparse_rank(M, p, want, updates)
+        got = [5]
+        assert homology._sparse_rank([dict(row) for row in M], p, got) == rank, (kind, M)
+        assert got == want, (kind, M)
+        if kind == "none":
+            assert not any(updates), M
+        if kind == "mid":
+            assert not updates[0] and any(updates), M
 
 
 def test_integer_rank_against_sympy():
@@ -521,18 +566,22 @@ def test_clearing_drops_the_pivot_rows_of_the_previous_boundary(monkeypatch):
 
 def test_no_vector_is_eliminated_in_vain_when_the_homology_sits_at_the_meet(monkeypatch):
     # the homology of these complexes sits at their largest module, so every
-    # vector the rank kernel meets is a pivot: the inputs sum to the ranks
-    for c in (build_cover_complex(3, 3), build_Q_complex(4, 4), build_wedge_complex(8, 4)):
+    # vector the rank kernel meets is a pivot: each call's rank is the number
+    # of nonempty vectors it meets, the regime the kernel's pre-pass serves.
+    # cover(3, 3) and the last five are the benchmark's generic workload.
+    for c in (build_cover_complex(3, 3), build_Q_complex(4, 4), build_wedge_complex(8, 4),
+              build_cover_complex(5, 5), build_cover_complex(5, 4), build_Q_complex(5, 5),
+              build_wedge_complex(10, 5), build_cover_complex(4, 4)):
         calls = []
         original = homology._sparse_rank
 
         def counting(M, *args):
             M = list(M)
-            calls.append((len(M), original(M, *args)))
+            calls.append((sum(1 for v in M if v), original(M, *args)))
             return calls[-1][1]
 
         monkeypatch.setattr(homology, "_sparse_rank", counting)
-        dims = generic_homology(c, 1, 0).ranks()
+        dims = generic_homology(c, seed=0).ranks()
         monkeypatch.undo()
         meet = c.ranks.index(max(c.ranks))
         assert [i for i, d in enumerate(dims) if d] == [meet], (c.case, c.params, dims)
