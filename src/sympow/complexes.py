@@ -20,21 +20,25 @@ The builders are table-driven: the context's ``DgaContext.table`` holds
 each generator's boundary and lam coefficient with its negative, and each
 source monomial's image comes from ``dga.monomial_boundary`` or
 ``dga.lambda_image``, so no group-ring arithmetic runs per entry.  Each
-boundary is rule-backed: it keeps its bases, its rule and its context's
-table.  Only the builders make a (fresh) context; ``lambda_matrix`` and
+boundary keeps its bases, its rule and its context's table.  Only the
+builders make a (fresh) context; ``lambda_matrix`` and
 ``exterior_boundary_matrix`` take their caller's.  ``operator_matrix``
 builds the same matrices element by element and stays as their oracle.
 
-Every view of a matrix is one walk, ``SparseRingMatrix._rows``, with a
+Every ``SparseRingMatrix`` is stored one way, as a rule over a coefficient
+table: a builder's over its context's table, one of explicit entries
+(``compose``, ``operator_matrix``, the tests) over a table of its distinct
+entry objects.  Every view is one walk, ``SparseRingMatrix._rows``, with a
 coefficient function: the value at a point (``specialize_rows``), the
 summed-mod-N block over ``Z[(Z/N)^m]`` (``base_change``), the block over
 ``F_2[pi]/I^2`` (``first_order_rows``), the entry itself (``entries``) and
-its text (export).  ``_columns`` walks the same mapped table by source, for
-the values at a point by column (``specialize_columns``), and runs the rule
-on no source it is told to skip.  A rule-backed matrix maps only its table
-and runs the rule over the bases, so no view but ``entries`` builds the
-entries; only ``compose``, ``entry`` and the tests read them.  The last
-mapped table is kept on the matrix's context (``DgaContext.last_view``).
+its text (export).  ``_columns`` walks the same mapped table by source, for the
+values at a point by column (``specialize_columns``), and runs the rule on
+no source it is told to skip.  A view maps only the table, each distinct
+object once, and runs the rule over the sources, so no view but ``entries``
+builds a builder's entries; only ``compose``, ``entry`` and the tests read
+them.  The last mapped table is kept on the builder's context
+(``DgaContext.last_view``), or on the explicit matrix itself.
 ``base_change`` refuses, from the entries' term counts before it builds a
 row, more than ``MAX_BASE_CHANGE_NONZEROS`` nonzeros, and each builder, from
 a closed form before it enumerates, any complex of more than ``MAX_CELLS``
@@ -46,7 +50,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections.abc import Callable, Container, Iterator
+from collections.abc import Callable, Container
 from operator import mul
 
 from .dga import (
@@ -97,27 +101,36 @@ class BasedFreeModule(Record):
 class SparseRingMatrix:
     """Sparse matrix with group-ring entries; rows = target, cols = source.
 
-    ``SparseRingMatrix(ring, rows, cols, entries)`` holds explicit entries and
-    checks that each is in range and nonzero.  The table-driven builders
-    return rule-backed matrices instead (``from_rule``): they keep the source
-    and target bases, the monomial rule and their context's coefficient
-    table, and build ``entries`` from them only when it is read.
+    Every matrix is stored as a rule over a coefficient table (``_rule``:
+    sources, targets, rule, table, view slot), and every view walks it.
+    ``SparseRingMatrix(ring, rows, cols, entries)`` checks that each explicit
+    entry is in range and nonzero, keeps ``entries``, and makes the rule
+    ``_explicit_image`` over a one-part table holding ``(v, v)`` for each
+    distinct entry object.  The table-driven builders use ``from_rule``
+    instead: they keep the source and target bases, the monomial rule and
+    their context's coefficient table, and build ``entries`` from them only
+    when it is read.
     """
 
-    __slots__ = ("ring", "rows", "cols", "_entries", "_rule")
+    __slots__ = ("ring", "rows", "cols", "_entries", "_rule", "_terms")
 
     def __init__(self, ring: LaurentRing, rows: int, cols: int,
                  entries: dict[tuple[int, int], GroupRingElement]):
+        index: dict[int, int] = {}  # table index of each distinct entry object, by id
+        columns: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
         for (r, c), v in entries.items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError("entry index out of range")
             if not v:
                 raise ValueError("stored entries must be nonzero")
+            columns[c].append((r, index.setdefault(id(v), len(index))))
+        table = tuple({id(v): (v, v) for v in entries.values()}.values())
         self.ring = ring
         self.rows = rows
         self.cols = cols
         self._entries = entries
-        self._rule = None
+        self._terms = None
+        self._rule = (tuple(map(tuple, columns)), range(rows), _explicit_image, (table,), [None, None])
 
     @classmethod
     def from_rule(cls, ctx: DgaContext, src: tuple[Monomial, ...], tgt: tuple[Monomial, ...],
@@ -130,7 +143,7 @@ class SparseRingMatrix:
         """
         m = cls.__new__(cls)
         m.ring, m.rows, m.cols = ctx.ring, len(tgt), len(src)
-        m._entries = None
+        m._entries = m._terms = None
         m._rule = (src, tgt, image, ctx.table, ctx.last_view)
         return m
 
@@ -170,18 +183,13 @@ class SparseRingMatrix:
               negate: Callable[[object], object] | None = None) -> list[dict[int, object]]:
         """Rows ``{col: value(entry)}``; a falsy value is not stored.
 
-        A rule-backed matrix maps only its table (``_mapped_rule``, once per
-        ``key`` for its context) and runs its rule over the bases on the mapped
-        table, as it would on the table itself: the rule only moves the
-        table's values about, so no entry is built.  ``negate``, when given,
-        derives the value of each pair's ``-c`` from that of ``c``.  Explicit
-        entries are mapped once per distinct object, keyed by ``id``.
+        The matrix maps only its table (``_mapped_rule``, once per ``key`` for
+        its view slot) and runs its rule over the sources on the mapped table,
+        as it would on the table itself: the rule only moves the table's
+        values about, so no entry is built.  ``negate``, when given, derives
+        the value of each pair's ``-c`` from that of ``c``.
         """
         rows: list[dict[int, object]] = [{} for _ in range(self.rows)]
-        if self._rule is None:
-            for r, c, x in self._entry_cells(value):
-                rows[r][c] = x
-            return rows
         src, image, mapped, get = self._mapped_rule(key, value, negate)
         for c, mono in enumerate(src):
             for m, x in image(mono, mapped):
@@ -196,11 +204,6 @@ class SparseRingMatrix:
                  negate: Callable[[object], object] | None, skip: Container[int]) -> list[dict[int, object]]:
         """Columns ``{row: value(entry)}`` of ``_rows``, those in ``skip`` left
         out; the rule does not run on a source that is left out."""
-        if self._rule is None:
-            cols: list[dict[int, object]] = [{} for _ in range(self.cols)]
-            for r, c, x in self._entry_cells(value):
-                cols[c][r] = x
-            return [col for c, col in enumerate(cols) if c not in skip]
         cols = []
         src, image, mapped, get = self._mapped_rule(key, value, negate)
         for c, mono in enumerate(src):
@@ -220,28 +223,18 @@ class SparseRingMatrix:
                      negate: Callable[[object], object] | None) -> tuple:
         """The sources, the rule, the table with each ``c`` mapped to ``value(c)``
         (each pair ``(c, -c)`` to ``(x, negate(x))`` when ``negate`` is given)
-        and the target lookup.  The boundaries of a complex are mapped with one
-        key in turn, so the context's ``last_view`` keeps the last mapping."""
+        and the target lookup.  An object paired with itself, as every entry of
+        an explicit table is, is mapped once.  The boundaries of a complex are
+        mapped with one key in turn, so the context's ``last_view`` keeps the
+        last mapping; an explicit matrix keeps its own."""
         src, tgt, image, table, view = self._rule
         if view[0] != key:
-            if negate is None:
-                mapped = tuple(tuple((value(c), value(n)) for c, n in part) for part in table)
-            else:
-                mapped = tuple(tuple((x, negate(x)) for x in (value(c) for c, _ in part))
-                               for part in table)
-            view[:] = key, mapped
-        return src, image, view[1], {m: i for i, m in enumerate(tgt)}.get
+            def pair(c: GroupRingElement, n: GroupRingElement) -> tuple[object, object]:
+                x = value(c)
+                return x, (x if n is c else value(n) if negate is None else negate(x))
 
-    def _entry_cells(self, value: Callable[[GroupRingElement], object]) -> Iterator[tuple[int, int, object]]:
-        """``(r, c, value(entry))`` of the explicit entries whose value is truthy;
-        each distinct entry object is mapped once, keyed by ``id``."""
-        values: dict[int, object] = {}
-        for (r, c), v in self.entries.items():
-            x = values.get(id(v))
-            if x is None:
-                x = values[id(v)] = value(v)
-            if x:
-                yield r, c, x
+            view[:] = key, tuple(tuple(pair(c, n) for c, n in part) for part in table)
+        return src, image, view[1], {m: i for i, m in enumerate(tgt)}.get
 
     def specialize_rows(self, spec: UnitSpecialization) -> list[dict[int, int]]:
         """Rows ``{col: value}`` of the entrywise evaluations mod spec.prime.
@@ -271,14 +264,13 @@ class SparseRingMatrix:
         """Bound on the nonzeros of ``base_change(N)``, from the entries' term
         counts and before any row is built: each term puts one value in each of
         the ``N^m`` columns of its block, and terms that meet mod N only merge.
-        A rule-backed matrix runs its rule on the table itself, so the mapped
-        table it keeps for its views stays as it is."""
-        if self._rule is None:
-            terms = sum(len(v.terms) for v in self.entries.values())
-        else:
+        The rule runs on the table itself, so the mapped table kept for the
+        views stays as it is, and only on the first call: the term count does
+        not depend on ``N``."""
+        if self._terms is None:
             src, _, image, table, _ = self._rule
-            terms = sum(len(v.terms) for mono in src for _, v in image(mono, table))
-        return terms * N ** self.ring.nvars
+            self._terms = sum(len(v.packed) for mono in src for _, v in image(mono, table))
+        return self._terms * N ** self.ring.nvars
 
     def base_change(self, N: int) -> list[dict[int, int]]:
         """Rows ``{col: value}`` of the entrywise ``finite_quotient`` blocks; ranks multiply by N^m.
@@ -356,6 +348,14 @@ class IntegerChainComplex:
         self.params = params
         self.ranks = ranks
         self.boundaries = boundaries
+
+
+def _explicit_image(cells: tuple[tuple[int, int], ...],
+                    table: CoefficientTable) -> list[tuple[int, object]]:
+    """The rule of an explicit matrix: its source is one column's ``(row, table
+    index)`` pairs, and each row gets the value its index holds in ``table``."""
+    part = table[0]
+    return [(r, part[i][0]) for r, i in cells]
 
 
 def _column_major(rows: list[dict[int, object]]) -> dict[tuple[int, int], object]:
@@ -543,7 +543,7 @@ def _header_params(c: ChainComplex) -> tuple[str, int, int]:
 
 def _export_cells(mat: SparseRingMatrix) -> dict[tuple[int, int], str]:
     """``{(row, col): canonical_str}`` of the entries in column-major order; each
-    entry object, or table object of a rule-backed matrix, is printed once."""
+    object of the matrix's table is printed once."""
     return _column_major(mat._rows("canonical_str", GroupRingElement.canonical_str))
 
 

@@ -68,9 +68,10 @@ class SnfResult(Record):
 def smith_normal_form(M: list[dict[int, int]], ncols: int) -> SnfResult:
     """Smith normal form of the matrix with ``{col: value}`` rows ``M`` and ``ncols`` columns.
 
-    Sparse Euclidean elimination on copies of the rows: a heap pops the row
-    holding the smallest |entry| (ties: the shorter row, then the column with
-    fewer rows); that entry ``a`` is the pivot.  Floor division row operations
+    Sparse Euclidean elimination on copies of the rows, stored zeros dropped
+    as ``modp_rank`` does: a heap pops the row holding the smallest |entry|
+    (ties: the shorter row, then the column with fewer rows); that entry ``a``
+    is the pivot.  Floor division row operations
     clear its column, leaving remainders below |a|; once the column is clear,
     the pivot row is reduced modulo ``a`` (column operations that no other row
     sees).  A row with a nonzero remainder is queued again, and |a| is
@@ -79,7 +80,7 @@ def smith_normal_form(M: list[dict[int, int]], ncols: int) -> SnfResult:
     ``diag(a, b)`` is equivalent to ``diag(gcd, lcm)``, gives the chain.
     """
     size = min(len(M), ncols)
-    rows = {i: dict(row) for i, row in enumerate(M) if row}
+    rows = {i: r for i, row in enumerate(M) if (r := {j: v for j, v in row.items() if v})}
     col_rows = _column_index(rows)
 
     def key(row: dict[int, int]) -> tuple[int, int]:
@@ -139,8 +140,8 @@ def smith_normal_form(M: list[dict[int, int]], ncols: int) -> SnfResult:
 def integer_rank(M: list[dict[int, int]], pivots: list[int] | None = None) -> int:
     """Rank over Q of the matrix with ``{col: value}`` rows, exactly in integer
     arithmetic; the pivot column of each elimination step is appended to
-    ``pivots`` if given."""
-    return _sparse_rank(map(dict, M), None, pivots)
+    ``pivots`` if given.  A stored 0 is dropped, as ``modp_rank`` does."""
+    return _sparse_rank(({j: v for j, v in row.items() if v} for row in M), None, pivots)
 
 
 def _transpose(M: list[dict[int, int]], ncols: int, skip: Container[int] = ()) -> list[dict[int, int]]:
@@ -642,21 +643,19 @@ def betti_symmetric_power(g: int, k: int) -> list[int]:
     """Betti numbers of the k-th symmetric power of a genus-g surface.
 
     Counts cells of each internal degree with weight <= k (the differential
-    of the base complex is trivial, so cells count homology).
+    of the base complex is trivial, so cells count homology): the cells
+    ``check_cells`` counts, ``C(2g, j)`` exterior parts of size ``j <= min(2g,
+    k)`` with each divided power ``s <= k - j``, in degree ``j + 2s``.
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
-    top = 2 * k
-    out = []
-    for d in range(top + 1):
-        total = 0
-        for s in range(d // 2 + 1):
-            j = d - 2 * s
-            if j <= 2 * g and j + s <= k:
-                total += math.comb(2 * g, j)
-        out.append(total)
+    out = [0] * (2 * k + 1)
+    for j in range(min(2 * g, k) + 1):
+        cells = math.comb(2 * g, j)
+        for d in range(j, j + 2 * (k - j) + 1, 2):
+            out[d] += cells
     return out
 
 

@@ -17,6 +17,9 @@ that the ``lemma-cohomology`` span test over F_2[pi]/I^2 replaced, and that
 span test by enumeration over truncated power series.  ``sparse_rows`` and
 ``dense_matrix`` convert between the dense matrices of the oracles and the
 library's ``{col: value}`` rows; ``random_laurent_matrix`` draws test input.
+``cell_view`` maps each cell of a matrix's entries on its own, the reference
+for the views that share one walk of a ``SparseRingMatrix``'s rule, and
+``block_rows`` lays its blocks out as rows.
 """
 
 from __future__ import annotations
@@ -170,6 +173,45 @@ def scan_random_monomials(ctx, max_weight: int):
     return monos, [by_degree[d] for d in sorted(by_degree)]
 
 
+def cell_view(M: SparseRingMatrix, value) -> dict[tuple[int, int], object]:
+    """``{(r, c): value(entry)}`` over M's entries, each cell mapped on its own
+    (so a shared entry object is mapped once per cell), a falsy value left out."""
+    return {rc: x for rc, v in M.entries.items() if (x := value(v))}
+
+
+def block_rows(cells: dict[tuple[int, int], list[list[int]]], rows: int, bs: int) -> list[dict[int, int]]:
+    """``{col: value}`` rows of the matrix whose ``(r, c)`` block is the dense
+    ``bs x bs`` matrix ``cells[(r, c)]``, zeros left out."""
+    out: list[dict[int, int]] = [{} for _ in range(rows * bs)]
+    for (r, c), block in cells.items():
+        for a, brow in enumerate(block):
+            for b, x in enumerate(brow):
+                if x:
+                    out[r * bs + a][c * bs + b] = x
+    return out
+
+
+def regular_block(v, N: int) -> list[list[int]]:
+    """The ``N^m x N^m`` block of a group-ring element over ``Z[(Z/N)^m]``: the
+    sum of its terms' regular representations times their coefficients."""
+    nvars = v.ring.nvars
+    bs = N ** nvars
+    block = [[0] * bs for _ in range(bs)]
+    for exps, coeff in v.terms.items():
+        for a, prow in enumerate(regular_representation(exps, N, nvars)):
+            for b, x in enumerate(prow):
+                block[a][b] += coeff * x
+    return block
+
+
+def first_order_block(v) -> list[list[int]]:
+    """The ``(1+n) x (1+n)`` block over F_2 of multiplication by ``v`` in
+    ``F_2[pi]/I^2``, on the basis ``1, x_1 - 1, .., x_n - 1``."""
+    a, *ell = first_order_value(v)
+    n = len(ell)
+    return [[a] + [0] * n] + [[l] + [a if j == i else 0 for j in range(n)] for i, l in enumerate(ell)]
+
+
 def dense_base_change(M, N: int) -> list[list[int]]:
     """Dense base change of a ``SparseRingMatrix``: each entry replaced by its
     block, the sum of its terms' regular representations times their coefficients."""
@@ -180,11 +222,7 @@ def dense_base_change(M, N: int) -> list[list[int]]:
     for (r, c), v in M.entries.items():
         block = blocks.get(id(v))
         if block is None:
-            block = blocks[id(v)] = [[0] * bs for _ in range(bs)]
-            for exps, coeff in v.terms.items():
-                for a, prow in enumerate(regular_representation(exps, N, nvars)):
-                    for b, x in enumerate(prow):
-                        block[a][b] += coeff * x
+            block = blocks[id(v)] = regular_block(v, N)
         r0, c0 = r * bs, c * bs
         for a in range(bs):
             row = out[r0 + a]

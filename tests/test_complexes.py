@@ -28,12 +28,16 @@ from sympow.groupring import (UnitSpecialization, random_specialization, surface
 from sympow import homology
 from sympow.homology import integer_homology
 from oracles import (
+    block_rows,
+    cell_view,
     dense_base_change,
     dense_matrix,
+    first_order_block,
     first_order_value,
     gf_betti,
     mod2_columns,
     random_laurent_matrix,
+    regular_block,
 )
 
 
@@ -552,6 +556,73 @@ def test_rule_views_match_entry_views():
             _assert_views_match_entry_views(exterior_boundary_matrix(ctx, size), ("d", g, size))
 
 
+def _explicit_matrices():
+    """Explicit matrices: entries out of column-major order with one object in
+    three cells, random ones in reversed order with a shared object planted,
+    and two products of rule-backed matrices."""
+    ring = surface_ring(1)
+    x, y, one = ring.gen(0), ring.gen(1), ring.one()
+    shared = one - x
+    yield SparseRingMatrix(ring, 3, 4, {(2, 1): shared, (0, 1): x * y, (1, 0): shared, (0, 0): one + one,
+                                        (2, 3): y - one, (1, 3): shared, (0, 2): ring.monomial((-1, 2))})
+    rng = random.Random(29)
+    for ring in (surface_ring(1), surface_ring(2), wedge_ring(3)):
+        M = random_laurent_matrix(ring, 5, 4, rng)
+        entries = dict(reversed(M.entries.items()))
+        planted = next(iter(entries.values()))
+        for rc in list(entries)[::3]:
+            entries[rc] = planted
+        yield SparseRingMatrix(ring, M.rows, M.cols, entries)
+    ctx = surface_context(2)
+    lam, d = lambda_matrix(ctx, 1), exterior_boundary_matrix(ctx, 2)
+    yield lam.compose(d)
+    yield d.compose(lam)
+
+
+def test_explicit_views_match_the_per_cell_oracle(monkeypatch):
+    from sympow.groupring import GroupRingElement
+
+    calls = []  # (what was read, id of the element)
+    for method in ("specialize", "canonical_str"):
+        orig = getattr(GroupRingElement, method)
+        monkeypatch.setattr(GroupRingElement, method, lambda self, *args, orig=orig, method=method:
+                            calls.append((method, id(self))) or orig(self, *args))
+    terms = GroupRingElement.terms.fget
+    monkeypatch.setattr(GroupRingElement, "terms",
+                        property(lambda self: calls.append(("terms", id(self))) or terms(self)))
+    rng = random.Random(31)
+    for M in _explicit_matrices():
+        label = (M.rows, M.cols, M.ring.nvars)
+        distinct = sorted({id(v) for v in M.entries.values()})
+        specs = [UnitSpecialization(7, (1,) * M.ring.nvars), random_specialization(M.ring, 1000003, rng)]
+        oracles = [block_rows(cell_view(M, lambda v: [[v.specialize(spec)]]), M.rows, 1) for spec in specs]
+        bs = 2 ** M.ring.nvars
+        oracles.append(block_rows(cell_view(M, lambda v: regular_block(v, 2)), M.rows, bs))
+        oracles.append(block_rows(cell_view(M, first_order_block), M.rows, 1 + M.ring.nvars))
+        text = cell_view(M, GroupRingElement.canonical_str)
+        oracles.append(dict(sorted(text.items(), key=lambda cell: cell[0][::-1])))
+        views = [(lambda M, spec=spec: M.specialize_rows(spec), "specialize") for spec in specs]
+        views += [(lambda M: M.base_change(2), "terms"), (lambda M: M.first_order_rows(), "terms"),
+                  (_export_cells, "canonical_str")]
+        for (view, read), expected in zip(views, oracles):
+            M = SparseRingMatrix(M.ring, M.rows, M.cols, M.entries)  # no mapping kept from before
+            calls.clear()
+            got = view(M)
+            # each distinct object mapped once
+            assert sorted(i for what, i in calls if what == read) == distinct, (label, read)
+            assert got == expected, (label, view)
+            if isinstance(got, dict):
+                assert list(got) == list(expected), label  # column-major
+        for spec, rows in zip(specs, oracles):
+            for skip in ((), {0}, set(range(0, M.cols, 2)), set(range(M.cols))):
+                M = SparseRingMatrix(M.ring, M.rows, M.cols, M.entries)
+                calls.clear()
+                columns = M.specialize_columns(spec, skip)
+                assert sorted(i for what, i in calls if what == "specialize") == distinct, (label, skip)
+                assert columns == [{r: row[c] for r, row in enumerate(rows) if c in row}
+                                   for c in range(M.cols) if c not in skip], (label, skip)
+
+
 def test_generic_homology_builds_no_entries():
     views = {
         "generic": lambda c: homology.generic_homology(c, 5, 0, 1000003),
@@ -787,6 +858,27 @@ def test_base_change_refuses_oversized_input_from_its_term_counts():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000  # d_3 alone would take hundreds of MB of rows
+
+
+def test_base_change_walks_each_rule_once_for_its_bound():
+    # the term count is kept on the matrix after its first walk of the rule on
+    # the table itself, since it does not depend on N
+    for c in (build_cover_complex(2, 3), build_Q_complex(2, 3), build_wedge_complex(4, 3)):
+        table, walks = c.ctx.table, []
+        for M in c.boundaries[1:]:
+            src, tgt, image, _, view = M._rule
+
+            def counting(mono, t, image=image, M=M):
+                if t is table:
+                    walks.append(id(M))
+                return image(mono, t)
+
+            M._rule = src, tgt, counting, table, view
+        expected = [M.base_change_nonzeros(2) for M in c.boundaries[1:]]
+        for N in (2, 3, 1, 2):
+            base_change(c, N)
+        assert [M.base_change_nonzeros(2) for M in c.boundaries[1:]] == expected, c.case
+        assert [walks.count(id(M)) for M in c.boundaries[1:]] == [M.cols for M in c.boundaries[1:]], c.case
 
 
 @pytest.mark.parametrize("build,args,N", [

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -218,6 +219,41 @@ def test_rank_kernel_against_dense_oracles():
         for p in RANK_PRIMES:
             assert modp_rank(M, p) == dense_modp_rank(M, p), (M, p)
         assert _rank(M) == bareiss_rank(M), M
+
+
+def _with_planted_zeros(M: list[list[int]], rng: random.Random) -> list[dict[int, int]]:
+    """The ``{col: value}`` rows of M, with a stored 0 at about a third of its zero cells."""
+    rows = sparse_rows(M)
+    for row in rows:
+        for j in range(len(M[0])):
+            if j not in row and rng.random() < 0.3:
+                row[j] = 0
+    return rows
+
+
+def test_exact_routines_drop_stored_zeros():
+    assert integer_rank([{0: 0}]) == 0
+    assert integer_rank([{0: 0, 1: 1}, {0: 0, 1: 0}]) == 1
+    assert smith_normal_form([{0: 0}, {0: 2}], 1).diagonal == (2,)
+    assert integer_free_ranks(IntegerChainComplex("x", {}, [1, 1], [None, [{0: 0}]])) == [1, 1]
+    rng = random.Random(41)
+    small = [[[0, 0], [0, 0]], [[0, 3], [0, 0]]]
+    for _ in range(60):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        small.append([[rng.choice([0, 0, 0, -4, -2, -1, 1, 2, 3, 6]) for _ in range(cols)]
+                      for _ in range(rows)])
+    # the dense Smith form's entries grow too fast on the larger matrices, so
+    # there the zero-free rows are the reference
+    cases = [(M, dense_smith_normal_form(M)) for M in small]
+    cases += [(M, _snf(M)) for M in _random_rank_matrices(43, 45)]
+    for M, snf in cases:
+        rows = _with_planted_zeros(M, rng)
+        copies = [dict(row) for row in rows]
+        pivots: list[int] = []
+        assert integer_rank(rows, pivots) == bareiss_rank(M), M
+        assert all(any(row.get(j) for row in rows) for j in pivots), M
+        assert smith_normal_form(rows, len(M[0])) == snf, M
+        assert rows == copies, M  # both work on copies
 
 
 def _prepass_matrices(rng: random.Random, p: int | None, count: int):
@@ -637,9 +673,20 @@ def test_betti_examples_and_gf_oracle():
     assert betti_symmetric_power(1, 1) == [1, 2, 1]
     assert betti_symmetric_power(2, 1) == [1, 4, 1]
     assert betti_symmetric_power(2, 2) == [1, 4, 7, 4, 1]
-    for g in range(1, 5):
-        for k in range(0, 7):
+    for g in range(1, 8):
+        for k in (*range(0, 7), *range(7, 40, 4)):
             assert betti_symmetric_power(g, k) == gf_betti(g, k), (g, k)
+
+
+def test_betti_numbers_take_linear_time_in_k():
+    # g * k additions, not k^2: the cells of weight <= k counted once each
+    k = 100_000
+    start = time.process_time()
+    betti = betti_symmetric_power(2, k)
+    assert time.process_time() - start < 1.0
+    assert len(betti) == 2 * k + 1 and betti == betti[::-1]
+    assert betti[:6] == [1, 4, 7, 8, 8, 8] and betti[k] == 8
+    assert sum(betti) == sum(math.comb(4, j) * (k - j + 1) for j in range(5))
 
 
 def test_euler_characteristic():
