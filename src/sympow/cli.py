@@ -38,6 +38,14 @@ from .homology import (
 from .verify import SUITE_ORDER, SUITES, run_suite
 
 
+# Largest --k of a Betti count (``betti``, ``cover-homology --method count``),
+# which lists all 2k+1 degrees.  On a 2-vCPU x86_64 host with CPython 3.11, k at
+# this limit took 7.3-9.6 s CPU and 890-919 MB peak RSS in the default JSON
+# format for g = 1, 5 and 10 (text and CSV took 226-251 MB), so a count stays
+# near 1 GB.
+MAX_BETTI_K = 400_000
+
+
 class UsageError(Exception):
     pass
 
@@ -154,6 +162,9 @@ def _complex(args, case: str) -> ChainComplex:
 
 def _betti_report(args) -> HomologyReport:
     g = _require(args, "genus")
+    if args.k > MAX_BETTI_K:
+        raise UsageError(f"the Betti count at g={g}, k={args.k:,} would list {2 * args.k + 1:,} degrees, "
+                         f"over the limit of k={MAX_BETTI_K:,}")
     betti = betti_symmetric_power(g, args.k)
     return HomologyReport("surface-cover", {"g": g, "k": args.k}, "betti-count",
                           [DegreeEntry(d, b) for d, b in enumerate(betti)])

@@ -43,6 +43,11 @@ them.  The last mapped table is kept on the builder's context
 row, more than ``MAX_BASE_CHANGE_NONZEROS`` nonzeros, and each builder, from
 a closed form before it enumerates, any complex of more than ``MAX_CELLS``
 cells (``check_cells``).
+
+The cover builder enumerates its bases in one pass over exterior sizes: each
+size j <= min(k, 2g) is enumerated once, and its masks go, with each divided
+power s <= k - j, to degree j + 2s.  Sizes ascend, so every degree comes out
+in ``monomial_sort_key`` order, and a build costs time linear in its cells.
 """
 
 from __future__ import annotations
@@ -82,9 +87,12 @@ MAX_BASE_CHANGE_NONZEROS = 3_000_000
 
 # Most cells (basis monomials over all degrees) one build may enumerate.  On a
 # 2-vCPU x86_64 host with CPython 3.11, building cover(10, 10), 1,540,446 cells,
-# took 1.8 s CPU and 170 MB peak RSS, and generic homology took 108 MB on the
-# 218,790 cells of cover(9, 8), about 450 bytes a cell: at this cap a build
-# stays near 0.2 GB and its generic homology near 1 GB.
+# took 1.0 s CPU and 154 MB peak RSS, and generic homology took 108 MB on the
+# 218,790 cells of cover(9, 8), about 450 bytes a cell.  At low genus each of
+# the 2k+1 degrees costs a module and a boundary of its own: cover(2, 124,000),
+# 1,983,984 cells, took 2.7 s and 315 MB, and cover(1, 499,999), 1,999,996
+# cells, 6.6 s and 735 MB.  So at this cap a build stays under 1 GB, and its
+# generic homology near 1 GB.
 MAX_CELLS = 2_000_000
 
 
@@ -440,39 +448,22 @@ def build_wedge_complex(n: int, k: int) -> ChainComplex:
     return ChainComplex("wedge", {"n": n, "k": k}, ctx, modules, _boundary_matrices(ctx, modules))
 
 
-def cover_basis(ctx: DgaContext, k: int, degree: int) -> tuple[Monomial, ...]:
-    """All monomials of internal degree ``degree`` and weight <= k over the
-    surface context ``ctx``, in ``monomial_sort_key`` order: exterior size
-    ``degree - 2s`` grows as the gamma index ``s`` falls, and each size is
-    enumerated in order."""
-    out = []
-    for s in range(degree // 2, -1, -1):
-        ext = degree - 2 * s
-        if ext > ctx.ngens or ext + s > k:
-            continue
-        out.extend((mask, s) for mask, _ in _exterior_basis(ctx, ext))
-    return tuple(out)
-
-
 def build_cover_complex(g: int, k: int) -> ChainComplex:
     """Universal-cover complex of the k-th symmetric power of a genus-g surface.
 
-    Degree-i basis: monomials of internal degree i and weight <= k; the top
-    degree is derived from the enumeration (the last nonempty basis).
+    Degree-i basis: monomials of internal degree i and weight <= k, for i in
+    0..2k (each nonempty, as g >= 1), built in one pass over exterior sizes.
     """
     ctx = surface_context(g)
     if k < 0:
         raise ValueError("k must be >= 0")
     check_cells(ctx, k, True, f"the cover complex at g={g}, k={k}")
-    bases = []
-    degree = 0
-    while True:
-        basis = cover_basis(ctx, k, degree)
-        if not basis:
-            break
-        bases.append(basis)
-        degree += 1
-    modules = [BasedFreeModule(i, b) for i, b in enumerate(bases)]
+    bases: list[list[Monomial]] = [[] for _ in range(2 * k + 1)]
+    for j in range(min(k, ctx.ngens) + 1):
+        masks = [mask for mask, _ in _exterior_basis(ctx, j)]
+        for s in range(k - j + 1):
+            bases[j + 2 * s].extend((mask, s) for mask in masks)
+    modules = [BasedFreeModule(i, tuple(b)) for i, b in enumerate(bases)]
     return ChainComplex("surface-cover", {"g": g, "k": k}, ctx, modules, _boundary_matrices(ctx, modules))
 
 

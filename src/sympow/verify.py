@@ -496,14 +496,10 @@ def verify_mattuck(g: int, k: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
                f"generic dims {rep.ranks()}")
 
     betti = betti_symmetric_power(g, k)
-    pattern = []
-    for d in range(2 * k + 1):
-        total = 0
-        for s in range(min(d // 2, k - g) + 1):
-            j = d - 2 * s
-            if j <= 2 * g:
-                total += math.comb(2 * g, j)
-        pattern.append(total)
+    pattern = [0] * (2 * k + 1)
+    for j in range(2 * g + 1):
+        for s in range(k - g + 1):
+            pattern[j + 2 * s] += math.comb(2 * g, j)
     report.add("torus-projective-pattern", betti == pattern,
                f"betti {betti} vs T^(2g) x CP^(k-g) pattern {pattern}")
     return report

@@ -14,7 +14,10 @@ normal form replaced, the sparse rank loop as it was before its pre-pass
 (``heap_sparse_rank``), the every-trial generic homology loop that its
 certified early stop replaced, the mod-2 bitset witness on the N=2 cover
 that the ``lemma-cohomology`` span test over F_2[pi]/I^2 replaced, and that
-span test by enumeration over truncated power series.  ``sparse_rows`` and
+span test by enumeration over truncated power series, the per-degree cover
+basis (``cover_basis``) that the one-pass cover builder replaced, and the
+per-degree Mattuck pattern (``mattuck_pattern``) that ``verify_mattuck``'s
+loop over exterior sizes replaced.  ``sparse_rows`` and
 ``dense_matrix`` convert between the dense matrices of the oracles and the
 library's ``{col: value}`` rows; ``random_laurent_matrix`` draws test input.
 ``cell_view`` maps each cell of a matrix's entries on its own, the reference
@@ -30,7 +33,7 @@ import math
 import random
 
 from sympow import dga
-from sympow.complexes import SparseRingMatrix
+from sympow.complexes import SparseRingMatrix, _exterior_basis
 from sympow.dga import DgaElement, monomial_elem
 from sympow.groupring import _translation, random_specialization
 from sympow.homology import SnfResult, mod2_in_span
@@ -171,6 +174,34 @@ def scan_random_monomials(ctx, max_weight: int):
     for m in monos:
         by_degree.setdefault(dga.monomial_degree(m), []).append(m)
     return monos, [by_degree[d] for d in sorted(by_degree)]
+
+
+def cover_basis(ctx, k: int, degree: int) -> tuple:
+    """All monomials of internal degree ``degree`` and weight <= k over the
+    surface context ``ctx``, in ``monomial_sort_key`` order: exterior size
+    ``degree - 2s`` grows as the gamma index ``s`` falls, and each size is
+    enumerated in order."""
+    out = []
+    for s in range(degree // 2, -1, -1):
+        ext = degree - 2 * s
+        if ext > ctx.ngens or ext + s > k:
+            continue
+        out.extend((mask, s) for mask, _ in _exterior_basis(ctx, ext))
+    return tuple(out)
+
+
+def mattuck_pattern(g: int, k: int) -> list[int]:
+    """The Betti numbers of T^(2g) x CP^(k-g), degree by degree: each degree d
+    sums ``C(2g, d - 2s)`` over the divided powers ``s <= min(d/2, k - g)``."""
+    pattern = []
+    for d in range(2 * k + 1):
+        total = 0
+        for s in range(min(d // 2, k - g) + 1):
+            j = d - 2 * s
+            if j <= 2 * g:
+                total += math.comb(2 * g, j)
+        pattern.append(total)
+    return pattern
 
 
 def cell_view(M: SparseRingMatrix, value) -> dict[tuple[int, int], object]:

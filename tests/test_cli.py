@@ -431,6 +431,19 @@ def test_oversized_build_exits_two_up_front(argv, estimate):
     assert text == f"usage error: {estimate}, over the limit of 2,000,000 cells\n"
 
 
+@pytest.mark.parametrize("command", [["betti"], ["cover-homology", "--method", "count"]])
+def test_oversized_betti_count_exits_two_up_front(command, monkeypatch):
+    start = time.process_time()
+    code, text, _ = run(command + ["--genus", "1", "--k", "400001"])
+    assert time.process_time() - start < 1.0
+    assert code == 2
+    assert text == ("usage error: the Betti count at g=1, k=400,001 would list 800,003 degrees, "
+                    "over the limit of k=400,000\n")
+    monkeypatch.setattr(cli, "MAX_BETTI_K", 5)
+    assert run(command + ["--genus", "1", "--k", "5"])[0] == 0
+    assert run(command + ["--genus", "1", "--k", "6"])[0] == 2
+
+
 def test_theorem_main_exits_two_only_where_rank_growth_base_changes():
     # k = 7 > 2g - 2 has no rank-growth check, so no cover is base-changed;
     # at k = 3 rank growth base-changes the N=2 cover, within the nonzero cap

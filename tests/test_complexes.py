@@ -1,5 +1,6 @@
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -30,6 +31,7 @@ from sympow.homology import integer_homology
 from oracles import (
     block_rows,
     cell_view,
+    cover_basis,
     dense_base_change,
     dense_matrix,
     first_order_block,
@@ -228,31 +230,43 @@ def test_base_change_of_cover_at_N4_stays_small():
 
 def test_cover_bases_nest_with_k():
     # stabilization: the weight-(k) basis sits inside the weight-(k+1) basis
-    from sympow.complexes import cover_basis
-
     for g in (1, 2):
         ctx = surface_context(g)
         for k in range(0, 4):
-            for d in range(0, 2 * k + 1):
-                small = set(cover_basis(ctx, k, d))
-                assert small <= set(cover_basis(ctx, k + 1, d))
+            modules = build_cover_complex(g, k).modules
+            larger = build_cover_complex(g, k + 1).modules
+            assert len(modules) == 2 * k + 1
+            for d, module in enumerate(modules):
+                assert module.degree == d and module.basis == cover_basis(ctx, k, d)
+                assert set(module.basis) <= set(larger[d].basis)
 
 
 def test_bases_are_enumerated_in_sort_key_order():
-    # oracle: the sorted enumeration the builders used before
-    from sympow.complexes import cover_basis
-
+    # oracle: the per-degree enumeration the cover builder used before, and
+    # the sorted enumeration before that
     for g in range(1, 6):
         ctx = surface_context(g)
         for size in range(2 * g + 1):
             basis = _exterior_basis(ctx, size)
             assert basis == tuple(sorted(basis, key=dga.monomial_sort_key))
         for k in range(8):
-            for d in range(2 * k + 1):
-                basis = cover_basis(ctx, k, d)
+            modules = build_cover_complex(g, k).modules
+            assert len(modules) == 2 * k + 1
+            for d, module in enumerate(modules):
+                assert module.basis == cover_basis(ctx, k, d)
                 expected = [(mask, s) for s in range(d // 2 + 1) if d - 2 * s <= 2 * g and d - s <= k
                             for mask, _ in _exterior_basis(ctx, d - 2 * s)]
-                assert basis == tuple(sorted(expected, key=dga.monomial_sort_key))
+                assert module.basis == tuple(sorted(expected, key=dga.monomial_sort_key))
+
+
+def test_cover_build_takes_linear_time_in_cells():
+    # each exterior size enumerated once, not once per degree and divided power
+    start = time.process_time()
+    c = build_cover_complex(1, 6000)
+    assert time.process_time() - start < 1.0
+    assert len(c.modules) == 12_001
+    assert sum(m.rank for m in c.modules) == 24_000
+    assert [m.rank for m in c.modules[:4]] == [1, 2, 2, 2] and c.modules[-1].basis == ((0, 6000),)
 
 
 def test_sparse_ring_matrix_validates_every_entry():

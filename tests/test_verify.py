@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -25,6 +26,7 @@ from sympow.groupring import surface_ring
 from sympow.homology import (
     VERIFY_PRIME,
     _trial_specialization,
+    betti_symmetric_power,
     mod2_apply,
     mod2_in_span,
     mod2_nullspace,
@@ -48,6 +50,7 @@ from sympow.verify import (
 from oracles import (
     brute_force_lambda_ker_contains,
     lambda_ker_contains_mod2,
+    mattuck_pattern,
     mod2_columns,
     random_laurent_matrix,
 )
@@ -445,6 +448,23 @@ def test_mattuck():
     assert verify_mattuck(1, 2, trials=2, seed=1).passed
     with pytest.raises(ValueError):
         verify_mattuck(2, 3)
+
+
+def test_mattuck_pattern_matches_the_per_degree_oracle():
+    # the pattern is summed over exterior sizes j <= 2g and s <= k - g, not over
+    # betti_symmetric_power's cells; its detail must read as the per-degree loop's
+    for g in range(1, 4):
+        for k in range(2 * g, 2 * g + 6):
+            detail = _check(verify_mattuck(g, k, trials=1), "torus-projective-pattern").detail
+            betti = betti_symmetric_power(g, k)
+            assert detail == f"betti {betti} vs T^(2g) x CP^(k-g) pattern {mattuck_pattern(g, k)}"
+
+
+def test_mattuck_takes_linear_time_in_k():
+    start = time.process_time()
+    report = verify_mattuck(1, 4000)
+    assert time.process_time() - start < 1.0
+    assert report.passed
 
 
 def test_evaluate_F_basics():
