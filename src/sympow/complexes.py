@@ -48,6 +48,52 @@ The cover builder enumerates its bases in one pass over exterior sizes: each
 size j <= min(k, 2g) is enumerated once, and its masks go, with each divided
 power s <= k - j, to degree j + 2s.  Sizes ascend, so every degree comes out
 in ``monomial_sort_key`` order, and a build costs time linear in its cells.
+
+Chain-level Poincare duality.  A builder marks a complex of top degree
+``top`` self-dual (``ChainComplex.duality``) when a pairing ``phi`` maps each
+basis ``C_i`` bijectively onto ``C_(top-i)`` and a sign ``tau`` of the
+monomials gives, for every entry ``a = d_i[m', m]`` (``m`` in ``C_i``),
+
+    d_(top+1-i)[phi(m), phi(m')] = tau(m) tau(m') a,
+
+and ``d_(top+1-i)`` has no entry besides these: it is ``d_i`` transposed,
+with its rows and columns permuted and signed, over the same group-ring
+elements.  This is the cellular form of Poincare duality for the closed
+2k-manifold ``Sym^k`` of a surface (Hatcher, *Algebraic Topology*, 3.3).
+Write ``eps_L(t)`` for ``(-1)^(bits of L below t)``.  Every entry of the
+cover complex is a Koszul term ``(L, s) -> (L - t, s)`` with coefficient
+``eps_L(t) d(t)``, or a lam-term ``(L - t, s + 1) -> (L, s)`` with
+``eps_L(t) lam_t`` (the bits of ``L - t`` below ``t`` are those of ``L``).
+
+* The cover complex, ``phi(mask, s) = (swap(mask), k - |mask| - s)``, where
+  ``swap`` exchanges ``e_j`` and ``f_j``, and ``tau = (-1)^(a b + a + s)`` for a
+  mask of ``a`` e's and ``b`` f's.  ``phi`` keeps the weight ``<= k`` and sends
+  degree ``i`` to ``2k - i``.  It sends a Koszul term of ``t`` in ``L`` to the
+  lam-term of ``t' = swap(t)`` in ``L' = swap(L)``, and a lam-term to a Koszul
+  term.  The coefficients agree up to sign: ``lam_(f_j) = -d(e_j)`` and
+  ``lam_(e_j) = d(f_j)``.  The positions give ``eps_L(t) eps_L'(t') = (-1)^b``
+  for ``t = e_j`` (``f_j`` sits after the ``b`` e's of ``L'`` and the e's of
+  ``L`` below ``j``) and ``(-1)^a`` for ``t = f_j``.  So the ratio of the
+  two sides is ``-(-1)^b`` for the Koszul term of ``e_j`` at counts
+  ``(a, b, s)``, ``(-1)^a`` for that of ``f_j``, ``(-1)^b`` for the lam-term
+  of ``e_j`` into ``(a, b, s)`` and ``-(-1)^a`` for that of ``f_j``, and
+  ``tau(m) tau(m')`` is each of these: ``(a, b, s)`` against ``(a - 1, b, s)``,
+  ``(a, b - 1, s)``, ``(a - 1, b, s + 1)`` and ``(a, b - 1, s + 1)``.
+* The full lam-complex ``Q(g, k >= 2g)`` and the full wedge complex
+  ``wedge(n, n)``, ``phi(mask, 0) = (~mask, 0)`` within the generators, and
+  ``tau = (-1)^(sum of the bit indices of mask)``.  The term of ``t`` between
+  ``L - t`` and ``L`` goes to the one of ``t`` between ``~L`` and ``~L + t``,
+  with the same coefficient ``d(t)`` or ``lam_t``, and ``eps_L(t) eps_(~L + t)(t)
+  = (-1)^t`` counts every bit below ``t`` once: ``tau(L) tau(L - t)``.
+  A truncated one has modules of unequal ranks at its ends, and no mark.
+
+Hence at every point, over every field and under base change,
+``rank d_(top+1-i) = rank d_i``, and ``homology`` ranks the half above the
+middle degree only.  ``base_change`` keeps the mark: the block of a
+transposed entry ``a`` is ``B(a)^T = B(a(g^-1)) = J B(a) J``, with ``J`` the
+inversion permutation ``b -> -b`` of ``(Z/N)^m``, so the base-changed
+``d_(top+1-i)`` is ``d_i``'s transpose up to signed permutations of its rows
+and columns, with the same rank and Smith normal form.
 """
 
 from __future__ import annotations
@@ -87,12 +133,13 @@ MAX_BASE_CHANGE_NONZEROS = 3_000_000
 
 # Most cells (basis monomials over all degrees) one build may enumerate.  On a
 # 2-vCPU x86_64 host with CPython 3.11, building cover(10, 10), 1,540,446 cells,
-# took 1.0 s CPU and 154 MB peak RSS, and generic homology took 108 MB on the
-# 218,790 cells of cover(9, 8), about 450 bytes a cell.  At low genus each of
-# the 2k+1 degrees costs a module and a boundary of its own: cover(2, 124,000),
-# 1,983,984 cells, took 2.7 s and 315 MB, and cover(1, 499,999), 1,999,996
-# cells, 6.6 s and 735 MB.  So at this cap a build stays under 1 GB, and its
-# generic homology near 1 GB.
+# took 1.0 s CPU and 154 MB peak RSS.  Generic homology (the CLI job, build
+# included) took 61 MB on the 218,790 cells of cover(9, 8) and 204 MB on the
+# 923,780 of cover(10, 9), about 205 bytes a cell net of the 16 MB interpreter.
+# At low genus each of the 2k+1 degrees costs a module and a boundary of its
+# own: cover(2, 124,000), 1,983,984 cells, took 2.7 s and 315 MB, and
+# cover(1, 499,999), 1,999,996 cells, 6.6 s and 735 MB.  So at this cap a
+# build stays under 1 GB, and at high genus its generic homology near 0.4 GB.
 MAX_CELLS = 2_000_000
 
 
@@ -320,14 +367,25 @@ class SparseRingMatrix:
         return _expand_blocks(self._rows("first_order_rows", block), bs)
 
 
+class Duality(Record):
+    """A chain-level Poincare duality (module docstring): ``pair`` maps each
+    monomial of ``C_i`` to one of ``C_(top-i)``, and ``sign`` gives its +-1."""
+
+    _fields = ("pair", "sign")
+    pair: Callable[[Monomial], Monomial]
+    sign: Callable[[Monomial], int]
+
+
 class ChainComplex:
     def __init__(self, case: str, params: dict[str, int], ctx: DgaContext,
-                 modules: list[BasedFreeModule], boundaries: list[SparseRingMatrix | None]):
+                 modules: list[BasedFreeModule], boundaries: list[SparseRingMatrix | None],
+                 duality: Duality | None = None):
         self.case = case  # wedge | surface-cover | quotient-Q
         self.params = params
         self.ctx = ctx
         self.modules = modules
         self.boundaries = boundaries  # boundaries[i]: degree i -> i-1; [0] is None
+        self.duality = duality  # set by the builders on the self-dual complexes only
 
     @property
     def top_degree(self) -> int:
@@ -346,16 +404,33 @@ class ChainComplex:
 class IntegerChainComplex:
     """Base-changed complex: free Z-modules with integer boundary matrices.
 
-    ``boundaries[i]`` holds the ``{col: value}`` rows of the map from degree i
-    to degree i-1; it has ``ranks[i - 1]`` rows and ``ranks[i]`` columns.
+    ``boundary(i)`` gives the ``{col: value}`` rows of the map from degree i
+    to degree i-1, with ``ranks[i - 1]`` rows and ``ranks[i]`` columns, and
+    ``boundaries`` is ``[None, d_1, .., d_top]``.  They come from a list, or
+    from a function of i (``base_change``) that builds each boundary when it
+    is first read, so a driver that ranks half of a ``self_dual`` complex
+    builds that half only.
     """
 
     def __init__(self, case: str, params: dict[str, int], ranks: list[int],
-                 boundaries: list[list[dict[int, int]] | None]):
+                 boundaries: list[list[dict[int, int]] | None] | Callable[[int], list[dict[int, int]]],
+                 self_dual: bool = False):
         self.case = case
         self.params = params
         self.ranks = ranks
-        self.boundaries = boundaries
+        self.self_dual = self_dual
+        self._build = boundaries if callable(boundaries) else boundaries.__getitem__
+        self._built: dict[int, list[dict[int, int]]] = {}
+
+    def boundary(self, i: int) -> list[dict[int, int]]:
+        rows = self._built.get(i)
+        if rows is None:
+            rows = self._built[i] = self._build(i)
+        return rows
+
+    @property
+    def boundaries(self) -> list[list[dict[int, int]] | None]:
+        return [None] + [self.boundary(i) for i in range(1, len(self.ranks))]
 
 
 def _explicit_image(cells: tuple[tuple[int, int], ...],
@@ -445,7 +520,8 @@ def build_wedge_complex(n: int, k: int) -> ChainComplex:
         raise ValueError(f"truncation k={k} out of range 0..{n} (no cells beyond degree n)")
     check_cells(ctx, k, False, f"the wedge complex at n={n}, k={k}")
     modules = [BasedFreeModule(i, _exterior_basis(ctx, i)) for i in range(k + 1)]
-    return ChainComplex("wedge", {"n": n, "k": k}, ctx, modules, _boundary_matrices(ctx, modules))
+    return ChainComplex("wedge", {"n": n, "k": k}, ctx, modules, _boundary_matrices(ctx, modules),
+                        _complement_duality(ctx) if k == n else None)
 
 
 def build_cover_complex(g: int, k: int) -> ChainComplex:
@@ -464,7 +540,40 @@ def build_cover_complex(g: int, k: int) -> ChainComplex:
         for s in range(k - j + 1):
             bases[j + 2 * s].extend((mask, s) for mask in masks)
     modules = [BasedFreeModule(i, tuple(b)) for i, b in enumerate(bases)]
-    return ChainComplex("surface-cover", {"g": g, "k": k}, ctx, modules, _boundary_matrices(ctx, modules))
+    return ChainComplex("surface-cover", {"g": g, "k": k}, ctx, modules, _boundary_matrices(ctx, modules),
+                        _cover_duality(g, k))
+
+
+def _cover_duality(g: int, k: int) -> Duality:
+    """``(mask, s) -> (swap(mask), k - |mask| - s)``, with sign ``(-1)^(a b + a + s)``
+    for ``a`` e's and ``b`` f's in ``mask`` (module docstring)."""
+    low = (1 << g) - 1
+
+    def pair(m: Monomial) -> Monomial:
+        mask, s = m
+        return (mask >> g) | (mask & low) << g, k - mask.bit_count() - s
+
+    def sign(m: Monomial) -> int:
+        mask, s = m
+        a, b = (mask & low).bit_count(), (mask >> g).bit_count()
+        return -1 if (a * b + a + s) & 1 else 1
+
+    return Duality(pair, sign)
+
+
+def _complement_duality(ctx: DgaContext) -> Duality:
+    """``(mask, 0) -> (~mask, 0)`` within the generators of ``ctx``, with sign
+    ``(-1)^(sum of the bit indices of mask)`` (module docstring)."""
+    full = (1 << ctx.ngens) - 1
+
+    def pair(m: Monomial) -> Monomial:
+        return full ^ m[0], 0
+
+    def sign(m: Monomial) -> int:
+        mask = m[0]
+        return -1 if sum(i for i in range(mask.bit_length()) if mask >> i & 1) & 1 else 1
+
+    return Duality(pair, sign)
 
 
 def lambda_matrix(ctx: DgaContext, size: int) -> SparseRingMatrix:
@@ -504,23 +613,29 @@ def build_Q_complex(g: int, k: int) -> ChainComplex:
     top = min(k, 2 * g)
     modules = [BasedFreeModule(j, _exterior_basis(ctx, top - j)) for j in range(top + 1)]
     return ChainComplex("quotient-Q", {"g": g, "k": k, "top": top}, ctx, modules,
-                        _boundary_matrices(ctx, modules, lambda_image))
+                        _boundary_matrices(ctx, modules, lambda_image),
+                        _complement_duality(ctx) if top == 2 * g else None)
 
 
 def base_change(c: ChainComplex, N: int) -> IntegerChainComplex:
-    """Integer chain complex of the (Z/N)^m-cover; ranks multiply by N^m."""
+    """Integer chain complex of the (Z/N)^m-cover; ranks multiply by N^m.
+
+    The nonzero guard counts every boundary up front, but each boundary is
+    base-changed only when it is first read.  The complex is ``self_dual``
+    when ``c`` is: the blocks of transposed entries are conjugate by the
+    inversion of ``(Z/N)^m`` (module docstring), so rank and Smith normal
+    form still agree at dual degrees.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     _check_base_change_nonzeros(sum(M.base_change_nonzeros(N) for M in c.boundaries[1:]),
                                 f"the {c.case} complex", N)
     bs = N ** c.ctx.ring.nvars
     ranks = [m.rank * bs for m in c.modules]
-    boundaries: list[list[dict[int, int]] | None] = [None]
-    for i in range(1, len(c.modules)):
-        boundaries.append(c.boundaries[i].base_change(N))
     params = dict(c.params)
     params["N"] = N
-    return IntegerChainComplex(c.case, params, ranks, boundaries)
+    return IntegerChainComplex(c.case, params, ranks, lambda i: c.boundaries[i].base_change(N),
+                               c.duality is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,15 @@ without the rows at the pivot columns of ``d_(i-1)``; above m top-down by
 columns, each ``d_i`` without the columns at the pivot rows of ``d_(i+1)``.
 This keeps every rank (``_cleared_ranks`` has the proofs), and only the
 homology outside degree m is eliminated down to zero.  The Smith normal form
-still eliminates every boundary in full, since torsion needs the whole lattice.
+still eliminates every boundary it computes in full, since torsion needs the
+whole lattice.
+
+Mirror.  On a complex its builder marks self-dual (the covers, the full
+lam- and wedge complexes; ``complexes``, "Chain-level Poincare duality"),
+``d_(top+1-i)`` is ``d_i`` transposed up to signed permutations, at every
+point and under base change.  Every route then computes only the boundaries
+above the middle degree ``top // 2`` (by columns with clearing, or by Smith
+normal form) and copies each rank, and each torsion list, to its dual degree.
 """
 
 from __future__ import annotations
@@ -298,10 +306,14 @@ def modp_rank(M: list[list[int]], p: int, pivots: list[int] | None = None) -> in
 def _cleared_ranks(sizes: list[int], rows: Callable[[int], list[dict[int, int]]],
                    columns: Callable[[int, set[int]], list[dict[int, int]]],
                    rank: Callable[[list[dict[int, int]], list[int]], int],
-                   _meet: int | None = None) -> list[int]:
+                   self_dual: bool = False, _meet: int | None = None) -> list[int]:
     """``[0, rank d_1, .., rank d_top, 0]`` for a complex with modules of ranks
     ``sizes``, ranked with clearing from both ends, meeting at the degree
     ``m`` of the largest module (the first of equal ones; ``_meet`` forces it).
+    A ``self_dual`` complex (``complexes``, "Chain-level Poincare duality")
+    meets at its middle degree ``m = top // 2`` instead: only ``d_top ..
+    d_(m+1)`` are ranked, and ``rank d_i = rank d_(top+1-i)`` is copied for
+    ``i <= m`` (``_mirror``).
 
     ``rows(i)`` gives the ``{col: value}`` rows of ``d_i``, ``columns(i, skip)``
     its ``{row: value}`` columns outside ``skip``, and ``rank(vectors,
@@ -329,22 +341,33 @@ def _cleared_ranks(sizes: list[int], rows: Callable[[int], list[dict[int, int]]]
     are independent on all of them.  ``d_i`` below ``m`` meets ``rows(d_i) -
     rank d_(i-1) = rank d_i + dim H_(i-1)`` vectors and ``d_i`` above ``m``
     meets ``cols(d_i) - rank d_(i+1) = rank d_i + dim H_i``, so only the
-    homology outside degree ``m`` is eliminated down to zero.
+    homology outside degree ``m`` is eliminated down to zero, and on a
+    self-dual complex only that above ``m``.
     """
     top = len(sizes) - 1
-    meet = sizes.index(max(sizes)) if _meet is None else _meet
+    meet = top // 2 if self_dual else (sizes.index(max(sizes)) if _meet is None else _meet)
     ranks = [0] * (top + 2)
     cleared: set[int] = set()
-    for i in range(1, meet + 1):
-        pivots: list[int] = []
-        ranks[i] = rank([row for r, row in enumerate(rows(i)) if r not in cleared], pivots)
-        cleared = set(pivots)
-    cleared = set()
+    if not self_dual:
+        for i in range(1, meet + 1):
+            pivots: list[int] = []
+            ranks[i] = rank([row for r, row in enumerate(rows(i)) if r not in cleared], pivots)
+            cleared = set(pivots)
+        cleared = set()
     for i in range(top, meet, -1):
         pivots = []
         ranks[i] = rank(columns(i, cleared), pivots)
         cleared = set(pivots)
+    if self_dual:
+        _mirror(ranks, top)
     return ranks
+
+
+def _mirror(values: list, top: int) -> None:
+    """Copy the value of each boundary ``d_i``, ``i > top // 2``, to its dual
+    degree ``top + 1 - i``: ``values[i]`` belongs to ``d_i``."""
+    for i in range(1, top // 2 + 1):
+        values[i] = values[top + 1 - i]
 
 
 # ---------------------------------------------------------------------------
@@ -538,30 +561,38 @@ def integer_free_ranks(ic: IntegerChainComplex) -> list[int]:
     characteristics and rank-growth checks, and much faster on the larger
     finite covers.  The boundaries are ranked with clearing from both ends
     (``_cleared_ranks``): by rows up to the largest module, and above it by
-    the columns of the transposed rows, all through ``integer_rank``.
+    the columns of the transposed rows, all through ``integer_rank``.  On a
+    self-dual complex only the columns above the middle degree are ranked,
+    and ``base_change``'s lazy boundaries build only those.
     """
     n = len(ic.ranks)
-    ranks = _cleared_ranks(ic.ranks, ic.boundaries.__getitem__,
-                           lambda i, skip: _transpose(ic.boundaries[i], ic.ranks[i], skip), integer_rank)
+    ranks = _cleared_ranks(ic.ranks, ic.boundary,
+                           lambda i, skip: _transpose(ic.boundary(i), ic.ranks[i], skip), integer_rank,
+                           ic.self_dual)
     return [ic.ranks[i] - ranks[i] - ranks[i + 1] for i in range(n)]
 
 
 def integer_homology(ic: IntegerChainComplex) -> HomologyReport:
-    """Cellular homology of an integer complex: free ranks and torsion via SNF."""
+    """Cellular homology of an integer complex: free ranks and torsion via SNF.
+
+    Every boundary is built for the ``d o d = 0`` check.  On a self-dual
+    complex the Smith normal form runs above the middle degree only, and each
+    boundary's rank and torsion are copied to its dual degree (``_mirror``):
+    dual boundaries are transposed up to signed permutations, so their Smith
+    forms agree but for the padding zeros of the diagonal.
+    """
     n = len(ic.ranks)
     for i in range(1, n - 1):
-        if any(integer_matmul(ic.boundaries[i], ic.boundaries[i + 1])):
+        if any(integer_matmul(ic.boundary(i), ic.boundary(i + 1))):
             raise ValueError(f"boundary composite at degree {i + 1} is nonzero: builder bug")
-    snfs: list[SnfResult | None] = [None] * (n + 1)
-    for i in range(1, n):
-        snfs[i] = smith_normal_form(ic.boundaries[i], ic.ranks[i])
-    entries = []
-    for i in range(n):
-        r_out = snfs[i].rank() if 1 <= i < n else 0
-        r_in = snfs[i + 1].rank() if i + 1 < n else 0
-        free = ic.ranks[i] - r_out - r_in
-        torsion = snfs[i + 1].nontrivial() if i + 1 < n else ()
-        entries.append(DegreeEntry(i, free, torsion))
+    forms: list[tuple[int, tuple[int, ...]]] = [(0, ())] * (n + 1)  # (rank, torsion) of d_i
+    for i in range((n - 1) // 2 + 1 if ic.self_dual else 1, n):
+        snf = smith_normal_form(ic.boundary(i), ic.ranks[i])
+        forms[i] = snf.rank(), snf.nontrivial()
+    if ic.self_dual:
+        _mirror(forms, n - 1)
+    entries = [DegreeEntry(i, ic.ranks[i] - forms[i][0] - forms[i + 1][0], forms[i + 1][1])
+               for i in range(n)]
     return HomologyReport(ic.case, dict(ic.params), "integer-snf", entries)
 
 
@@ -594,13 +625,17 @@ def generic_homology(c: ChainComplex, trials: int = DEFAULT_TRIALS, seed: int = 
     """Fraction-field homology dimensions via rank-nullity on specializations.
 
     Each trial uses one consistent specialization for every boundary and
-    ranks the boundaries with clearing from both ends (``_cleared_ranks``),
-    which changes no rank: ``specialize_rows`` up to the largest module and
-    ``specialize_columns`` above it, where the rule never runs on a cleared
-    source.  Where the homology sits at the largest module (the cover
-    complexes up to g = 5 at least, the lambda complex for k <= g, the wedge
-    complex for k <= n/2), no vector is eliminated down to zero.  The per-degree results are
-    aggregated by minimum over trials.
+    ranks the boundaries with clearing (``_cleared_ranks``), which changes no
+    rank.  A self-dual complex (``c.duality``) is ranked by
+    ``specialize_columns`` above its middle degree only, where the rule never
+    runs on a cleared source, and each rank is copied to its dual degree: the
+    dual boundary is the same matrix at the same point, transposed up to
+    signed permutations.  Any other complex is ranked from both ends:
+    ``specialize_rows`` up to the largest module, ``specialize_columns``
+    above it.  Where the homology sits at the meeting degree (the cover
+    complexes at k, up to g = 5 at least; the lambda complex for k <= g; the
+    wedge complex for k <= n/2), no vector is eliminated down to zero.  The
+    per-degree results are aggregated by minimum over trials.
 
     Trials stop after the first one whose dimensions are zero in every degree
     but at most one: that trial equals the fraction-field dimensions ``gen``,
@@ -613,7 +648,8 @@ def generic_homology(c: ChainComplex, trials: int = DEFAULT_TRIALS, seed: int = 
 
     If ``dims_t`` vanishes outside degree j, so does ``gen`` by the first
     point, and the second gives ``gen[j] = dims_t[j]``.  This holds for any
-    prime.  When no trial certifies, every trial runs.
+    prime, and with copied ranks too, since each is the rank of its own
+    boundary at the trial's point.  When no trial certifies, every trial runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -623,7 +659,8 @@ def generic_homology(c: ChainComplex, trials: int = DEFAULT_TRIALS, seed: int = 
         spec = _trial_specialization(c.ctx.ring, prime, seed, t)
         ranks = _cleared_ranks(c.ranks, lambda i: c.boundaries[i].specialize_rows(spec),
                                lambda i, skip: c.boundaries[i].specialize_columns(spec, skip),
-                               lambda vectors, pivots: _sparse_rank(vectors, prime, pivots))
+                               lambda vectors, pivots: _sparse_rank(vectors, prime, pivots),
+                               c.duality is not None)
         trial = [c.modules[i].rank - ranks[i] - ranks[i + 1] for i in range(n)]
         dims = trial if dims is None else list(map(min, dims, trial))
         if sum(1 for d in trial if d) <= 1:

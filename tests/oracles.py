@@ -33,7 +33,7 @@ import math
 import random
 
 from sympow import dga
-from sympow.complexes import SparseRingMatrix, _exterior_basis
+from sympow.complexes import ChainComplex, SparseRingMatrix, _exterior_basis
 from sympow.dga import DgaElement, monomial_elem
 from sympow.groupring import _translation, random_specialization
 from sympow.homology import SnfResult, mod2_in_span
@@ -515,6 +515,12 @@ def heap_sparse_rank(M, p: int | None, pivots: list[int] | None = None,
     if pivots is not None:
         pivots.extend(found)
     return len(found)
+
+
+def unmarked(c):
+    """The complex ``c`` without its duality mark, so that every route ranks
+    both halves of it: the oracle of the mirrored routes."""
+    return ChainComplex(c.case, c.params, c.ctx, c.modules, c.boundaries)
 
 
 def all_trials_generic_homology(c, trials: int, seed: int, prime: int) -> list[int]:

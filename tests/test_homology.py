@@ -42,6 +42,7 @@ from oracles import (
     heap_sparse_rank,
     sparse_rows,
     sympy_snf_diagonal,
+    unmarked,
 )
 
 RANK_PRIMES = (3, 7, 1000003, 2147483647)
@@ -566,30 +567,56 @@ def _uncleared_input_counts(sizes, meet):
     return [sizes[i - 1] for i in range(1, meet + 1)] + [sizes[i] for i in range(top, meet, -1)]
 
 
+def _mirrored_input_counts(sizes, full):
+    """Vectors each call of the rank kernel meets on a self-dual complex, in
+    call order: ``d_top .. d_(m+1)``, ``m = top // 2``, with ``cols(d_i) - rank
+    d_(i+1)`` columns; the ranks of ``d_1 .. d_m`` are copied, not ranked."""
+    top = len(sizes) - 1
+    return [sizes[i] - full[i + 1] for i in range(top, top // 2, -1)]
+
+
 def test_clearing_drops_the_pivot_rows_of_the_previous_boundary(monkeypatch):
-    # below the largest module (degree m) each d_i reaches the rank kernel
-    # without the rows at the pivots of d_(i-1); above it, without the
-    # columns at the pivots of d_(i+1); every forced m keeps the same counts
-    for c in (build_cover_complex(3, 3), build_Q_complex(3, 3), build_wedge_complex(6, 3)):
+    # unmarked, below the largest module (degree m) each d_i reaches the rank
+    # kernel without the rows at the pivots of d_(i-1); above it, without the
+    # columns at the pivots of d_(i+1); every forced m keeps the same counts.
+    # Marked self-dual, only d_top .. d_(top//2 + 1) reach it, by columns.
+    for c in (build_cover_complex(3, 3), build_Q_complex(3, 3), build_wedge_complex(6, 3),
+              build_Q_complex(3, 6), build_wedge_complex(6, 6)):
         prime, seed = homology.FAST_PRIME, 1
         spec = homology._trial_specialization(c.ctx.ring, prime, seed, 0)
         full = [0] + [modp_rank(b.specialize(spec), prime) for b in c.boundaries[1:]] + [0]
-        meet = c.ranks.index(max(c.ranks))
-        seen = _recording(monkeypatch, "_sparse_rank")
-        generic_homology(c, 1, seed, prime)
-        monkeypatch.undo()
-        assert seen == _cleared_input_counts(c.ranks, full, meet), (c.case, c.params)
-        assert sum(seen) < sum(_uncleared_input_counts(c.ranks, meet))  # some vector was cleared
+        top, meet = c.top_degree, c.ranks.index(max(c.ranks))
+        for complex_, marked in ((c, c.duality is not None), (unmarked(c), False)):
+            seen = _recording(monkeypatch, "_sparse_rank")
+            generic_homology(complex_, 1, seed, prime)
+            monkeypatch.undo()
+            if marked:
+                assert seen == _mirrored_input_counts(c.ranks, full), (c.case, c.params)
+                assert sum(seen) < sum(c.ranks[i] for i in range(top, top // 2, -1))  # some vector was cleared
+            else:
+                assert seen == _cleared_input_counts(c.ranks, full, meet), (c.case, c.params)
+                assert sum(seen) < sum(_uncleared_input_counts(c.ranks, meet))  # some vector was cleared
+        assert (c.duality is not None) == (c.case == "surface-cover" or c.top_degree == 6), (c.case, c.params)
+        if c.duality is not None:
+            seen = _recording(monkeypatch, "_sparse_rank")
+            assert homology._cleared_ranks(c.ranks, *_generic_views(c, spec), True) == full
+            monkeypatch.undo()
+            assert seen == _mirrored_input_counts(c.ranks, full), (c.case, c.params)
         for meet in range(c.top_degree + 1):
             seen = _recording(monkeypatch, "_sparse_rank")
             assert homology._cleared_ranks(c.ranks, *_generic_views(c, spec), _meet=meet) == full
             monkeypatch.undo()
             assert seen == _cleared_input_counts(c.ranks, full, meet), (c.case, c.params, meet)
-    ic = base_change(build_cover_complex(2, 2), 2)
+    cover = build_cover_complex(2, 2)
+    ic = base_change(cover, 2)
     full = [0] + [integer_rank(b) for b in ic.boundaries[1:]] + [0]
     seen = _recording(monkeypatch, "integer_rank")
-    integer_free_ranks(ic)
-    assert seen == _cleared_input_counts(ic.ranks, full, 2)  # module ranks 16, 64, 112, 64, 16
+    integer_free_ranks(base_change(cover, 2))
+    assert seen == _mirrored_input_counts(ic.ranks, full)  # module ranks 16, 64, 112, 64, 16
+    assert sum(seen) < sum(ic.ranks[4:2:-1])
+    seen.clear()
+    integer_free_ranks(base_change(unmarked(cover), 2))
+    assert seen == _cleared_input_counts(ic.ranks, full, 2)
     assert sum(seen) < sum(_uncleared_input_counts(ic.ranks, 2))
     for meet in range(len(ic.ranks)):
         seen.clear()
@@ -601,10 +628,12 @@ def test_clearing_drops_the_pivot_rows_of_the_previous_boundary(monkeypatch):
 
 
 def test_no_vector_is_eliminated_in_vain_when_the_homology_sits_at_the_meet(monkeypatch):
-    # the homology of these complexes sits at their largest module, so every
-    # vector the rank kernel meets is a pivot: each call's rank is the number
-    # of nonempty vectors it meets, the regime the kernel's pre-pass serves.
-    # cover(3, 3) and the last five are the benchmark's generic workload.
+    # the homology of these complexes sits where their ranking halves meet
+    # (the largest module; the middle degree k of the self-dual covers, whose
+    # lower half is copied), so every vector the rank kernel meets is a pivot:
+    # each call's rank is the number of nonempty vectors it meets, the regime
+    # the kernel's pre-pass serves.  cover(3, 3) and the last five are the
+    # benchmark's generic workload.
     for c in (build_cover_complex(3, 3), build_Q_complex(4, 4), build_wedge_complex(8, 4),
               build_cover_complex(5, 5), build_cover_complex(5, 4), build_Q_complex(5, 5),
               build_wedge_complex(10, 5), build_cover_complex(4, 4)):
@@ -619,10 +648,13 @@ def test_no_vector_is_eliminated_in_vain_when_the_homology_sits_at_the_meet(monk
         monkeypatch.setattr(homology, "_sparse_rank", counting)
         dims = generic_homology(c, seed=0).ranks()
         monkeypatch.undo()
-        meet = c.ranks.index(max(c.ranks))
+        top, marked = c.top_degree, c.duality is not None
+        assert marked == (c.case == "surface-cover"), (c.case, c.params)
+        meet = top // 2 if marked else c.ranks.index(max(c.ranks))
         assert [i for i, d in enumerate(dims) if d] == [meet], (c.case, c.params, dims)
         inputs, ranks = zip(*calls)
-        assert len(calls) == c.top_degree and inputs == ranks, (c.case, c.params, calls)
+        assert len(calls) == (top - top // 2 if marked else top), (c.case, c.params, calls)
+        assert inputs == ranks, (c.case, c.params, calls)
 
 
 def test_generic_rank_stops_at_full_rank(monkeypatch):
