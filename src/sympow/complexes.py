@@ -28,17 +28,21 @@ builds the same matrices element by element and stays as their oracle.
 Every ``SparseRingMatrix`` is stored one way, as a rule over a coefficient
 table: a builder's over its context's table, one of explicit entries
 (``compose``, ``operator_matrix``, the tests) over a table of its distinct
-entry objects.  Every view is one walk, ``SparseRingMatrix._rows``, with a
-coefficient function: the value at a point (``specialize_rows``), the
-summed-mod-N block over ``Z[(Z/N)^m]`` (``base_change``), the block over
-``F_2[pi]/I^2`` (``first_order_rows``), the entry itself (``entries``) and
-its text (export).  ``_columns`` walks the same mapped table by source, for the
-values at a point by column (``specialize_columns``), and runs the rule on
-no source it is told to skip.  A view maps only the table, each distinct
-object once, and runs the rule over the sources, so no view but ``entries``
-builds a builder's entries; only ``compose``, ``entry`` and the tests read
-them.  The last mapped table is kept on the builder's context
-(``DgaContext.last_view``), or on the explicit matrix itself.
+entry objects.  Every view is one walk, ``SparseRingMatrix._columns``, with a
+coefficient function: the value at a point (``specialize_columns``, and
+``specialize_rows``), the summed-mod-N block over ``Z[(Z/N)^m]``
+(``base_change``), the block over ``F_2[pi]/I^2`` (``first_order_rows``), the
+entry itself (``entries``) and its text (export).  A walk maps only the
+table, each distinct object once, and calls the rule once, over every source
+it is not told to skip: the rule writes each source's column straight into
+its dict, looking each target up by the integer key ``mask | s << ngens``
+(``_target_index``), so no view but ``entries`` builds a builder's entries;
+only ``compose``, ``entry`` and the tests read them.  ``_rows`` scatters
+each column into the rows when the rule takes the next, and
+``base_change_nonzeros`` counts the terms of the same walk on the table
+itself.  The last mapped table is kept on the
+builder's context (``DgaContext.last_view``), or on the explicit matrix
+itself; the target index is built afresh for each walk.
 ``base_change`` refuses, from the entries' term counts before it builds a
 row, more than ``MAX_BASE_CHANGE_NONZEROS`` nonzeros, and each builder, from
 a closed form before it enumerates, any complex of more than ``MAX_CELLS``
@@ -101,13 +105,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections.abc import Callable, Container
+from collections.abc import Callable, Container, Iterable, Iterator, Mapping
 from operator import mul
 
 from .dga import (
     CoefficientTable,
     DgaContext,
     DgaElement,
+    KeyMonomials,
     Monomial,
     lambda_image,
     monomial_boundary,
@@ -118,9 +123,14 @@ from .dga import (
 from .groupring import GroupRingElement, LaurentRing, UnitSpecialization, _translation
 from .records import Record
 
-# A monomial rule: the (monomial, coefficient) pairs of one source monomial's
-# image, with coefficients drawn from a coefficient table.
-Rule = Callable[[Monomial, CoefficientTable], list[tuple[Monomial, object]]]
+# A monomial rule, run once per walk: ``rule(sources, table, index, cols)``
+# writes ``col[index[key]] = coefficient`` for each target monomial ``(mask,
+# s)`` of each source, into the dict ``col`` that ``cols`` yields beside it,
+# with ``key = mask | s << ngens``, ``ngens = len(table[0])`` and the
+# coefficient drawn from ``table``.  ``sources`` and ``cols`` may be any
+# iterables, taken in step once; a target missing from ``index`` raises
+# KeyError before any value is tested.
+Rule = Callable[[Iterable, CoefficientTable, Mapping[int, object], Iterable[dict]], None]
 
 # Most nonzeros one base change may build, over all the matrices it returns,
 # as bounded by ``SparseRingMatrix.base_change_nonzeros`` (which equalled the
@@ -134,8 +144,9 @@ MAX_BASE_CHANGE_NONZEROS = 3_000_000
 # Most cells (basis monomials over all degrees) one build may enumerate.  On a
 # 2-vCPU x86_64 host with CPython 3.11, building cover(10, 10), 1,540,446 cells,
 # took 1.0 s CPU and 154 MB peak RSS.  Generic homology (the CLI job, build
-# included) took 61 MB on the 218,790 cells of cover(9, 8) and 204 MB on the
-# 923,780 of cover(10, 9), about 205 bytes a cell net of the 16 MB interpreter.
+# included) took 61 MB and 0.35 s CPU on the 218,790 cells of cover(9, 8) and
+# 204 MB and 1.8 s on the 923,780 of cover(10, 9), about 205 bytes a cell net
+# of the 16 MB interpreter.
 # At low genus each of the 2k+1 degrees costs a module and a boundary of its
 # own: cover(2, 124,000), 1,983,984 cells, took 2.7 s and 315 MB, and
 # cover(1, 499,999), 1,999,996 cells, 6.6 s and 735 MB.  So at this cap a
@@ -190,8 +201,8 @@ class SparseRingMatrix:
     @classmethod
     def from_rule(cls, ctx: DgaContext, src: tuple[Monomial, ...], tgt: tuple[Monomial, ...],
                   image: Rule) -> SparseRingMatrix:
-        """Matrix over ``ctx.ring`` sending ``src[c]`` to the pairs
-        ``image(src[c], ctx.table)`` over ``tgt``.
+        """Matrix over ``ctx.ring`` sending ``src[c]`` to the column that the
+        rule ``image`` writes for it over ``ctx.table``, in the basis ``tgt``.
 
         Nothing is evaluated here; its entries are in range and nonzero by
         construction, so they skip the constructor's checks.
@@ -206,7 +217,7 @@ class SparseRingMatrix:
     def entries(self) -> dict[tuple[int, int], GroupRingElement]:
         """``{(r, c): entry}`` in column-major order; a rule-backed matrix builds it once."""
         if self._entries is None:
-            self._entries = _column_major(self._rows("entries", lambda v: v))
+            self._entries = _column_major(self._columns("entries", lambda v: v, None))
         return self._entries
 
     def entry(self, r: int, c: int) -> GroupRingElement:
@@ -238,50 +249,55 @@ class SparseRingMatrix:
               negate: Callable[[object], object] | None = None) -> list[dict[int, object]]:
         """Rows ``{col: value(entry)}``; a falsy value is not stored.
 
-        The matrix maps only its table (``_mapped_rule``, once per ``key`` for
-        its view slot) and runs its rule over the sources on the mapped table,
-        as it would on the table itself: the rule only moves the table's
-        values about, so no entry is built.  ``negate``, when given, derives
-        the value of each pair's ``-c`` from that of ``c``.
+        The rule runs once over every source, as in ``_columns``, and each
+        column is scattered into the rows when the rule takes the next, so
+        no more than one column is held besides the rows.
         """
         rows: list[dict[int, object]] = [{} for _ in range(self.rows)]
-        src, image, mapped, get = self._mapped_rule(key, value, negate)
-        for c, mono in enumerate(src):
-            for m, x in image(mono, mapped):
-                r = get(m)
-                if r is None:
-                    raise ValueError(f"operator image leaves the target basis: {m}")
-                if x:
-                    rows[r][c] = x
+
+        def scatter() -> Iterator[dict]:
+            for c in itertools.count():
+                col: dict = {}
+                yield col
+                for r, x in col.items():
+                    if x:
+                        rows[r][c] = x
+
+        src, image, mapped, index = self._mapped_rule(key, value, negate)
+        cols = _walk(image, src, mapped, index, scatter())
+        next(cols)  # scatters the last column
         return rows
 
     def _columns(self, key: object, value: Callable[[GroupRingElement], object],
-                 negate: Callable[[object], object] | None, skip: Container[int]) -> list[dict[int, object]]:
-        """Columns ``{row: value(entry)}`` of ``_rows``, those in ``skip`` left
-        out; the rule does not run on a source that is left out."""
-        cols = []
-        src, image, mapped, get = self._mapped_rule(key, value, negate)
-        for c, mono in enumerate(src):
-            if c in skip:
-                continue
-            col = {}
-            for m, x in image(mono, mapped):
-                r = get(m)
-                if r is None:
-                    raise ValueError(f"operator image leaves the target basis: {m}")
-                if x:
-                    col[r] = x
-            cols.append(col)
+                 negate: Callable[[object], object] | None, skip: Container[int] = ()) -> list[dict[int, object]]:
+        """Columns ``{row: value(entry)}``, those in ``skip`` left out; a falsy
+        value is not stored.
+
+        The matrix maps only its table (``_mapped_rule``) and runs its rule
+        once, over the sources not in ``skip``, on the mapped table, as it
+        would on the table itself: the rule only moves the table's values
+        about, so no entry is built.
+        """
+        src, image, mapped, index = self._mapped_rule(key, value, negate)
+        n = len(src)
+        if skip:
+            # a generator of the kept sources: a list of them, freed after the
+            # walk, leaves a hole under the columns (0.9 MB peak RSS at cover(10, 9))
+            n -= sum(map(skip.__contains__, range(n)))
+            src = (m for c, m in enumerate(src) if c not in skip)
+        cols = _walk(image, src, mapped, index, [{} for _ in range(n)])
+        if not all(x for part in mapped for pair in part for x in pair):
+            cols = [{r: x for r, x in col.items() if x} for col in cols]
         return cols
 
     def _mapped_rule(self, key: object, value: Callable[[GroupRingElement], object],
                      negate: Callable[[object], object] | None) -> tuple:
         """The sources, the rule, the table with each ``c`` mapped to ``value(c)``
         (each pair ``(c, -c)`` to ``(x, negate(x))`` when ``negate`` is given)
-        and the target lookup.  An object paired with itself, as every entry of
-        an explicit table is, is mapped once.  The boundaries of a complex are
-        mapped with one key in turn, so the context's ``last_view`` keeps the
-        last mapping; an explicit matrix keeps its own."""
+        and the target index ``{key: row}``.  An object paired with itself, as
+        every entry of an explicit table is, is mapped once.  The boundaries of
+        a complex are mapped with one key in turn, so the context's
+        ``last_view`` keeps the last mapping; an explicit matrix keeps its own."""
         src, tgt, image, table, view = self._rule
         if view[0] != key:
             def pair(c: GroupRingElement, n: GroupRingElement) -> tuple[object, object]:
@@ -289,7 +305,7 @@ class SparseRingMatrix:
                 return x, (x if n is c else value(n) if negate is None else negate(x))
 
             view[:] = key, tuple(tuple(pair(c, n) for c, n in part) for part in table)
-        return src, image, view[1], {m: i for i, m in enumerate(tgt)}.get
+        return src, image, view[1], _target_index(tgt, len(table[0]))
 
     def specialize_rows(self, spec: UnitSpecialization) -> list[dict[int, int]]:
         """Rows ``{col: value}`` of the entrywise evaluations mod spec.prime.
@@ -323,8 +339,9 @@ class SparseRingMatrix:
         views stays as it is, and only on the first call: the term count does
         not depend on ``N``."""
         if self._terms is None:
-            src, _, image, table, _ = self._rule
-            self._terms = sum(len(v.packed) for mono in src for _, v in image(mono, table))
+            src, tgt, image, table, _ = self._rule
+            cols = _walk(image, src, table, _target_index(tgt, len(table[0])), [{} for _ in src])
+            self._terms = sum(len(v.packed) for col in cols for v in col.values())
         return self._terms * N ** self.ring.nvars
 
     def base_change(self, N: int) -> list[dict[int, int]]:
@@ -433,18 +450,43 @@ class IntegerChainComplex:
         return [None] + [self.boundary(i) for i in range(1, len(self.ranks))]
 
 
-def _explicit_image(cells: tuple[tuple[int, int], ...],
-                    table: CoefficientTable) -> list[tuple[int, object]]:
-    """The rule of an explicit matrix: its source is one column's ``(row, table
+def _explicit_image(sources: Iterable[tuple[tuple[int, int], ...]], table: CoefficientTable,
+                    index: Mapping[int, object], cols: Iterable[dict]) -> None:
+    """The rule of an explicit matrix: each source is one column's ``(row, table
     index)`` pairs, and each row gets the value its index holds in ``table``."""
     part = table[0]
-    return [(r, part[i][0]) for r, i in cells]
+    for cells, col in zip(sources, cols):
+        for r, i in cells:
+            col[index[r]] = part[i][0]
 
 
-def _column_major(rows: list[dict[int, object]]) -> dict[tuple[int, int], object]:
-    """``{(r, c): value}`` of the rows in column-major order, rows ascending in a column."""
-    cells = sorted((c, r) for r, row in enumerate(rows) for c in row)
-    return {(r, c): rows[r][c] for c, r in cells}
+def _target_index(tgt: tuple[Monomial, ...] | range, ngens: int) -> dict[int, int]:
+    """``{mask | s << ngens: row}`` of the target basis, the index every rule
+    looks its targets up in.  A target with ``s = 0`` is keyed by its own mask
+    object, so only the others cost a new int (5 MB peak RSS at cover(10, 9)).
+    An explicit matrix's targets are ``range(rows)``, each row its own key,
+    so that it holds no monomial per row."""
+    if type(tgt) is range:
+        return dict(zip(tgt, tgt))
+    return {mask | s << ngens if s else mask: r for r, (mask, s) in enumerate(tgt)}
+
+
+def _walk(image: Rule, sources: Iterable, table: CoefficientTable, index: Mapping[int, object],
+          cols: Iterable[dict]) -> Iterable[dict]:
+    """``cols``, after one run of ``image`` on ``table`` has written each
+    source's column ``{index[key]: value}`` into them; a target missing from
+    ``index`` raises ``ValueError`` naming its monomial."""
+    try:
+        image(sources, table, index, cols)
+    except KeyError as e:
+        monomial = KeyMonomials(len(table[0]))[e.args[0]]
+        raise ValueError(f"operator image leaves the target basis: {monomial}") from None
+    return cols
+
+
+def _column_major(cols: list[dict[int, object]]) -> dict[tuple[int, int], object]:
+    """``{(r, c): value}`` of the columns in column-major order, rows ascending in a column."""
+    return {(r, c): col[r] for c, col in enumerate(cols) for r in sorted(col)}
 
 
 def _expand_blocks(rows: list[dict[int, list[tuple[int, int, int]]]],
@@ -479,7 +521,7 @@ def operator_matrix(src: tuple[Monomial, ...], tgt: tuple[Monomial, ...],
 def _boundary_matrices(ctx: DgaContext, modules: list[BasedFreeModule],
                        image: Rule = monomial_boundary) -> list[SparseRingMatrix | None]:
     """``[None, d_1, .., d_top]`` over ``ctx.table``: ``d_i`` sends each monomial
-    ``m`` of ``modules[i]`` to ``image(m, ctx.table)`` in ``modules[i - 1]``."""
+    of ``modules[i]`` to the column that ``image`` writes for it in ``modules[i - 1]``."""
     return [None] + [SparseRingMatrix.from_rule(ctx, modules[i].basis, modules[i - 1].basis, image)
                      for i in range(1, len(modules))]
 
@@ -503,14 +545,9 @@ def check_cells(ctx: DgaContext, k: int, divided_powers: bool, name: str) -> Non
 
 def _exterior_basis(ctx: DgaContext, size: int) -> tuple[Monomial, ...]:
     """The ``size``-subsets of the generators in ``monomial_sort_key`` order:
-    ``combinations`` yields the index tuples in lexicographic order."""
-    masks = []
-    for combo in itertools.combinations(range(ctx.ngens), size):
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        masks.append((mask, 0))
-    return tuple(masks)
+    ``combinations`` yields the bit values' tuples in lexicographic order."""
+    bits = [1 << i for i in range(ctx.ngens)]
+    return tuple(zip(map(sum, itertools.combinations(bits, size)), itertools.repeat(0)))
 
 
 def build_wedge_complex(n: int, k: int) -> ChainComplex:
@@ -650,7 +687,7 @@ def _header_params(c: ChainComplex) -> tuple[str, int, int]:
 def _export_cells(mat: SparseRingMatrix) -> dict[tuple[int, int], str]:
     """``{(row, col): canonical_str}`` of the entries in column-major order; each
     object of the matrix's table is printed once."""
-    return _column_major(mat._rows("canonical_str", GroupRingElement.canonical_str))
+    return _column_major(mat._columns("canonical_str", GroupRingElement.canonical_str, None))
 
 
 def export_text(c: ChainComplex) -> str:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Mapping
 from functools import cached_property
 
 from .groupring import GroupRingElement, LaurentRing, add_product, surface_ring, wedge_ring
@@ -72,7 +73,8 @@ class DgaContext(Record):
 
     @cached_property
     def boundary_pairs(self) -> dict[Monomial, list[tuple[Monomial, tuple[tuple[int, int], ...]]]]:
-        """``boundary_pairs[m]`` is ``monomial_boundary(m, self.table)`` with each
+        """``boundary_pairs[m]`` is the ``(target monomial, coefficient)`` pairs
+        that ``monomial_boundary`` writes for ``m`` over ``self.table``, each
         coefficient as its packed ``(key, value)`` items; ``boundary`` fills it
         on first use of each monomial and keeps it beside the table."""
         return {}
@@ -278,48 +280,84 @@ def _wrap(ctx: DgaContext, acc: dict[Monomial, dict[int, int]]) -> DgaElement:
     return DgaElement(ctx, {m: GroupRingElement(ring, t) for m, t in acc.items() if t})
 
 
-def lambda_image(m: Monomial, table: CoefficientTable) -> list[tuple[Monomial, GroupRingElement]]:
-    """lam * (mask, s) as (monomial, coefficient) pairs, without divided-power factors.
+class KeyMonomials:
+    """The index that sends each key ``mask | s << ngens`` back to its monomial
+    ``(mask, s)``: the target index of ``boundary``'s walk, and the name of a
+    key missing from a matrix's target index."""
+
+    __slots__ = ("ngens",)
+
+    def __init__(self, ngens: int):
+        self.ngens = ngens
+
+    def __getitem__(self, key: int) -> Monomial:
+        return key & ((1 << self.ngens) - 1), key >> self.ngens
+
+
+def lambda_image(sources: Iterable[Monomial], table: CoefficientTable,
+                 index: Mapping[int, object], cols: Iterable[dict]) -> None:
+    """Write lam * (mask, s) into the column of each source, without divided-power
+    factors: ``col[index[key]] = coefficient``, ``col`` the dict that ``cols``
+    yields beside the source, for the key ``key = mask | s << ngens`` of each
+    target, ``ngens = len(table[0])``.  The matrix builders call it once per
+    walk, over all its sources.
 
     Generator i moves past the bits of ``mask`` below it, so its sign is
     their parity; for s = 0 this is ``dga_mul(lam, m)``.
     """
-    mask, s = m
-    out = []
-    for i, pair in enumerate(table[1]):
-        bit = 1 << i
-        if not mask & bit:
-            out.append(((mask | bit, s), pair[(mask & (bit - 1)).bit_count() & 1]))
-    return out
+    ngens = len(table[0])
+    gens = [(1 << i, pair) for i, pair in enumerate(table[1])]
+    for (mask, s), col in zip(sources, cols):
+        key = mask | s << ngens
+        neg = 0
+        for bit, pair in gens:
+            if mask & bit:
+                neg ^= 1
+            else:
+                col[index[key | bit]] = pair[neg]
 
 
-def monomial_boundary(m: Monomial, table: CoefficientTable) -> list[tuple[Monomial, GroupRingElement]]:
-    """d of the unit-coefficient monomial m as (monomial, coefficient) pairs.
+def monomial_boundary(sources: Iterable[Monomial], table: CoefficientTable,
+                      index: Mapping[int, object], cols: Iterable[dict]) -> None:
+    """Write d of each unit-coefficient source monomial into its column:
+    ``col[index[key]] = coefficient`` for each target's key, as in
+    ``lambda_image``, the Koszul terms first and then the lam terms.
 
-    The pairs have distinct monomials and the coefficients are the table's
-    own objects.  The Koszul signs of d and the rule d(g^(s)) = lam * g^(s-1)
-    live here only; ``boundary`` and the matrix builders both call this.
+    A column's targets are distinct and its coefficients are the table's own
+    objects.  The Koszul signs of d and the rule d(g^(s)) = lam * g^(s-1)
+    live here only; ``boundary`` and the matrix builders both call this,
+    once per walk.  The lam terms are ``lambda_image``'s loop on the key of
+    ``(mask, s - 1)``, inlined so that each column is written in one pass and
+    ``sources`` is walked once.
     """
-    mask, s = m
-    ext = table[0]
-    out = []
-    neg = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        out.append(((mask ^ low, s), ext[low.bit_length() - 1][neg]))
-        neg ^= 1
-        rest ^= low
-    if s >= 1:
-        # d(g^(s)) = lam * g^(s-1), carried past the exterior part
-        out += lambda_image((mask, s - 1), table)
-    return out
+    ext, lam = table
+    ngens = len(ext)
+    gens = [(1 << i, pair) for i, pair in enumerate(lam)]
+    for (mask, s), col in zip(sources, cols):
+        key = mask | s << ngens
+        neg = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            col[index[key ^ low]] = ext[low.bit_length() - 1][neg]
+            neg ^= 1
+            rest ^= low
+        if s:
+            # d(g^(s)) = lam * g^(s-1), carried past the exterior part
+            key -= 1 << ngens
+            neg = 0
+            for bit, pair in gens:
+                if mask & bit:
+                    neg ^= 1
+                else:
+                    col[index[key | bit]] = pair[neg]
 
 
 def boundary(a: DgaElement) -> DgaElement:
     """The boundary derivation; lowers degree by 1 and preserves weight.
 
-    Each monomial's pairs come from ``ctx.boundary_pairs``, and
+    Each monomial's pairs come from ``ctx.boundary_pairs``, filled when the
+    monomial is first met by one walk of ``monomial_boundary`` over it, and
     ``groupring.add_product`` adds every ``c * unit`` into the packed terms
     of its target monomial, as in ``dga_mul``.
     """
@@ -329,8 +367,9 @@ def boundary(a: DgaElement) -> DgaElement:
     for m, c in a.terms.items():
         image = pairs.get(m)
         if image is None:
-            image = pairs[m] = [(key, tuple(unit.packed.items()))
-                                for key, unit in monomial_boundary(m, ctx.table)]
+            col: dict[Monomial, GroupRingElement] = {}
+            monomial_boundary((m,), ctx.table, KeyMonomials(ctx.ngens), [col])
+            image = pairs[m] = [(key, tuple(unit.packed.items())) for key, unit in col.items()]
         items = c.packed.items()
         for key, unit in image:
             add_product(acc.setdefault(key, {}), items, unit)

@@ -47,12 +47,14 @@ class LaurentRing(Record):
         return GroupRingElement(self, {})
 
     def one(self) -> GroupRingElement:
-        return self.monomial((0,) * self.nvars)
+        return GroupRingElement(self, {0: 1})  # the zero vector packs to 0
 
     def gen(self, i: int) -> GroupRingElement:
-        """The i-th group generator as a ring element."""
-        exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return self.monomial(exps)
+        """The i-th group generator as a ring element; ``ValueError`` unless
+        ``0 <= i < nvars``."""
+        if not (type(i) is int and 0 <= i < self.nvars):
+            raise ValueError(f"generator index {i!r} out of range 0..{self.nvars - 1}")
+        return GroupRingElement(self, {1 << (_FIELD * i): 1})
 
     def monomial(self, exps: tuple[int, ...], coeff: int = 1) -> GroupRingElement:
         key = self.pack(exps)

@@ -22,7 +22,11 @@ loop over exterior sizes replaced.  ``sparse_rows`` and
 library's ``{col: value}`` rows; ``random_laurent_matrix`` draws test input.
 ``cell_view`` maps each cell of a matrix's entries on its own, the reference
 for the views that share one walk of a ``SparseRingMatrix``'s rule, and
-``block_rows`` lays its blocks out as rows.
+``block_rows`` lays its blocks out as rows.  ``pair_walk_rows`` and
+``pair_walk_columns`` are the walk that the rules writing each column
+straight into an integer-keyed target index replaced: rules returning
+``(monomial, coefficient)`` pairs (``PAIR_RULES``), each pair looked up by
+its monomial.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import itertools
 import math
 import random
 
-from sympow import dga
+from sympow import complexes, dga
 from sympow.complexes import ChainComplex, SparseRingMatrix, _exterior_basis
 from sympow.dga import DgaElement, monomial_elem
 from sympow.groupring import _translation, random_specialization
@@ -115,8 +119,11 @@ def per_term_boundary(a: DgaElement) -> DgaElement:
     """``dga.boundary`` one group-ring product at a time: each ``c * unit`` is
     built as an element and merged into its target with ``+``."""
     terms: dict = {}
+    index = dga.KeyMonomials(a.ctx.ngens)
     for m, c in a.terms.items():
-        for key, unit in dga.monomial_boundary(m, a.ctx.table):
+        col: dict = {}
+        dga.monomial_boundary([m], a.ctx.table, index, [col])
+        for key, unit in col.items():
             _add_term(terms, key, c * unit)
     return DgaElement(a.ctx, terms)
 
@@ -208,6 +215,98 @@ def cell_view(M: SparseRingMatrix, value) -> dict[tuple[int, int], object]:
     """``{(r, c): value(entry)}`` over M's entries, each cell mapped on its own
     (so a shared entry object is mapped once per cell), a falsy value left out."""
     return {rc: x for rc, v in M.entries.items() if (x := value(v))}
+
+
+def pair_lambda_image(m, table) -> list:
+    """lam * (mask, s) as (monomial, coefficient) pairs: generator i's sign is
+    the parity of the bits of ``mask`` below it."""
+    mask, s = m
+    out = []
+    for i, pair in enumerate(table[1]):
+        bit = 1 << i
+        if not mask & bit:
+            out.append(((mask | bit, s), pair[(mask & (bit - 1)).bit_count() & 1]))
+    return out
+
+
+def pair_monomial_boundary(m, table) -> list:
+    """d of the unit-coefficient monomial m as (monomial, coefficient) pairs,
+    the Koszul terms and then lam * g^(s-1)."""
+    mask, s = m
+    ext = table[0]
+    out = []
+    neg = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        out.append(((mask ^ low, s), ext[low.bit_length() - 1][neg]))
+        neg ^= 1
+        rest ^= low
+    if s >= 1:
+        out += pair_lambda_image((mask, s - 1), table)
+    return out
+
+
+def pair_explicit_image(cells, table) -> list:
+    """An explicit matrix's column as ``(row, entry)`` pairs."""
+    part = table[0]
+    return [(r, part[i][0]) for r, i in cells]
+
+
+# The pair rule of each library rule.
+PAIR_RULES = {dga.monomial_boundary: pair_monomial_boundary, dga.lambda_image: pair_lambda_image,
+              complexes._explicit_image: pair_explicit_image}
+
+
+def _pair_walk(M: SparseRingMatrix, value, negate):
+    """M's sources, pair rule, table mapped by ``value`` (``negate`` deriving
+    each ``-c``) and target lookup by monomial; nothing is kept on M."""
+    src, tgt, image, table, _ = M._rule
+
+    def pair(c, n):
+        x = value(c)
+        return x, (x if n is c else value(n) if negate is None else negate(x))
+
+    mapped = tuple(tuple(pair(c, n) for c, n in part) for part in table)
+    return src, PAIR_RULES[image], mapped, {m: i for i, m in enumerate(tgt)}.get
+
+
+def pair_walk_rows(M: SparseRingMatrix, key, value, negate=None) -> list[dict]:
+    """``SparseRingMatrix._rows`` by pairs: each pair of each source's image
+    looked up in the target basis and, if its value is truthy, stored."""
+    rows: list[dict] = [{} for _ in range(M.rows)]
+    src, image, mapped, get = _pair_walk(M, value, negate)
+    for c, mono in enumerate(src):
+        for m, x in image(mono, mapped):
+            r = get(m)
+            if r is None:
+                raise ValueError(f"operator image leaves the target basis: {m}")
+            if x:
+                rows[r][c] = x
+    return rows
+
+
+def pair_walk_columns(M: SparseRingMatrix, key, value, negate, skip=()) -> list[dict]:
+    """``SparseRingMatrix._columns`` by pairs, the sources in ``skip`` left out."""
+    cols = []
+    src, image, mapped, get = _pair_walk(M, value, negate)
+    for c, mono in enumerate(src):
+        if c in skip:
+            continue
+        col = {}
+        for m, x in image(mono, mapped):
+            r = get(m)
+            if r is None:
+                raise ValueError(f"operator image leaves the target basis: {m}")
+            if x:
+                col[r] = x
+        cols.append(col)
+    return cols
+
+
+def pair_walk_terms(M: SparseRingMatrix) -> int:
+    """The packed terms of M's entries, by pairs: ``base_change_nonzeros(1)``."""
+    return sum(len(v.packed) for col in pair_walk_columns(M, None, lambda v: v, None) for v in col.values())
 
 
 def block_rows(cells: dict[tuple[int, int], list[list[int]]], rows: int, bs: int) -> list[dict[int, int]]:

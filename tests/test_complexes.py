@@ -38,6 +38,9 @@ from oracles import (
     first_order_value,
     gf_betti,
     mod2_columns,
+    pair_walk_columns,
+    pair_walk_rows,
+    pair_walk_terms,
     random_laurent_matrix,
     regular_block,
 )
@@ -249,6 +252,9 @@ def test_bases_are_enumerated_in_sort_key_order():
         for size in range(2 * g + 1):
             basis = _exterior_basis(ctx, size)
             assert basis == tuple(sorted(basis, key=dga.monomial_sort_key))
+            if g <= 4:  # every mask of the size, scanned
+                assert basis == tuple(sorted(((m, 0) for m in range(1 << 2 * g) if m.bit_count() == size),
+                                             key=dga.monomial_sort_key))
         for k in range(8):
             modules = build_cover_complex(g, k).modules
             assert len(modules) == 2 * k + 1
@@ -637,6 +643,92 @@ def test_explicit_views_match_the_per_cell_oracle(monkeypatch):
                                    for c in range(M.cols) if c not in skip], (label, skip)
 
 
+def _fresh(M, tgt=None):
+    """A copy of M's rule with nothing read yet, over the targets ``tgt`` if given."""
+    src, old_tgt, image, table, _ = M._rule
+    F = SparseRingMatrix.__new__(SparseRingMatrix)
+    F.ring, F.cols, F._entries, F._terms = M.ring, M.cols, None, None
+    F._rule = src, old_tgt if tgt is None else tgt, image, table, [None, None]
+    F.rows = len(F._rule[1])
+    return F
+
+
+def _walk_views(M, specs):
+    """Every view of M that walks its rule, in one list."""
+    skips = ((), {0}, set(range(0, M.cols, 3)), {M.cols - 1}, set(range(M.cols)))
+    views = [list(M.entries.items()), M.first_order_rows(), list(_export_cells(M).items())]
+    for spec in specs:
+        views.append(M.specialize_rows(spec))
+        views += [M.specialize_columns(spec, skip) for skip in skips]
+    for N in (1, 2, 3):
+        if M.base_change_nonzeros(N) <= VIEW_BASE_CHANGE_NONZEROS:
+            views.append(M.base_change(N))
+    return views
+
+
+def _walk_matrices():
+    """(label, matrix) of the families the rule walk must match its pair oracle on:
+    covers, lam-complexes and wedges, a wedge with more than 64 generators, a
+    cover above 32 generators with divided powers, long divided powers, the
+    lam and exterior matrices, and an explicit product."""
+    complexes_ = [build_cover_complex(g, k) for g in range(1, 4) for k in range(0, 2 * g + 2)]
+    complexes_ += [build_Q_complex(g, k) for g in range(1, 4) for k in range(1, 2 * g + 2)]
+    complexes_ += [build_wedge_complex(n, k) for n in range(1, 7) for k in range(0, n + 1)]
+    complexes_ += [build_wedge_complex(70, 2), build_cover_complex(17, 2), build_cover_complex(1, 200)]
+    for c in complexes_:
+        for i in range(1, c.top_degree + 1):
+            yield (c.case, c.params, i), c.boundaries[i]
+    ctx = surface_context(2)
+    yield "lam", lambda_matrix(ctx, 1)
+    yield "d", exterior_boundary_matrix(ctx, 2)
+    yield "compose", lambda_matrix(ctx, 1).compose(exterior_boundary_matrix(ctx, 2))
+
+
+def test_every_view_matches_the_pair_walk_oracle(monkeypatch):
+    rng = random.Random(41)
+    for label, M in _walk_matrices():
+        nvars = M.ring.nvars
+        specs = [UnitSpecialization(1000003, (1,) * nvars), random_specialization(M.ring, 1000003, rng)]
+        got = _walk_views(_fresh(M), specs)
+        with monkeypatch.context() as patch:
+            patch.setattr(SparseRingMatrix, "_rows", pair_walk_rows)
+            patch.setattr(SparseRingMatrix, "_columns", pair_walk_columns)
+            assert got == _walk_views(_fresh(M), specs), label
+        for N in (1, 2, 3):
+            assert _fresh(M).base_change_nonzeros(N) == pair_walk_terms(M) * N ** nvars, (label, N)
+
+
+def test_every_view_names_the_monomial_that_leaves_the_target_basis(monkeypatch):
+    # the first target of the first nonempty column dropped from a builder's
+    # matrix: every view raises naming its monomial, as the pair walk does, at
+    # the all-ones point too, where every Koszul value is 0
+    for label, M in _walk_matrices():
+        src, tgt, image, _, _ = M._rule
+        first = next((col for col in pair_walk_columns(M, None, lambda v: v, None) if col), None)
+        if image is complexes._explicit_image or first is None:
+            continue
+        r = min(first)
+        short = tgt[:r] + tgt[r + 1:]
+        message = f"operator image leaves the target basis: {tgt[r]}"
+        spec = UnitSpecialization(1000003, (1,) * M.ring.nvars)
+        views = [lambda M: M.entries, lambda M: M.specialize_rows(spec), lambda M: M.specialize_columns(spec),
+                 lambda M: M.first_order_rows(), _export_cells]
+        for view in views:
+            with pytest.raises(ValueError) as e:
+                view(_fresh(M, short))
+            assert str(e.value) == message, label
+            with monkeypatch.context() as patch:
+                patch.setattr(SparseRingMatrix, "_rows", pair_walk_rows)
+                patch.setattr(SparseRingMatrix, "_columns", pair_walk_columns)
+                with pytest.raises(ValueError) as e:
+                    view(_fresh(M, short))
+                assert str(e.value) == message, label
+        for N in (1, 2):
+            with pytest.raises(ValueError) as e:
+                _fresh(M, short).base_change_nonzeros(N)
+            assert str(e.value) == message, (label, N)
+
+
 def test_generic_homology_builds_no_entries():
     views = {
         "generic": lambda c: homology.generic_homology(c, 5, 0, 1000003),
@@ -876,16 +968,17 @@ def test_base_change_refuses_oversized_input_from_its_term_counts():
 
 def test_base_change_walks_each_rule_once_for_its_bound():
     # the term count is kept on the matrix after its first walk of the rule on
-    # the table itself, since it does not depend on N
+    # the table itself, since it does not depend on N: each source is walked once
     for c in (build_cover_complex(2, 3), build_Q_complex(2, 3), build_wedge_complex(4, 3)):
         table, walks = c.ctx.table, []
         for M in c.boundaries[1:]:
             src, tgt, image, _, view = M._rule
 
-            def counting(mono, t, image=image, M=M):
+            def counting(sources, t, index, cols, image=image, M=M):
+                sources = list(sources)  # walked once here and once by the rule
                 if t is table:
-                    walks.append(id(M))
-                return image(mono, t)
+                    walks.extend(id(M) for _ in sources)
+                image(sources, t, index, cols)
 
             M._rule = src, tgt, counting, table, view
         expected = [M.base_change_nonzeros(2) for M in c.boundaries[1:]]

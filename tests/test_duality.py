@@ -28,7 +28,9 @@ def _rule_entries(M):
     """``{(target, source): coefficient}`` of a builder's matrix, from one walk
     of its rule on its context's table."""
     src, _, image, table, _ = M._rule
-    return {(t, m): a for m in src for t, a in image(m, table)}
+    cols = [{} for _ in src]
+    image(src, table, dga.KeyMonomials(len(table[0])), cols)
+    return {(t, m): a for m, col in zip(src, cols) for t, a in col.items()}
 
 
 def duality_defects(c, duality) -> list[str]:

@@ -250,6 +250,17 @@ def test_exponents_at_the_bound_round_trip():
     assert x.canonical_str() == f"1*x1^{top}*y1^{-top}"
 
 
+def test_one_and_generators_are_the_unit_vectors():
+    for ring in (R1, R2, wedge_ring(5)):
+        n = ring.nvars
+        assert ring.one().terms == ring.monomial((0,) * n).terms == {(0,) * n: 1}
+        for i in range(n):
+            assert ring.gen(i).terms == {tuple(int(j == i) for j in range(n)): 1}
+        for i in (-1, n, n + 1, 0.0, True):
+            with pytest.raises(ValueError, match="generator index"):
+                ring.gen(i)
+
+
 def test_terms_is_a_read_only_view():
     a = R1.one() - x1()
     with pytest.raises(TypeError):

@@ -199,9 +199,9 @@ def test_lemma_cohomology_kernel_check_catches_a_flipped_lambda_matrix(monkeypat
     # the matrix rule alone negates generator 0's lam coefficient; lam*sigma_m
     # still comes from dga_mul with the true lam, so only the product with
     # the built lam-map sees the mutant
-    def flipped(m, table):
+    def flipped(sources, table, index, cols):
         (c, neg), *rest = table[1]
-        return dga.lambda_image(m, (table[0], ((neg, c), *rest)))
+        dga.lambda_image(sources, (table[0], ((neg, c), *rest)), index, cols)
 
     monkeypatch.setattr(complexes, "lambda_image", flipped)
     rep = verify_lemma_cohomology(g, trials=2, seed=1)
