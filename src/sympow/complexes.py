@@ -31,18 +31,18 @@ table: a builder's over its context's table, one of explicit entries
 entry objects.  Every view is one walk, ``SparseRingMatrix._columns``, with a
 coefficient function: the value at a point (``specialize_columns``, and
 ``specialize_rows``), the summed-mod-N block over ``Z[(Z/N)^m]``
-(``base_change``), the block over ``F_2[pi]/I^2`` (``first_order_rows``), the
-entry itself (``entries``) and its text (export).  A walk maps only the
-table, each distinct object once, and calls the rule once, over every source
-it is not told to skip: the rule writes each source's column straight into
-its dict, looking each target up by the integer key ``mask | s << ngens``
-(``_target_index``), so no view but ``entries`` builds a builder's entries;
-only ``compose``, ``entry`` and the tests read them.  ``_rows`` scatters
-each column into the rows when the rule takes the next, and
-``base_change_nonzeros`` counts the terms of the same walk on the table
-itself.  The last mapped table is kept on the
-builder's context (``DgaContext.last_view``), or on the explicit matrix
-itself; the target index is built afresh for each walk.
+(``base_change``, by rows) and over ``F_2[pi]/I^2`` (``first_order_columns``,
+by columns), both laid out by ``_expand_blocks``, the entry itself
+(``entries``) and its text (export).  A walk maps only the table, each distinct
+object once, and calls the rule once, over every source it is not told to skip:
+the rule writes each source's column straight into its dict, looking each
+target up by the integer key ``mask | s << ngens`` (``_target_index``), so no
+view but ``entries`` builds a builder's entries; only ``compose``, ``entry``
+and the tests read them.  ``_rows`` scatters each column into the rows when the
+rule takes the next, and ``base_change_nonzeros`` counts the terms of the same
+walk on the table itself.  The last mapped table is kept on the builder's
+context (``DgaContext.last_view``), or on the explicit matrix itself; the
+target index is built afresh for each walk.
 ``base_change`` refuses, from the entries' term counts before it builds a
 row, more than ``MAX_BASE_CHANGE_NONZEROS`` nonzeros, and each builder, from
 a closed form before it enumerates, any complex of more than ``MAX_CELLS``
@@ -364,13 +364,13 @@ class SparseRingMatrix:
 
         return _expand_blocks(self._rows(("base_change", N), block), N ** self.ring.nvars)
 
-    def first_order_rows(self) -> list[dict[int, int]]:
-        """Rows ``{col: 1}`` over F_2 of the matrix over ``F_2[pi]/I^2`` (``I`` the
+    def first_order_columns(self) -> list[dict[int, int]]:
+        """Columns ``{row: 1}`` over F_2 of the matrix over ``F_2[pi]/I^2`` (``I`` the
         augmentation ideal), on the basis ``1, x_1 - 1, .., x_n - 1``.  Mod ``I^2``,
-        ``x^e = 1 + sum e_i (x_i - 1)``, negative ``e_i`` included, so entry
-        ``sum c x^e`` at (r, c) becomes the block ``[[a, 0], [l, a I]]`` of its
-        multiplication map, ``a = sum c`` and ``l_i = sum c e_i`` mod 2, at rows
-        ``r*(1+n)..`` and columns ``c*(1+n)..``: a ring homomorphism.
+        ``x^e = 1 + sum e_i (x_i - 1)``, negative ``e_i`` included, so entry ``sum c x^e``
+        at (r, c) becomes the block ``[[a, 0], [l, a I]]`` of its multiplication map,
+        ``a = sum c`` and ``l_i = sum c e_i`` mod 2, at rows ``r*(1+n)..`` and columns
+        ``c*(1+n)..``, its cells given as (column, row): a ring homomorphism.
         """
         bs = 1 + self.ring.nvars
 
@@ -379,9 +379,9 @@ class SparseRingMatrix:
             coeffs = terms.values()
             ell = (sum(map(mul, exps, coeffs)) for exps in zip(*terms))
             cells = [(i, i, 1) for i in range(bs)] if sum(coeffs) & 1 else []
-            return cells + [(i, 0, 1) for i, x in enumerate(ell, 1) if x & 1]
+            return cells + [(0, i, 1) for i, x in enumerate(ell, 1) if x & 1]
 
-        return _expand_blocks(self._rows("first_order_rows", block), bs)
+        return _expand_blocks(self._columns("first_order_columns", block, None), bs)
 
 
 class Duality(Record):
@@ -491,8 +491,8 @@ def _column_major(cols: list[dict[int, object]]) -> dict[tuple[int, int], object
 
 def _expand_blocks(rows: list[dict[int, list[tuple[int, int, int]]]],
                    bs: int) -> list[dict[int, int]]:
-    """Rows ``{col: value}`` of the matrix whose entry at (r, c) is the ``bs x bs``
-    block given by its cells ``(i, j, value)``, placed at ``(r*bs + i, c*bs + j)``."""
+    """Rows ``{col: value}`` of the matrix whose entry at (r, c) is the ``bs x bs`` block of cells
+    ``(i, j, value)`` at ``(r*bs + i, c*bs + j)``; its columns, from columns and cells ``(j, i, value)``."""
     out: list[dict[int, int]] = []
     for row in rows:
         block: list[dict[int, int]] = [{} for _ in range(bs)]

@@ -285,13 +285,12 @@ def _lambda_ker_contains(d: SparseRingMatrix, lam: SparseRingMatrix,
     ``t`` is in ``lam * ker d`` iff ``(0; t)`` is in the column span of the stacked
     ``[d; lam]``, the identity behind ``theorem-main``'s ``rank[d; lam] - rank d``,
     that is iff adjoining ``(0; t)`` as a column keeps the rank."""
-    stacked = d.first_order_rows() + lam.first_order_rows()
-    rank = _sparse_rank([dict(row) for row in stacked], 2)
-    bs = 1 + d.ring.nvars
-    for i, row in enumerate(target.first_order_rows(), d.rows * bs):
-        if 0 in row:
-            stacked[i][d.cols * bs] = 1
-    return _sparse_rank(stacked, 2) == rank
+    shift = d.rows * (1 + d.ring.nvars)
+    t = {shift + r: x for r, x in target.first_order_columns()[0].items()}
+    def stacked() -> list[dict[int, int]]:  # fresh columns for each rank, which takes them over
+        return [u | {shift + r: x for r, x in v.items()}
+                for u, v in zip(d.first_order_columns(), lam.first_order_columns())]
+    return _sparse_rank(stacked() + [t], 2) == _sparse_rank(stacked(), 2)
 
 
 def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
@@ -405,10 +404,10 @@ def _kernel_quotient_dim(d_k: SparseRingMatrix, d_prev: SparseRingMatrix,
     matrix, whose kernel is the kernel of lam on ker d.  The matrices are the
     wedge boundaries ``d_k``, ``d_(k-1)`` and ``lam_(k-1)`` on the 2g one-cells."""
     p = spec.prime
-    d_prev = d_prev.specialize_rows(spec)
-    stacked = [dict(row) for row in d_prev] + lam_prev.specialize_rows(spec)
-    return (d_k.cols - _sparse_rank(d_k.specialize_rows(spec), p)
-            - _sparse_rank(stacked, p) + _sparse_rank(d_prev, p))
+    d_cols, lam_cols = d_prev.specialize_columns(spec), lam_prev.specialize_columns(spec)
+    stacked = [u | {d_prev.rows + r: x for r, x in v.items()} for u, v in zip(d_cols, lam_cols)]
+    return (d_k.cols - _sparse_rank(d_k.specialize_columns(spec), p)
+            - _sparse_rank(stacked, p) + _sparse_rank(d_cols, p))
 
 
 def verify_theorem_main(g: int, k: int, trials: int = DEFAULT_TRIALS, seed: int = 0,

@@ -510,7 +510,7 @@ def _column_views(M):
 
 
 # The views besides specialize_rows, each a function of one matrix.
-_TABLE_VIEWS = (lambda M: M.base_change(2), lambda M: M.first_order_rows(), _export_cells, _column_views)
+_TABLE_VIEWS = (lambda M: M.base_change(2), lambda M: M.first_order_columns(), _export_cells, _column_views)
 
 
 def _transposed(rows, ncols, skip=()):
@@ -556,7 +556,7 @@ def _assert_views_match_entry_views(M, label):
         assert M.base_change_nonzeros(N) == hand.base_change_nonzeros(N), (label, N)
         if M.base_change_nonzeros(N) <= VIEW_BASE_CHANGE_NONZEROS:
             assert M.base_change(N) == hand.base_change(N), (label, N)
-    assert M.first_order_rows() == hand.first_order_rows(), label
+    assert M.first_order_columns() == hand.first_order_columns(), label
     cells = [(rc, v.canonical_str()) for rc, v in M.entries.items()]
     assert list(_export_cells(M).items()) == list(_export_cells(hand).items()) == cells, label
 
@@ -618,11 +618,11 @@ def test_explicit_views_match_the_per_cell_oracle(monkeypatch):
         oracles = [block_rows(cell_view(M, lambda v: [[v.specialize(spec)]]), M.rows, 1) for spec in specs]
         bs = 2 ** M.ring.nvars
         oracles.append(block_rows(cell_view(M, lambda v: regular_block(v, 2)), M.rows, bs))
-        oracles.append(block_rows(cell_view(M, first_order_block), M.rows, 1 + M.ring.nvars))
+        oracles.append(_first_order_oracle(M))
         text = cell_view(M, GroupRingElement.canonical_str)
         oracles.append(dict(sorted(text.items(), key=lambda cell: cell[0][::-1])))
         views = [(lambda M, spec=spec: M.specialize_rows(spec), "specialize") for spec in specs]
-        views += [(lambda M: M.base_change(2), "terms"), (lambda M: M.first_order_rows(), "terms"),
+        views += [(lambda M: M.base_change(2), "terms"), (lambda M: M.first_order_columns(), "terms"),
                   (_export_cells, "canonical_str")]
         for (view, read), expected in zip(views, oracles):
             M = SparseRingMatrix(M.ring, M.rows, M.cols, M.entries)  # no mapping kept from before
@@ -656,7 +656,7 @@ def _fresh(M, tgt=None):
 def _walk_views(M, specs):
     """Every view of M that walks its rule, in one list."""
     skips = ((), {0}, set(range(0, M.cols, 3)), {M.cols - 1}, set(range(M.cols)))
-    views = [list(M.entries.items()), M.first_order_rows(), list(_export_cells(M).items())]
+    views = [list(M.entries.items()), M.first_order_columns(), list(_export_cells(M).items())]
     for spec in specs:
         views.append(M.specialize_rows(spec))
         views += [M.specialize_columns(spec, skip) for skip in skips]
@@ -712,7 +712,7 @@ def test_every_view_names_the_monomial_that_leaves_the_target_basis(monkeypatch)
         message = f"operator image leaves the target basis: {tgt[r]}"
         spec = UnitSpecialization(1000003, (1,) * M.ring.nvars)
         views = [lambda M: M.entries, lambda M: M.specialize_rows(spec), lambda M: M.specialize_columns(spec),
-                 lambda M: M.first_order_rows(), _export_cells]
+                 lambda M: M.first_order_columns(), _export_cells]
         for view in views:
             with pytest.raises(ValueError) as e:
                 view(_fresh(M, short))
@@ -733,7 +733,7 @@ def test_generic_homology_builds_no_entries():
     views = {
         "generic": lambda c: homology.generic_homology(c, 5, 0, 1000003),
         "finite cover": lambda c: base_change(c, 2),
-        "first order": lambda c: [b.first_order_rows() for b in c.boundaries[1:]],
+        "first order": lambda c: [b.first_order_columns() for b in c.boundaries[1:]],
         "export": export_text,
     }
     for name, view in views.items():
@@ -847,7 +847,7 @@ def test_context_table_patch_policy(monkeypatch):
             assert c.boundaries[1].specialize_rows(spec)[0][col] == 4 * sign % spec.prime
             assert f"0 {col} {text}" in export_text(c).splitlines()
             c.boundaries[1].base_change(2)
-            c.boundaries[2].first_order_rows()
+            c.boundaries[2].first_order_columns()
     assert len(reads) == after.ctx.ngens and all(ctx is after.ctx for ctx in reads)
 
 
@@ -859,7 +859,7 @@ def test_image_outside_the_target_basis_raises_on_both_paths():
     views = [lambda M: M.specialize_rows(UnitSpecialization(7, (1,) * 4)),
              lambda M: M.specialize_rows(UnitSpecialization(1000003, (2, 3, 5, 7))),
              lambda M: M.entries, lambda M: M.base_change(1), lambda M: M.base_change(2),
-             lambda M: M.first_order_rows(), _export_cells,
+             lambda M: M.first_order_columns(), _export_cells,
              lambda M: M.specialize_columns(UnitSpecialization(1000003, (2, 3, 5, 7)))]
     for view in views:
         M = SparseRingMatrix.from_rule(ctx, src, tgt, monomial_boundary)
@@ -906,11 +906,12 @@ def test_mod2_columns_terms_colliding_mod_N():
 
 
 # ---------------------------------------------------------------------------
-# Rows over F_2[pi]/I^2
+# Columns over F_2[pi]/I^2
 
 
 def _f2_product(A, B, ncols):
-    """Product over F_2 of two matrices given as ``{col: 1}`` rows."""
+    """Product over F_2 of two matrices given as ``{col: 1}`` rows; the columns of
+    ``A B`` are ``_f2_product(B_columns, A_columns, A's row count)``."""
     out = []
     for row in A:
         acc = [0] * ncols
@@ -921,17 +922,24 @@ def _f2_product(A, B, ncols):
     return out
 
 
-def test_first_order_rows_of_a_monomial():
+def _first_order_oracle(M):
+    """The columns of M over F_2[pi]/I^2 from the dense per-entry blocks."""
+    bs = 1 + M.ring.nvars
+    return _transposed(block_rows(cell_view(M, first_order_block), M.rows, bs), M.cols * bs)
+
+
+def test_first_order_columns_of_a_monomial():
     ring = surface_ring(2)
     e = (3, -1, -2, 0)
-    rows = SparseRingMatrix(ring, 1, 1, {(0, 0): ring.monomial(e)}).first_order_rows()
-    assert rows == [{0: 1}] + [{0: 1, i: 1} if e[i - 1] % 2 else {i: 1} for i in range(1, 5)]
+    M = SparseRingMatrix(ring, 1, 1, {(0, 0): ring.monomial(e)})
+    # the column of 1 holds the monomial's first-order value (1, e mod 2)
+    assert M.first_order_columns() == [{0: 1, 1: 1, 2: 1}, {1: 1}, {2: 1}, {3: 1}, {4: 1}] == _first_order_oracle(M)
     # 1 - x_1 lies in I: only its first-order coordinate survives
-    rows = SparseRingMatrix(ring, 1, 1, {(0, 0): ring.one() - ring.gen(0)}).first_order_rows()
-    assert rows == [{}, {0: 1}, {}, {}, {}]
+    M = SparseRingMatrix(ring, 1, 1, {(0, 0): ring.one() - ring.gen(0)})
+    assert M.first_order_columns() == [{1: 1}, {}, {}, {}, {}] == _first_order_oracle(M)
 
 
-def test_first_order_rows_is_a_ring_homomorphism():
+def test_first_order_columns_is_a_ring_homomorphism():
     rng = random.Random(3)
     for g, (a, b, c) in ((1, (2, 3, 2)), (2, (3, 2, 3))):
         ring = surface_ring(g)
@@ -939,11 +947,12 @@ def test_first_order_rows_is_a_ring_homomorphism():
         for _ in range(10):
             A = random_laurent_matrix(ring, a, b, rng)
             B = random_laurent_matrix(ring, b, c, rng)
-            rows_a = A.first_order_rows()
-            assert A.compose(B).first_order_rows() == _f2_product(rows_a, B.first_order_rows(), c * bs)
+            cols_a = A.first_order_columns()
+            assert cols_a == _first_order_oracle(A)
+            assert A.compose(B).first_order_columns() == _f2_product(B.first_order_columns(), cols_a, a * bs)
             # column col*(1+n) holds entry (r, col) in the basis 1, x_1 - 1, .., x_n - 1
             for (r, col), v in A.entries.items():
-                assert tuple(rows_a[r * bs + i].get(col * bs, 0) for i in range(bs)) == first_order_value(v)
+                assert tuple(cols_a[col * bs].get(r * bs + i, 0) for i in range(bs)) == first_order_value(v)
 
 
 # ---------------------------------------------------------------------------

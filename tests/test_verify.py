@@ -251,7 +251,7 @@ def test_lemma_cohomology_kernel_check_reads_no_rank_flag():
     assert results == {(True, "next lam-map times lam*sigma_m is 0, an exact product over Z[pi], for m = 1..1")}
 
 
-@pytest.mark.parametrize("g", [5, 6])
+@pytest.mark.parametrize("g", [5, 6, 7])
 def test_lemma_cohomology_runs_past_genus_four(g):
     # the witness over F_2[pi]/I^2 has blocks of 1 + 2g, so no genus is refused
     code, text, _ = run(["verify", "--suite", "lemma-cohomology", "--genus", str(g)])
@@ -329,21 +329,46 @@ def test_stacked_witness_matches_the_nullspace_route(g):
         assert not verify._lambda_ker_contains(d, lam_j, shifted), (g, m)
 
 
-def test_lambda_ker_contains_matches_brute_force():
-    # random Laurent matrices over two variables, where lam*ker d over F_2[pi]/I^2
-    # is often nonzero; the target is random or lam*w, and d is zero at times
+def _brute_force_cases(d_rows=1, cols=2, seed=11):
+    """(trial, d, lam, target): random Laurent matrices over two variables, where
+    lam*ker d over F_2[pi]/I^2 is often nonzero; the target is random or lam*w,
+    and d is zero at times."""
     ring = surface_ring(1)
-    rng = random.Random(11)
-    answers = []
+    rng = random.Random(seed)
     for trial in range(60):
-        d = random_laurent_matrix(ring, 1, 2, rng, density=0.0 if trial % 3 == 0 else 0.6)
-        lam = random_laurent_matrix(ring, 2, 2, rng)
-        w = random_laurent_matrix(ring, 2, 1, rng, density=1.0)
+        d = random_laurent_matrix(ring, d_rows, cols, rng, density=0.0 if trial % 3 == 0 else 0.6)
+        lam = random_laurent_matrix(ring, 2, cols, rng)
+        w = random_laurent_matrix(ring, cols, 1, rng, density=1.0)
         target = lam.compose(w) if trial % 2 else random_laurent_matrix(ring, 2, 1, rng)
-        expected = brute_force_lambda_ker_contains(d, lam, target)
-        assert verify._lambda_ker_contains(d, lam, target) == expected, trial
-        answers.append(expected)
-    assert answers.count(True) >= 10 and answers.count(False) >= 10
+        yield trial, d, lam, target
+
+
+def test_lambda_ker_contains_matches_brute_force():
+    # in the second set d has more rows than columns, so lam's rows overlap
+    # d's unless they are shifted past every row of d
+    for shape, cases in (((1, 2), _brute_force_cases()), ((3, 1), _brute_force_cases(3, 1, seed=12))):
+        answers = []
+        for trial, d, lam, target in cases:
+            expected = brute_force_lambda_ker_contains(d, lam, target)
+            assert verify._lambda_ker_contains(d, lam, target) == expected, (shape, trial)
+            answers.append(expected)
+        assert answers.count(True) >= 10 and answers.count(False) >= 10, shape
+
+
+def test_lambda_ker_contains_needs_every_block_column(monkeypatch):
+    # a witness that keeps only block column 0 of each source, the image of 1,
+    # is right only when every entry augments to 0, as in lemma-cohomology; on
+    # these matrices it must disagree with the brute force
+    first_order_columns = SparseRingMatrix.first_order_columns
+
+    def column_zero_only(M):
+        bs = 1 + M.ring.nvars
+        return [col if i % bs == 0 else {} for i, col in enumerate(first_order_columns(M))]
+
+    monkeypatch.setattr(SparseRingMatrix, "first_order_columns", column_zero_only)
+    wrong = [trial for trial, d, lam, target in _brute_force_cases()
+             if verify._lambda_ker_contains(d, lam, target) != brute_force_lambda_ker_contains(d, lam, target)]
+    assert wrong
 
 
 def _nullspace_kernel_quotient_dim(ctx, k, spec):
