@@ -29,22 +29,23 @@ Every ``SparseRingMatrix`` is stored one way, as a rule over a coefficient
 table: a builder's over its context's table, one of explicit entries
 (``compose``, ``operator_matrix``, the tests) over a table of its distinct
 entry objects.  Every view is one walk, ``SparseRingMatrix._columns``, with a
-coefficient function: the value at a point (``specialize_columns``, and
-``specialize_rows``), the summed-mod-N block over ``Z[(Z/N)^m]``
-(``base_change``, by rows) and over ``F_2[pi]/I^2`` (``first_order_columns``,
-by columns), both laid out by ``_expand_blocks``, the entry itself
-(``entries``) and its text (export).  A walk maps only the table, each distinct
+coefficient function, and gives columns: the value at a point
+(``specialize_columns``), the summed-mod-N block over ``Z[(Z/N)^m]``
+(``base_change``) and over ``F_2[pi]/I^2`` (``first_order_columns``), both
+laid out by ``_expand_blocks`` from cells given as (column, row), the entry
+itself (``entries``) and its text (export).  Rows are a transpose of columns
+(``_transpose``): ``specialize_rows`` and the bottom half of
+``homology._cleared_ranks``.  A walk maps only the table, each distinct
 object once, and calls the rule once, over every source it is not told to skip:
 the rule writes each source's column straight into its dict, looking each
 target up by the integer key ``mask | s << ngens`` (``_target_index``), so no
 view but ``entries`` builds a builder's entries; only ``compose``, ``entry``
-and the tests read them.  ``_rows`` scatters each column into the rows when the
-rule takes the next, and ``base_change_nonzeros`` counts the terms of the same
-walk on the table itself.  The last mapped table is kept on the builder's
+and the tests read them.  ``base_change_nonzeros`` counts the terms of the
+same walk on the table itself.  The last mapped table is kept on the builder's
 context (``DgaContext.last_view``), or on the explicit matrix itself; the
 target index is built afresh for each walk.
 ``base_change`` refuses, from the entries' term counts before it builds a
-row, more than ``MAX_BASE_CHANGE_NONZEROS`` nonzeros, and each builder, from
+column, more than ``MAX_BASE_CHANGE_NONZEROS`` nonzeros, and each builder, from
 a closed form before it enumerates, any complex of more than ``MAX_CELLS``
 cells (``check_cells``).
 
@@ -105,7 +106,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections.abc import Callable, Container, Iterable, Iterator, Mapping
+from collections.abc import Callable, Container, Iterable, Mapping
 from operator import mul
 
 from .dga import (
@@ -245,29 +246,6 @@ class SparseRingMatrix:
         entries = dict(sorted(acc.items(), key=lambda cell: cell[0][::-1]))
         return SparseRingMatrix(self.ring, self.rows, other.cols, entries)
 
-    def _rows(self, key: object, value: Callable[[GroupRingElement], object],
-              negate: Callable[[object], object] | None = None) -> list[dict[int, object]]:
-        """Rows ``{col: value(entry)}``; a falsy value is not stored.
-
-        The rule runs once over every source, as in ``_columns``, and each
-        column is scattered into the rows when the rule takes the next, so
-        no more than one column is held besides the rows.
-        """
-        rows: list[dict[int, object]] = [{} for _ in range(self.rows)]
-
-        def scatter() -> Iterator[dict]:
-            for c in itertools.count():
-                col: dict = {}
-                yield col
-                for r, x in col.items():
-                    if x:
-                        rows[r][c] = x
-
-        src, image, mapped, index = self._mapped_rule(key, value, negate)
-        cols = _walk(image, src, mapped, index, scatter())
-        next(cols)  # scatters the last column
-        return rows
-
     def _columns(self, key: object, value: Callable[[GroupRingElement], object],
                  negate: Callable[[object], object] | None, skip: Container[int] = ()) -> list[dict[int, object]]:
         """Columns ``{row: value(entry)}``, those in ``skip`` left out; a falsy
@@ -307,21 +285,19 @@ class SparseRingMatrix:
             view[:] = key, tuple(tuple(pair(c, n) for c, n in part) for part in table)
         return src, image, view[1], _target_index(tgt, len(table[0]))
 
-    def specialize_rows(self, spec: UnitSpecialization) -> list[dict[int, int]]:
-        """Rows ``{col: value}`` of the entrywise evaluations mod spec.prime.
-
-        A value of 0 (``1 - x_i`` at ``x_i = 1``) is not stored, since the
-        rank kernel takes every stored value for a pivot candidate.
-        """
-        p = spec.prime
-        return self._rows(spec, lambda v: v.specialize(spec), lambda x: -x % p)
-
     def specialize_columns(self, spec: UnitSpecialization,
                            skip: Container[int] = ()) -> list[dict[int, int]]:
-        """Columns ``{row: value}`` of ``specialize_rows(spec)``, those in ``skip``
-        left out; the rule does not run on a source that is left out."""
+        """Columns ``{row: value}`` of the entrywise evaluations mod spec.prime,
+        those in ``skip`` left out; the rule does not run on a source that is
+        left out.  A value of 0 (``1 - x_i`` at ``x_i = 1``) is not stored,
+        since the rank kernel takes every stored value for a pivot candidate.
+        """
         p = spec.prime
         return self._columns(spec, lambda v: v.specialize(spec), lambda x: -x % p, skip)
+
+    def specialize_rows(self, spec: UnitSpecialization) -> list[dict[int, int]]:
+        """Rows ``{col: value}`` of ``specialize_columns(spec)``, by ``_transpose``."""
+        return _transpose(self.specialize_columns(spec), self.rows)
 
     def specialize(self, spec: UnitSpecialization) -> list[list[int]]:
         """Dense view of ``specialize_rows(spec)``, for the dense mod-p helpers."""
@@ -333,7 +309,7 @@ class SparseRingMatrix:
 
     def base_change_nonzeros(self, N: int) -> int:
         """Bound on the nonzeros of ``base_change(N)``, from the entries' term
-        counts and before any row is built: each term puts one value in each of
+        counts and before any column is built: each term puts one value in each of
         the ``N^m`` columns of its block, and terms that meet mod N only merge.
         The rule runs on the table itself, so the mapped table kept for the
         views stays as it is, and only on the first call: the term count does
@@ -345,12 +321,12 @@ class SparseRingMatrix:
         return self._terms * N ** self.ring.nvars
 
     def base_change(self, N: int) -> list[dict[int, int]]:
-        """Rows ``{col: value}`` of the entrywise ``finite_quotient`` blocks; ranks multiply by N^m.
+        """Columns ``{row: value}`` of the entrywise ``finite_quotient`` blocks; ranks multiply by N^m.
 
         Term ``c_e x^e`` of an entry puts ``c_e`` at column ``b`` and row
-        ``index(b + e mod N)`` of its block, for every b.  Terms are first
-        summed by ``e mod N``, so terms that meet add, a zero sum is dropped,
-        and every cell is written at most once.
+        ``index(b + e mod N)`` of its block, for every b, its cells given as
+        (column, row).  Terms are first summed by ``e mod N``, so terms that
+        meet add, a zero sum is dropped, and every cell is written at most once.
         """
         _check_base_change_nonzeros(self.base_change_nonzeros(N), f"a {self.rows} x {self.cols} matrix", N)
 
@@ -359,10 +335,10 @@ class SparseRingMatrix:
             for exps, coeff in v.terms.items():
                 e = tuple(x % N for x in exps)
                 terms[e] = terms.get(e, 0) + coeff
-            return [(t, b, coeff) for e, coeff in terms.items() if coeff
+            return [(b, t, coeff) for e, coeff in terms.items() if coeff
                     for b, t in enumerate(_translation(e, N))]
 
-        return _expand_blocks(self._rows(("base_change", N), block), N ** self.ring.nvars)
+        return _expand_blocks(self._columns(("base_change", N), block, None), N ** self.ring.nvars)
 
     def first_order_columns(self) -> list[dict[int, int]]:
         """Columns ``{row: 1}`` over F_2 of the matrix over ``F_2[pi]/I^2`` (``I`` the
@@ -421,8 +397,8 @@ class ChainComplex:
 class IntegerChainComplex:
     """Base-changed complex: free Z-modules with integer boundary matrices.
 
-    ``boundary(i)`` gives the ``{col: value}`` rows of the map from degree i
-    to degree i-1, with ``ranks[i - 1]`` rows and ``ranks[i]`` columns, and
+    ``boundary(i)`` gives the ``{row: value}`` columns of the map from degree
+    i to degree i-1, ``ranks[i]`` columns of ``ranks[i - 1]`` rows, and
     ``boundaries`` is ``[None, d_1, .., d_top]``.  They come from a list, or
     from a function of i (``base_change``) that builds each boundary when it
     is first read, so a driver that ranks half of a ``self_dual`` complex
@@ -440,10 +416,10 @@ class IntegerChainComplex:
         self._built: dict[int, list[dict[int, int]]] = {}
 
     def boundary(self, i: int) -> list[dict[int, int]]:
-        rows = self._built.get(i)
-        if rows is None:
-            rows = self._built[i] = self._build(i)
-        return rows
+        cols = self._built.get(i)
+        if cols is None:
+            cols = self._built[i] = self._build(i)
+        return cols
 
     @property
     def boundaries(self) -> list[list[dict[int, int]] | None]:
@@ -484,22 +460,34 @@ def _walk(image: Rule, sources: Iterable, table: CoefficientTable, index: Mappin
     return cols
 
 
+def _transpose(vectors: list[dict[int, object]], n: int, skip: Container[int] = ()) -> list[dict[int, object]]:
+    """The ``n`` vectors of the transpose of ``vectors``, those in ``skip`` left
+    out: the rows ``{col: value}`` of the columns ``{row: value}``, or the other
+    way round.  It takes ``vectors`` over and frees each once it is scattered."""
+    out: list[dict[int, object]] = [{} for _ in range(n)]
+    for i, v in enumerate(vectors):
+        vectors[i] = None
+        for j, x in v.items():
+            out[j][i] = x
+    return [w for j, w in enumerate(out) if j not in skip] if skip else out
+
+
 def _column_major(cols: list[dict[int, object]]) -> dict[tuple[int, int], object]:
     """``{(r, c): value}`` of the columns in column-major order, rows ascending in a column."""
     return {(r, c): col[r] for c, col in enumerate(cols) for r in sorted(col)}
 
 
-def _expand_blocks(rows: list[dict[int, list[tuple[int, int, int]]]],
+def _expand_blocks(cols: list[dict[int, list[tuple[int, int, int]]]],
                    bs: int) -> list[dict[int, int]]:
-    """Rows ``{col: value}`` of the matrix whose entry at (r, c) is the ``bs x bs`` block of cells
-    ``(i, j, value)`` at ``(r*bs + i, c*bs + j)``; its columns, from columns and cells ``(j, i, value)``."""
+    """Columns ``{row: value}`` of the matrix whose entry at (r, c) is the ``bs x bs``
+    block of cells ``(j, i, value)``, given as (column, row), at ``(r*bs + i, c*bs + j)``."""
     out: list[dict[int, int]] = []
-    for row in rows:
+    for col in cols:
         block: list[dict[int, int]] = [{} for _ in range(bs)]
-        for c, cells in row.items():
-            c0 = c * bs
-            for i, j, x in cells:
-                block[i][c0 + j] = x
+        for r, cells in col.items():
+            r0 = r * bs
+            for j, i, x in cells:
+                block[j][r0 + i] = x
         out += block
     return out
 

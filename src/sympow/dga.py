@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import ItemsView, Iterable, Mapping
 from functools import cached_property
 
 from .groupring import GroupRingElement, LaurentRing, add_product, surface_ring, wedge_ring
@@ -72,11 +72,12 @@ class DgaContext(Record):
         return ext, lam
 
     @cached_property
-    def boundary_pairs(self) -> dict[Monomial, list[tuple[Monomial, tuple[tuple[int, int], ...]]]]:
+    def boundary_pairs(self) -> dict[Monomial, list[tuple[Monomial, ItemsView[int, int]]]]:
         """``boundary_pairs[m]`` is the ``(target monomial, coefficient)`` pairs
         that ``monomial_boundary`` writes for ``m`` over ``self.table``, each
-        coefficient as its packed ``(key, value)`` items; ``boundary`` fills it
-        on first use of each monomial and keeps it beside the table."""
+        coefficient as the ``packed.items()`` view of its table entry, so that no
+        pair copies its terms; ``boundary`` fills it on first use of each
+        monomial and keeps it beside the table."""
         return {}
 
     @cached_property
@@ -369,7 +370,7 @@ def boundary(a: DgaElement) -> DgaElement:
         if image is None:
             col: dict[Monomial, GroupRingElement] = {}
             monomial_boundary((m,), ctx.table, KeyMonomials(ctx.ngens), [col])
-            image = pairs[m] = [(key, tuple(unit.packed.items())) for key, unit in col.items()]
+            image = pairs[m] = [(key, unit.packed.items()) for key, unit in col.items()]
         items = c.packed.items()
         for key, unit in image:
             add_product(acc.setdefault(key, {}), items, unit)

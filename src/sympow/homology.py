@@ -6,12 +6,12 @@ random unit specializations mod a large prime: matrix rank can only drop
 under specialization, so ``generic_rank`` takes the maximum over trials;
 homology dimension can only jump up, so ``generic_homology`` takes the
 minimum.  Both are correct semicontinuous bounds and equal the exact
-fraction-field values with probability >= 1 - deg/p per trial.  Both rank the
-``{col: value}`` rows of ``SparseRingMatrix.specialize_rows`` with
-``_sparse_rank``, and ``generic_homology`` its ``specialize_columns`` too;
-on the builders' rule-backed matrices those rows and columns come straight
-from the bases and the evaluated coefficient table, so the generic route
-builds neither a dense matrix nor the group-ring entries.  The dense
+fraction-field values with probability >= 1 - deg/p per trial.  Both rank
+with ``_sparse_rank`` the ``{row: value}`` columns of
+``SparseRingMatrix.specialize_columns`` or their transpose, the rows of
+``specialize_rows``; on the builders' rule-backed matrices those columns come
+straight from the bases and the evaluated coefficient table, so the generic
+route builds neither a dense matrix nor the group-ring entries.  The dense
 ``modp_rank`` stays the entry point for dense matrices; no engine calls it.
 
 Certified early stop.  Both engines stop once a trial proves its own answer
@@ -23,9 +23,11 @@ is the minimum over all of them whether or not they ran.
 
 Clearing.  The ranks of a whole complex (``generic_homology`` per trial over
 F_p, ``integer_free_ranks`` over Q) are taken from both ends, meeting at the
-degree m of the largest module: below m bottom-up by rows, each ``d_i``
-without the rows at the pivot columns of ``d_(i-1)``; above m top-down by
-columns, each ``d_i`` without the columns at the pivot rows of ``d_(i+1)``.
+degree m of the largest module: below m bottom-up by rows, the transpose of
+the columns, each ``d_i`` without the rows at the pivot columns of
+``d_(i-1)``; above m top-down by columns, each ``d_i`` without the columns at
+the pivot rows of ``d_(i+1)``.  Every view is a list of columns, from
+``SparseRingMatrix.specialize_columns`` or ``base_change``.
 This keeps every rank (``_cleared_ranks`` has the proofs), and only the
 homology outside degree m is eliminated down to zero.  The Smith normal form
 still eliminates every boundary it computes in full, since torsion needs the
@@ -44,10 +46,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections.abc import Callable, Container, Iterable
+from collections.abc import Callable, Iterable
 from itertools import compress, count
 
-from .complexes import ChainComplex, IntegerChainComplex, SparseRingMatrix
+from .complexes import ChainComplex, IntegerChainComplex, SparseRingMatrix, _transpose
 from .groupring import UnitSpecialization, random_specialization
 from .records import Record
 
@@ -150,15 +152,6 @@ def integer_rank(M: list[dict[int, int]], pivots: list[int] | None = None) -> in
     arithmetic; the pivot column of each elimination step is appended to
     ``pivots`` if given.  A stored 0 is dropped, as ``modp_rank`` does."""
     return _sparse_rank(({j: v for j, v in row.items() if v} for row in M), None, pivots)
-
-
-def _transpose(M: list[dict[int, int]], ncols: int, skip: Container[int] = ()) -> list[dict[int, int]]:
-    """Columns ``{row: value}`` of the ``{col: value}`` rows ``M``, those in ``skip`` left out."""
-    cols: list[dict[int, int]] = [{} for _ in range(ncols)]
-    for r, row in enumerate(M):
-        for c, x in row.items():
-            cols[c][r] = x
-    return [col for c, col in enumerate(cols) if c not in skip]
 
 
 def integer_matmul(A: list[dict[int, int]], B: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -303,8 +296,7 @@ def modp_rank(M: list[list[int]], p: int, pivots: list[int] | None = None) -> in
                          for row in M), p, pivots)
 
 
-def _cleared_ranks(sizes: list[int], rows: Callable[[int], list[dict[int, int]]],
-                   columns: Callable[[int, set[int]], list[dict[int, int]]],
+def _cleared_ranks(sizes: list[int], columns: Callable[[int, set[int]], list[dict[int, int]]],
                    rank: Callable[[list[dict[int, int]], list[int]], int],
                    self_dual: bool = False, _meet: int | None = None) -> list[int]:
     """``[0, rank d_1, .., rank d_top, 0]`` for a complex with modules of ranks
@@ -315,11 +307,12 @@ def _cleared_ranks(sizes: list[int], rows: Callable[[int], list[dict[int, int]]]
     d_(m+1)`` are ranked, and ``rank d_i = rank d_(top+1-i)`` is copied for
     ``i <= m`` (``_mirror``).
 
-    ``rows(i)`` gives the ``{col: value}`` rows of ``d_i``, ``columns(i, skip)``
-    its ``{row: value}`` columns outside ``skip``, and ``rank(vectors,
-    pivots)`` ranks a list of vectors, appending the coordinate of each
-    elimination step's pivot to ``pivots``.  The pivot coordinates ``Q`` of a
-    rank are independent: the vectors restricted to ``Q`` have rank ``|Q|``.
+    ``columns(i, skip)`` gives a new list of the ``{row: value}`` columns of
+    ``d_i`` outside ``skip``, and the rows of ``d_i`` are their
+    ``_transpose``, which takes that list over.  ``rank(vectors, pivots)``
+    ranks a list of vectors, appending the coordinate of each elimination
+    step's pivot to ``pivots``.  The pivot coordinates ``Q`` of a rank are
+    independent: the vectors restricted to ``Q`` have rank ``|Q|``.
 
     Bottom half, ``d_1 .. d_m`` by rows (Chen-Kerber, "Persistent homology
     computation with a twist", 2011): ``d_i`` is ranked without the rows at
@@ -351,7 +344,7 @@ def _cleared_ranks(sizes: list[int], rows: Callable[[int], list[dict[int, int]]]
     if not self_dual:
         for i in range(1, meet + 1):
             pivots: list[int] = []
-            ranks[i] = rank([row for r, row in enumerate(rows(i)) if r not in cleared], pivots)
+            ranks[i] = rank(_transpose(columns(i, ()), sizes[i - 1], cleared), pivots)
             cleared = set(pivots)
         cleared = set()
     for i in range(top, meet, -1):
@@ -560,34 +553,38 @@ def integer_free_ranks(ic: IntegerChainComplex) -> list[int]:
     Skips the Smith normal form (no torsion information): enough for Euler
     characteristics and rank-growth checks, and much faster on the larger
     finite covers.  The boundaries are ranked with clearing from both ends
-    (``_cleared_ranks``): by rows up to the largest module, and above it by
-    the columns of the transposed rows, all through ``integer_rank``.  On a
-    self-dual complex only the columns above the middle degree are ranked,
-    and ``base_change``'s lazy boundaries build only those.
+    (``_cleared_ranks``): by rows, transposed from the columns, up to the
+    largest module, and above it by the columns, all through
+    ``integer_rank``.  Each view is a new list of the kept columns, so the
+    transpose never takes over a boundary that ``ic`` keeps.  On a self-dual
+    complex only the columns above the middle degree are ranked, and
+    ``base_change``'s lazy boundaries build only those.
     """
     n = len(ic.ranks)
-    ranks = _cleared_ranks(ic.ranks, ic.boundary,
-                           lambda i, skip: _transpose(ic.boundary(i), ic.ranks[i], skip), integer_rank,
-                           ic.self_dual)
+    ranks = _cleared_ranks(ic.ranks, lambda i, skip: [v for c, v in enumerate(ic.boundary(i)) if c not in skip],
+                           integer_rank, ic.self_dual)
     return [ic.ranks[i] - ranks[i] - ranks[i + 1] for i in range(n)]
 
 
 def integer_homology(ic: IntegerChainComplex) -> HomologyReport:
     """Cellular homology of an integer complex: free ranks and torsion via SNF.
 
-    Every boundary is built for the ``d o d = 0`` check.  On a self-dual
-    complex the Smith normal form runs above the middle degree only, and each
-    boundary's rank and torsion are copied to its dual degree (``_mirror``):
-    dual boundaries are transposed up to signed permutations, so their Smith
-    forms agree but for the padding zeros of the diagonal.
+    Every boundary is built for the ``d o d = 0`` check, which multiplies the
+    columns as rows: ``(d_i d_(i+1))^T = d_(i+1)^T d_i^T``.  The Smith normal
+    form of each boundary is taken of its columns, the rows of its transpose,
+    which has the same one.  On a self-dual complex it runs above the middle
+    degree only, and each boundary's rank and torsion are copied to its dual
+    degree (``_mirror``): dual boundaries are transposed up to signed
+    permutations, so their Smith forms agree but for the padding zeros of the
+    diagonal.
     """
     n = len(ic.ranks)
     for i in range(1, n - 1):
-        if any(integer_matmul(ic.boundary(i), ic.boundary(i + 1))):
+        if any(integer_matmul(ic.boundary(i + 1), ic.boundary(i))):
             raise ValueError(f"boundary composite at degree {i + 1} is nonzero: builder bug")
     forms: list[tuple[int, tuple[int, ...]]] = [(0, ())] * (n + 1)  # (rank, torsion) of d_i
     for i in range((n - 1) // 2 + 1 if ic.self_dual else 1, n):
-        snf = smith_normal_form(ic.boundary(i), ic.ranks[i])
+        snf = smith_normal_form(ic.boundary(i), ic.ranks[i - 1])
         forms[i] = snf.rank(), snf.nontrivial()
     if ic.self_dual:
         _mirror(forms, n - 1)
@@ -630,9 +627,9 @@ def generic_homology(c: ChainComplex, trials: int = DEFAULT_TRIALS, seed: int = 
     ``specialize_columns`` above its middle degree only, where the rule never
     runs on a cleared source, and each rank is copied to its dual degree: the
     dual boundary is the same matrix at the same point, transposed up to
-    signed permutations.  Any other complex is ranked from both ends:
-    ``specialize_rows`` up to the largest module, ``specialize_columns``
-    above it.  Where the homology sits at the meeting degree (the cover
+    signed permutations.  Any other complex is ranked from both ends: the
+    transposed ``specialize_columns``, its rows, up to the largest module, and
+    the columns above it.  Where the homology sits at the meeting degree (the cover
     complexes at k, up to g = 5 at least; the lambda complex for k <= g; the
     wedge complex for k <= n/2), no vector is eliminated down to zero.  The
     per-degree results are aggregated by minimum over trials.
@@ -657,8 +654,7 @@ def generic_homology(c: ChainComplex, trials: int = DEFAULT_TRIALS, seed: int = 
     dims: list[int] | None = None
     for t in range(trials):
         spec = _trial_specialization(c.ctx.ring, prime, seed, t)
-        ranks = _cleared_ranks(c.ranks, lambda i: c.boundaries[i].specialize_rows(spec),
-                               lambda i, skip: c.boundaries[i].specialize_columns(spec, skip),
+        ranks = _cleared_ranks(c.ranks, lambda i, skip: c.boundaries[i].specialize_columns(spec, skip),
                                lambda vectors, pivots: _sparse_rank(vectors, prime, pivots),
                                c.duality is not None)
         trial = [c.modules[i].rank - ranks[i] - ranks[i + 1] for i in range(n)]

@@ -279,6 +279,12 @@ def verify_lemma_q(g: int, k: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
     return report
 
 
+def _stacked(upper: list[dict[int, int]], lower: list[dict[int, int]], shift: int) -> list[dict[int, int]]:
+    """The new columns of ``[upper; lower]``, each column of ``lower`` moved
+    down by ``shift`` rows under the one of ``upper`` beside it."""
+    return [u | {shift + r: x for r, x in v.items()} for u, v in zip(upper, lower)]
+
+
 def _lambda_ker_contains(d: SparseRingMatrix, lam: SparseRingMatrix,
                          target: SparseRingMatrix) -> bool:
     """Whether column 0 of ``target`` lies in ``lam * ker d`` over F_2[pi]/I^2:
@@ -286,11 +292,10 @@ def _lambda_ker_contains(d: SparseRingMatrix, lam: SparseRingMatrix,
     ``[d; lam]``, the identity behind ``theorem-main``'s ``rank[d; lam] - rank d``,
     that is iff adjoining ``(0; t)`` as a column keeps the rank."""
     shift = d.rows * (1 + d.ring.nvars)
-    t = {shift + r: x for r, x in target.first_order_columns()[0].items()}
+    t = _stacked([{}], target.first_order_columns()[:1], shift)
     def stacked() -> list[dict[int, int]]:  # fresh columns for each rank, which takes them over
-        return [u | {shift + r: x for r, x in v.items()}
-                for u, v in zip(d.first_order_columns(), lam.first_order_columns())]
-    return _sparse_rank(stacked() + [t], 2) == _sparse_rank(stacked(), 2)
+        return _stacked(d.first_order_columns(), lam.first_order_columns(), shift)
+    return _sparse_rank(stacked() + t, 2) == _sparse_rank(stacked(), 2)
 
 
 def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
@@ -404,8 +409,8 @@ def _kernel_quotient_dim(d_k: SparseRingMatrix, d_prev: SparseRingMatrix,
     matrix, whose kernel is the kernel of lam on ker d.  The matrices are the
     wedge boundaries ``d_k``, ``d_(k-1)`` and ``lam_(k-1)`` on the 2g one-cells."""
     p = spec.prime
-    d_cols, lam_cols = d_prev.specialize_columns(spec), lam_prev.specialize_columns(spec)
-    stacked = [u | {d_prev.rows + r: x for r, x in v.items()} for u, v in zip(d_cols, lam_cols)]
+    d_cols = d_prev.specialize_columns(spec)
+    stacked = _stacked(d_cols, lam_prev.specialize_columns(spec), d_prev.rows)
     return (d_k.cols - _sparse_rank(d_k.specialize_columns(spec), p)
             - _sparse_rank(stacked, p) + _sparse_rank(d_cols, p))
 

@@ -4,7 +4,7 @@ Everything here recomputes expected values through a different route than
 the library: truncated power-series arithmetic for Betti numbers, direct
 enumeration for regular representations, the group-ring product on plain
 dicts of exponent tuples, the dense base change that the
-library's sparse rows replaced, the per-term DGA boundary and product
+library's sparse columns replaced, the per-term DGA boundary and product
 that the library's fused accumulation into packed exponent keys replaced,
 the ``randint``/``choice`` draws of the ``dga`` suite's random elements that
 its ``getrandbits`` replica replaced, the scan over every exterior mask that
@@ -18,15 +18,17 @@ span test by enumeration over truncated power series, the per-degree cover
 basis (``cover_basis``) that the one-pass cover builder replaced, and the
 per-degree Mattuck pattern (``mattuck_pattern``) that ``verify_mattuck``'s
 loop over exterior sizes replaced.  ``sparse_rows`` and
-``dense_matrix`` convert between the dense matrices of the oracles and the
-library's ``{col: value}`` rows; ``random_laurent_matrix`` draws test input.
+``dense_matrix`` convert between the dense matrices of the oracles and
+``{col: value}`` rows (the library's columns are the rows of a transpose);
+``random_laurent_matrix`` draws test input.
 ``cell_view`` maps each cell of a matrix's entries on its own, the reference
 for the views that share one walk of a ``SparseRingMatrix``'s rule, and
 ``block_rows`` lays its blocks out as rows.  ``pair_walk_rows`` and
 ``pair_walk_columns`` are the walk that the rules writing each column
 straight into an integer-keyed target index replaced: rules returning
 ``(monomial, coefficient)`` pairs (``PAIR_RULES``), each pair looked up by
-its monomial.
+its monomial.  ``pair_walk_rows`` scatters the pairs into rows itself, so it
+checks the library's rows, the transpose of its columns, on its own.
 """
 
 from __future__ import annotations
@@ -272,8 +274,10 @@ def _pair_walk(M: SparseRingMatrix, value, negate):
 
 
 def pair_walk_rows(M: SparseRingMatrix, key, value, negate=None) -> list[dict]:
-    """``SparseRingMatrix._rows`` by pairs: each pair of each source's image
-    looked up in the target basis and, if its value is truthy, stored."""
+    """The rows ``{col: value}`` of a view by pairs (``specialize_rows`` and
+    the rows ``homology._cleared_ranks`` transposes from the columns): each
+    pair of each source's image looked up in the target basis and, if its
+    value is truthy, stored in its row."""
     rows: list[dict] = [{} for _ in range(M.rows)]
     src, image, mapped, get = _pair_walk(M, value, negate)
     for c, mono in enumerate(src):

@@ -43,6 +43,8 @@ from oracles import (
     pair_walk_terms,
     random_laurent_matrix,
     regular_block,
+    sparse_rows,
+    unmarked,
 )
 
 
@@ -184,15 +186,16 @@ def test_specialize_and_base_change_commute_with_extraction():
         assert all(x == 0 for row in M.specialize(all_ones) for x in row)
 
 
-def _assert_rows_match_oracle(M: SparseRingMatrix, N: int, label) -> None:
-    rows = M.base_change(N)
+def _assert_columns_match_oracle(M: SparseRingMatrix, N: int, label) -> None:
+    # the columns are the rows of the transposed dense oracle
+    cols = M.base_change(N)
     bs = N ** M.ring.nvars
-    assert len(rows) == M.rows * bs, label
-    assert all(0 not in row.values() for row in rows), label
-    assert dense_matrix(rows, M.cols * bs) == dense_base_change(M, N), label
+    assert len(cols) == M.cols * bs, label
+    assert all(0 not in col.values() for col in cols), label
+    assert cols == _transposed(sparse_rows(dense_base_change(M, N)), M.cols * bs), label
 
 
-def test_base_change_rows_match_dense_blockwise_oracle():
+def test_base_change_columns_match_dense_blockwise_oracle():
     ring = surface_ring(1)
     x, y = ring.gen(0), ring.gen(1)
     x_inv = ring.monomial((-1, 0))
@@ -204,10 +207,17 @@ def test_base_change_rows_match_dense_blockwise_oracle():
                                               (0, 0): x - x_inv})
     for N in (1, 2, 3, 4):
         for M in (hand, colliding):
-            _assert_rows_match_oracle(M, N, (M.entries, N))
-    for M, N in ((build_cover_complex(2, 2).boundaries[2], 2), (lambda_matrix(surface_context(2), 1), 2),
-                 (build_cover_complex(1, 2).boundaries[3], 3)):
-        _assert_rows_match_oracle(M, N, N)
+            _assert_columns_match_oracle(M, N, (M.entries, N))
+    for M, N in ((build_cover_complex(2, 2).boundaries[2], 2), (build_cover_complex(1, 2).boundaries[3], 3)):
+        _assert_columns_match_oracle(M, N, N)
+    # every builder at N = 1, 2, 3: the lam and exterior matrices, the covers,
+    # lam-complexes and wedges below
+    for g, sizes in ((1, range(0, 3)), (2, (1,))):
+        ctx = surface_context(g)
+        for N in (1, 2, 3):
+            for size in sizes:
+                _assert_columns_match_oracle(lambda_matrix(ctx, size), N, ("lam", g, size, N))
+                _assert_columns_match_oracle(exterior_boundary_matrix(ctx, size + 1), N, ("d", g, size + 1, N))
     cases = [(build_cover_complex(1, k), (1, 2, 3, 4)) for k in (1, 2, 3)]
     cases += [(build_cover_complex(2, k), (1, 2, 3)) for k in (1, 2, 3)]
     cases += [(build_cover_complex(3, k), (1, 2)) for k in (1, 2)]
@@ -216,7 +226,7 @@ def test_base_change_rows_match_dense_blockwise_oracle():
     for c, n_values in cases:
         for N in n_values:
             for i in range(1, c.top_degree + 1):
-                _assert_rows_match_oracle(c.boundaries[i], N, (c.case, c.params, N, i))
+                _assert_columns_match_oracle(c.boundaries[i], N, (c.case, c.params, N, i))
 
 
 def test_base_change_of_cover_at_N4_stays_small():
@@ -517,7 +527,15 @@ def _transposed(rows, ncols, skip=()):
     return [{r: row[c] for r, row in enumerate(rows) if c in row} for c in range(ncols) if c not in skip]
 
 
-def test_column_view_is_the_transpose_of_the_rows():
+def _pair_rows(M, spec):
+    """The rows of ``M`` at ``spec``, scattered pair by pair by the oracle."""
+    p = spec.prime
+    return pair_walk_rows(M, spec, lambda v: v.specialize(spec), lambda x: -x % p)
+
+
+def test_rows_and_columns_match_the_pair_walk_rows():
+    # specialize_rows, the transpose of the column walk, against rows that the
+    # oracle scatters itself; the columns against those rows, transposed here
     rng = random.Random(17)
     complexes = [build_cover_complex(g, k) for g in range(1, 4) for k in range(0, 2 * g + 2)]
     complexes += [build_Q_complex(g, k) for g in range(1, 4) for k in range(1, 2 * g + 1)]
@@ -526,7 +544,8 @@ def test_column_view_is_the_transpose_of_the_rows():
         for i in range(1, c.top_degree + 1):
             M = c.boundaries[i]
             for spec in _rule_specs(c.ctx.ring, rng):
-                rows = M.specialize_rows(spec)
+                rows = _pair_rows(M, spec)
+                assert M.specialize_rows(spec) == rows == _hand(M).specialize_rows(spec), (c.case, c.params, i)
                 for skip in ((), set(range(0, M.cols, 2)), {M.cols - 1}, set(range(M.cols))):
                     expected = _transposed(rows, M.cols, skip)
                     assert M.specialize_columns(spec, skip) == expected, (c.case, c.params, i, skip)
@@ -536,8 +555,50 @@ def test_column_view_is_the_transpose_of_the_rows():
     x, one = ring.gen(0), ring.one()
     M = SparseRingMatrix(ring, 3, 2, {(2, 1): x - one, (0, 1): x, (1, 0): one + one})
     spec = UnitSpecialization(7, (1, 1))
-    assert M.specialize_columns(spec) == [{1: 2}, {0: 1}] == _transposed(M.specialize_rows(spec), 2)
+    assert M.specialize_rows(spec) == [{1: 1}, {0: 2}, {}] == _pair_rows(M, spec)
+    assert M.specialize_columns(spec) == [{1: 2}, {0: 1}]
     assert M.specialize_columns(spec, {0}) == [{0: 1}]
+
+
+def test_bottom_half_rows_match_the_pair_walk_rows(monkeypatch):
+    # every row list that _cleared_ranks hands the rank kernel below the meet
+    # is its boundary's rows without those at the previous boundary's pivots:
+    # at points, met at the top degree so that every boundary is ranked by
+    # rows, against the pair walk; and on base changes, through
+    # integer_free_ranks of an unmarked complex, against the dense oracle
+    def recording(rank, calls):
+        def record(vectors, pivots, *args):
+            calls.append(([dict(v) for v in vectors], pivots))
+            return rank(vectors, pivots, *args)
+        return record
+
+    rng = random.Random(19)
+    for c in (build_cover_complex(2, 3), build_Q_complex(3, 4), build_wedge_complex(6, 3),
+              build_wedge_complex(5, 5)):
+        for spec in _rule_specs(c.ctx.ring, rng):
+            calls = []
+            rank = recording(lambda vectors, pivots: homology._sparse_rank(vectors, spec.prime, pivots), calls)
+            homology._cleared_ranks(c.ranks, lambda i, skip: c.boundaries[i].specialize_columns(spec, skip), rank,
+                                    _meet=c.top_degree)
+            assert len(calls) == c.top_degree, (c.case, c.params)
+            cleared = set()
+            for i, (rows, pivots) in enumerate(calls, start=1):
+                expected = [row for r, row in enumerate(_pair_rows(c.boundaries[i], spec)) if r not in cleared]
+                assert rows == expected, (c.case, c.params, i, spec)
+                cleared = set(pivots)
+    for c, N in ((build_cover_complex(2, 2), 2), (build_Q_complex(2, 3), 2), (build_wedge_complex(4, 2), 3)):
+        calls = []
+        monkeypatch.setattr(homology, "integer_rank", recording(homology.integer_rank, calls))
+        homology.integer_free_ranks(base_change(unmarked(c), N))
+        monkeypatch.undo()
+        meet = c.ranks.index(max(c.ranks))
+        assert meet and len(calls) == c.top_degree, (c.case, c.params)
+        cleared = set()
+        for i, (rows, pivots) in enumerate(calls[:meet], start=1):
+            expected = [row for r, row in enumerate(sparse_rows(dense_base_change(c.boundaries[i], N)))
+                        if r not in cleared]
+            assert rows == expected, (c.case, c.params, N, i)
+            cleared = set(pivots)
 
 
 def _hand(M):
@@ -617,7 +678,8 @@ def test_explicit_views_match_the_per_cell_oracle(monkeypatch):
         specs = [UnitSpecialization(7, (1,) * M.ring.nvars), random_specialization(M.ring, 1000003, rng)]
         oracles = [block_rows(cell_view(M, lambda v: [[v.specialize(spec)]]), M.rows, 1) for spec in specs]
         bs = 2 ** M.ring.nvars
-        oracles.append(block_rows(cell_view(M, lambda v: regular_block(v, 2)), M.rows, bs))
+        regular = block_rows(cell_view(M, lambda v: regular_block(v, 2)), M.rows, bs)
+        oracles.append(_transposed(regular, M.cols * bs))
         oracles.append(_first_order_oracle(M))
         text = cell_view(M, GroupRingElement.canonical_str)
         oracles.append(dict(sorted(text.items(), key=lambda cell: cell[0][::-1])))
@@ -691,7 +753,6 @@ def test_every_view_matches_the_pair_walk_oracle(monkeypatch):
         specs = [UnitSpecialization(1000003, (1,) * nvars), random_specialization(M.ring, 1000003, rng)]
         got = _walk_views(_fresh(M), specs)
         with monkeypatch.context() as patch:
-            patch.setattr(SparseRingMatrix, "_rows", pair_walk_rows)
             patch.setattr(SparseRingMatrix, "_columns", pair_walk_columns)
             assert got == _walk_views(_fresh(M), specs), label
         for N in (1, 2, 3):
@@ -718,7 +779,6 @@ def test_every_view_names_the_monomial_that_leaves_the_target_basis(monkeypatch)
                 view(_fresh(M, short))
             assert str(e.value) == message, label
             with monkeypatch.context() as patch:
-                patch.setattr(SparseRingMatrix, "_rows", pair_walk_rows)
                 patch.setattr(SparseRingMatrix, "_columns", pair_walk_columns)
                 with pytest.raises(ValueError) as e:
                     view(_fresh(M, short))
@@ -878,7 +938,8 @@ def _assert_mod2_matches_dense(M, N, label):
     bs = N ** M.ring.nvars
     assert rows == M.rows * bs, label
     if M.rows:
-        assert (cols, rows) == homology.mod2_columns(dense_matrix(M.base_change(N), M.cols * bs)), label
+        dense = dense_matrix(_transposed(M.base_change(N), M.rows * bs), M.cols * bs)
+        assert (cols, rows) == homology.mod2_columns(dense), label
     else:  # the dense route sees no rows, hence no columns either
         assert cols == [0] * (M.cols * bs), label
 

@@ -146,10 +146,11 @@ SYMPY_SNF_MAX_CELLS = 30_000
     (build_cover_complex, 3, 1, 2), (build_Q_complex, 2, 2, 2), (build_Q_complex, 2, 4, 2),
 ])
 def test_snf_on_base_changed_boundaries_against_oracles(build, g, k, N):
+    # the columns are the rows of the transpose, which has the same Smith form
     ic = base_change(build(g, k), N)
-    for i, rows in enumerate(ic.boundaries[1:], start=1):
-        diag = smith_normal_form(rows, ic.ranks[i]).diagonal
-        M = dense_matrix(rows, ic.ranks[i])
+    for i, cols in enumerate(ic.boundaries[1:], start=1):
+        diag = smith_normal_form(cols, ic.ranks[i - 1]).diagonal
+        M = dense_matrix(cols, ic.ranks[i - 1])
         assert diag == dense_smith_normal_form(M).diagonal, i
         if len(M) * len(M[0]) <= SYMPY_SNF_MAX_CELLS:
             assert list(diag) == sympy_snf_diagonal(M), i
@@ -319,12 +320,12 @@ def test_rank_kernel_on_boundaries():
                 assert modp_rank(M, p) == dense_modp_rank(M, p), (c.case, p)
                 assert _rank(M) == bareiss_rank(M), (c.case, p)
         ic = base_change(c, 1)
-        for i, rows in enumerate(ic.boundaries[1:], start=1):
-            assert integer_rank(rows) == bareiss_rank(dense_matrix(rows, ic.ranks[i])), c.case
+        for i, cols in enumerate(ic.boundaries[1:], start=1):
+            assert integer_rank(cols) == bareiss_rank(dense_matrix(cols, ic.ranks[i - 1])), c.case
     ic = base_change(build_cover_complex(2, 2), 2)
-    for i, rows in enumerate(ic.boundaries[1:], start=1):
-        M = dense_matrix(rows, ic.ranks[i])
-        assert integer_rank(rows) == bareiss_rank(M)
+    for i, cols in enumerate(ic.boundaries[1:], start=1):
+        M = dense_matrix(cols, ic.ranks[i - 1])  # the transpose, of the same rank
+        assert integer_rank(cols) == bareiss_rank(M)
         for p in RANK_PRIMES:
             assert modp_rank(M, p) == dense_modp_rank(M, p), p
 
@@ -348,6 +349,21 @@ def test_integer_homology_rejects_bad_boundary():
     bad = IntegerChainComplex("bad", {}, [1, 1, 1], [None, [{0: 1}], [{0: 1}]])
     with pytest.raises(ValueError):
         integer_homology(bad)
+
+
+def test_integer_routes_keep_the_boundaries_they_read():
+    # the rows of the bottom half are a transpose that takes its list over:
+    # it must never take over a boundary the complex keeps, so a second call
+    # on one complex agrees with the first, and the kept columns are unchanged
+    cases = [(build_cover_complex(2, 2), 2), (unmarked(build_cover_complex(2, 2)), 2),
+             (build_Q_complex(2, 3), 2), (build_wedge_complex(4, 2), 3)]
+    for c, N in cases:
+        ic = base_change(c, N)
+        free, rep = integer_free_ranks(ic), integer_homology(ic)
+        assert integer_free_ranks(ic) == free == rep.ranks(), (c.case, c.params, N)
+        again = integer_homology(ic)
+        assert [(e.rank, e.torsion) for e in again.entries] == [(e.rank, e.torsion) for e in rep.entries]
+        assert ic.boundaries == base_change(c, N).boundaries, (c.case, c.params, N)
 
 
 def test_integer_homology_n1_matches_betti():
@@ -478,10 +494,10 @@ def _clearing_complexes():
 
 
 def _generic_views(c, spec):
-    """The rows, columns and F_p rank callbacks ``generic_homology`` gives
+    """The column view and F_p rank callbacks ``generic_homology`` gives
     ``_cleared_ranks`` at one point."""
     b = c.boundaries
-    return (lambda i: b[i].specialize_rows(spec), lambda i, skip: b[i].specialize_columns(spec, skip),
+    return (lambda i, skip: b[i].specialize_columns(spec, skip),
             lambda vectors, pivots: homology._sparse_rank(vectors, spec.prime, pivots))
 
 
@@ -621,8 +637,7 @@ def test_clearing_drops_the_pivot_rows_of_the_previous_boundary(monkeypatch):
     for meet in range(len(ic.ranks)):
         seen.clear()
         cleared = homology._cleared_ranks(
-            ic.ranks, ic.boundaries.__getitem__,
-            lambda i, skip: homology._transpose(ic.boundaries[i], ic.ranks[i], skip),
+            ic.ranks, lambda i, skip: [v for c, v in enumerate(ic.boundary(i)) if c not in skip],
             homology.integer_rank, _meet=meet)
         assert cleared == full and seen == _cleared_input_counts(ic.ranks, full, meet), meet
 
@@ -778,7 +793,8 @@ def test_n2_cover_homology_against_sympy():
     from sympy.matrices.normalforms import smith_normal_form
 
     ic = base_change(build_cover_complex(2, 2), 2)
-    dense = [dense_matrix(b, ic.ranks[i]) for i, b in enumerate(ic.boundaries[1:], start=1)]
+    # each boundary's transpose, of the same rank and Smith form
+    dense = [dense_matrix(b, ic.ranks[i - 1]) for i, b in enumerate(ic.boundaries[1:], start=1)]
     sympy_ranks = [Matrix(b).rank() for b in dense]
     bounds = [0] + sympy_ranks + [0]
     sympy_free = [ic.ranks[i] - bounds[i] - bounds[i + 1] for i in range(len(ic.ranks))]
