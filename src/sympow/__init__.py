@@ -30,9 +30,7 @@ from .dga import (
 from .complexes import (
     BasedFreeModule,
     ChainComplex,
-    IntegerChainComplex,
     SparseRingMatrix,
-    base_change,
     build_cover_complex,
     build_Q_complex,
     build_wedge_complex,

@@ -22,7 +22,6 @@ from .complexes import (
     build_cover_complex,
     build_Q_complex,
     build_wedge_complex,
-    base_change,
     export_json,
     export_text,
 )
@@ -185,7 +184,7 @@ def _homology_report(args, kind: str) -> HomologyReport:
         rep = generic_homology(complex_, _or(args.trials, DEFAULT_TRIALS), _or(args.seed, 0),
                                _or(args.prime, FAST_PRIME))
     else:
-        rep = integer_homology(base_change(complex_, args.N if args.N is not None else 1))
+        rep = integer_homology(complex_, args.N if args.N is not None else 1)
     if kind == "q":
         # relabel stored chain degrees as cochain positions
         top = complex_.params["top"]

@@ -33,8 +33,8 @@ coefficient function, and gives columns: the value at a point
 (``specialize_columns``), the summed-mod-N block over ``Z[(Z/N)^m]``
 (``base_change``) and over ``F_2[pi]/I^2`` (``first_order_columns``), both
 laid out by ``_expand_blocks`` from cells given as (column, row), the entry
-itself (``entries``) and its text (export).  Rows are a transpose of columns
-(``_transpose``): ``specialize_rows`` and the bottom half of
+itself (``entries``) and its text (export).  Rows are a transpose of columns:
+the dense ``specialize`` and, by ``_transpose``, the bottom half of
 ``homology._cleared_ranks``.  A walk maps only the table, each distinct
 object once, and calls the rule once, over every source it is not told to skip:
 the rule writes each source's column straight into its dict, looking each
@@ -45,9 +45,10 @@ same walk on the table itself.  The last mapped table is kept on the builder's
 context (``DgaContext.last_view``), or on the explicit matrix itself; the
 target index is built afresh for each walk.
 ``base_change`` refuses, from the entries' term counts before it builds a
-column, more than ``MAX_BASE_CHANGE_NONZEROS`` nonzeros, and each builder, from
-a closed form before it enumerates, any complex of more than ``MAX_CELLS``
-cells (``check_cells``).
+column, more than ``MAX_BASE_CHANGE_NONZEROS`` nonzeros, and so does
+``check_base_change`` over every boundary of a complex; each builder refuses,
+from a closed form before it enumerates, any complex of more than
+``MAX_CELLS`` cells (``check_cells``).
 
 The cover builder enumerates its bases in one pass over exterior sizes: each
 size j <= min(k, 2g) is enumerated once, and its masks go, with each divided
@@ -94,11 +95,12 @@ cover complex is a Koszul term ``(L, s) -> (L - t, s)`` with coefficient
 
 Hence at every point, over every field and under base change,
 ``rank d_(top+1-i) = rank d_i``, and ``homology`` ranks the half above the
-middle degree only.  ``base_change`` keeps the mark: the block of a
-transposed entry ``a`` is ``B(a)^T = B(a(g^-1)) = J B(a) J``, with ``J`` the
-inversion permutation ``b -> -b`` of ``(Z/N)^m``, so the base-changed
-``d_(top+1-i)`` is ``d_i``'s transpose up to signed permutations of its rows
-and columns, with the same rank and Smith normal form.
+middle degree only.  A finite cover is a view of its complex, so its routes
+read the same mark: the block of a transposed entry ``a`` is ``B(a)^T =
+B(a(g^-1)) = J B(a) J``, with ``J`` the inversion permutation ``b -> -b`` of
+``(Z/N)^m``, so the base-changed ``d_(top+1-i)`` is ``d_i``'s transpose up
+to signed permutations of its rows and columns, with the same rank and
+Smith normal form.
 """
 
 from __future__ import annotations
@@ -133,9 +135,11 @@ from .records import Record
 # KeyError before any value is tested.
 Rule = Callable[[Iterable, CoefficientTable, Mapping[int, object], Iterable[dict]], None]
 
-# Most nonzeros one base change may build, over all the matrices it returns,
-# as bounded by ``SparseRingMatrix.base_change_nonzeros`` (which equalled the
-# built count on every cover measured).  On a 2-vCPU x86_64 host with CPython
+# Most nonzeros one base change may build, over every boundary of a complex
+# (``check_base_change``, which both integer routes call first) or over one
+# matrix (``SparseRingMatrix.base_change``), as bounded by
+# ``SparseRingMatrix.base_change_nonzeros`` (which equalled the built count on
+# every cover measured).  On a 2-vCPU x86_64 host with CPython
 # 3.11, net of the 16 MB interpreter, peak RSS per nonzero was 126-231 bytes
 # for the Q ranks of theorem-main at (g, k, N) = (4,3,2), (3,3,3), (3,2,4) and
 # (4,4,2), and 307-339 bytes for the Smith normal form of cover(4, 3) at N=2
@@ -295,16 +299,12 @@ class SparseRingMatrix:
         p = spec.prime
         return self._columns(spec, lambda v: v.specialize(spec), lambda x: -x % p, skip)
 
-    def specialize_rows(self, spec: UnitSpecialization) -> list[dict[int, int]]:
-        """Rows ``{col: value}`` of ``specialize_columns(spec)``, by ``_transpose``."""
-        return _transpose(self.specialize_columns(spec), self.rows)
-
     def specialize(self, spec: UnitSpecialization) -> list[list[int]]:
-        """Dense view of ``specialize_rows(spec)``, for the dense mod-p helpers."""
+        """Dense rows of ``specialize_columns(spec)``, for the dense mod-p helpers."""
         M = [[0] * self.cols for _ in range(self.rows)]
-        for out, row in zip(M, self.specialize_rows(spec)):
-            for c, x in row.items():
-                out[c] = x
+        for c, col in enumerate(self.specialize_columns(spec)):
+            for r, x in col.items():
+                M[r][c] = x
         return M
 
     def base_change_nonzeros(self, N: int) -> int:
@@ -392,38 +392,6 @@ class ChainComplex:
         if not 1 <= i <= self.top_degree:
             raise ValueError(f"degree {i} out of range 1..{self.top_degree}")
         return self.boundaries[i]
-
-
-class IntegerChainComplex:
-    """Base-changed complex: free Z-modules with integer boundary matrices.
-
-    ``boundary(i)`` gives the ``{row: value}`` columns of the map from degree
-    i to degree i-1, ``ranks[i]`` columns of ``ranks[i - 1]`` rows, and
-    ``boundaries`` is ``[None, d_1, .., d_top]``.  They come from a list, or
-    from a function of i (``base_change``) that builds each boundary when it
-    is first read, so a driver that ranks half of a ``self_dual`` complex
-    builds that half only.
-    """
-
-    def __init__(self, case: str, params: dict[str, int], ranks: list[int],
-                 boundaries: list[list[dict[int, int]] | None] | Callable[[int], list[dict[int, int]]],
-                 self_dual: bool = False):
-        self.case = case
-        self.params = params
-        self.ranks = ranks
-        self.self_dual = self_dual
-        self._build = boundaries if callable(boundaries) else boundaries.__getitem__
-        self._built: dict[int, list[dict[int, int]]] = {}
-
-    def boundary(self, i: int) -> list[dict[int, int]]:
-        cols = self._built.get(i)
-        if cols is None:
-            cols = self._built[i] = self._build(i)
-        return cols
-
-    @property
-    def boundaries(self) -> list[list[dict[int, int]] | None]:
-        return [None] + [self.boundary(i) for i in range(1, len(self.ranks))]
 
 
 def _explicit_image(sources: Iterable[tuple[tuple[int, int], ...]], table: CoefficientTable,
@@ -529,6 +497,16 @@ def check_cells(ctx: DgaContext, k: int, divided_powers: bool, name: str) -> Non
                 for j in range(min(k, ctx.ngens) + 1))
     if cells > MAX_CELLS:
         raise ValueError(f"{name} would have {cells:,} cells, over the limit of {MAX_CELLS:,} cells")
+
+
+def check_base_change(c: ChainComplex, N: int) -> None:
+    """Refuse the ``(Z/N)^m``-cover of ``c`` before any column is built: ``N < 1``,
+    or more than MAX_BASE_CHANGE_NONZEROS nonzeros as bounded over all its
+    boundaries by ``SparseRingMatrix.base_change_nonzeros``."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    _check_base_change_nonzeros(sum(M.base_change_nonzeros(N) for M in c.boundaries[1:]),
+                                f"the {c.case} complex", N)
 
 
 def _exterior_basis(ctx: DgaContext, size: int) -> tuple[Monomial, ...]:
@@ -640,27 +618,6 @@ def build_Q_complex(g: int, k: int) -> ChainComplex:
     return ChainComplex("quotient-Q", {"g": g, "k": k, "top": top}, ctx, modules,
                         _boundary_matrices(ctx, modules, lambda_image),
                         _complement_duality(ctx) if top == 2 * g else None)
-
-
-def base_change(c: ChainComplex, N: int) -> IntegerChainComplex:
-    """Integer chain complex of the (Z/N)^m-cover; ranks multiply by N^m.
-
-    The nonzero guard counts every boundary up front, but each boundary is
-    base-changed only when it is first read.  The complex is ``self_dual``
-    when ``c`` is: the blocks of transposed entries are conjugate by the
-    inversion of ``(Z/N)^m`` (module docstring), so rank and Smith normal
-    form still agree at dual degrees.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    _check_base_change_nonzeros(sum(M.base_change_nonzeros(N) for M in c.boundaries[1:]),
-                                f"the {c.case} complex", N)
-    bs = N ** c.ctx.ring.nvars
-    ranks = [m.rank * bs for m in c.modules]
-    params = dict(c.params)
-    params["N"] = N
-    return IntegerChainComplex(c.case, params, ranks, lambda i: c.boundaries[i].base_change(N),
-                               c.duality is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ homology dimension can only jump up, so ``generic_homology`` takes the
 minimum.  Both are correct semicontinuous bounds and equal the exact
 fraction-field values with probability >= 1 - deg/p per trial.  Both rank
 with ``_sparse_rank`` the ``{row: value}`` columns of
-``SparseRingMatrix.specialize_columns`` or their transpose, the rows of
-``specialize_rows``; on the builders' rule-backed matrices those columns come
-straight from the bases and the evaluated coefficient table, so the generic
-route builds neither a dense matrix nor the group-ring entries.  The dense
+``SparseRingMatrix.specialize_columns`` (a matrix and its transpose have
+the same rank) or, below the meeting degree, their ``_transpose``; on the
+builders' rule-backed matrices those columns come straight from the bases
+and the evaluated coefficient table, so the generic route builds neither a
+dense matrix nor the group-ring entries.  The dense
 ``modp_rank`` stays the entry point for dense matrices; no engine calls it.
 
 Certified early stop.  Both engines stop once a trial proves its own answer
@@ -21,8 +22,11 @@ dimensions are zero in every degree but at most one (the proof is in its
 docstring).  The report's ``trials`` is the requested count, since the result
 is the minimum over all of them whether or not they ran.
 
-Clearing.  The ranks of a whole complex (``generic_homology`` per trial over
-F_p, ``integer_free_ranks`` over Q) are taken from both ends, meeting at the
+Clearing.  The homology dimensions of a whole complex (``generic_homology``
+per trial over F_p, ``integer_free_ranks`` over Q) come from one driver,
+``_homology_dims``; a finite cover is a view of its complex, so the two
+differ only in the view, its block size (1 at a point, ``N^m`` on a cover)
+and the rank kernel.  The ranks are taken from both ends, meeting at the
 degree m of the largest module: below m bottom-up by rows, the transpose of
 the columns, each ``d_i`` without the rows at the pivot columns of
 ``d_(i-1)``; above m top-down by columns, each ``d_i`` without the columns at
@@ -36,9 +40,11 @@ whole lattice.
 Mirror.  On a complex its builder marks self-dual (the covers, the full
 lam- and wedge complexes; ``complexes``, "Chain-level Poincare duality"),
 ``d_(top+1-i)`` is ``d_i`` transposed up to signed permutations, at every
-point and under base change.  Every route then computes only the boundaries
-above the middle degree ``top // 2`` (by columns with clearing, or by Smith
-normal form) and copies each rank, and each torsion list, to its dual degree.
+point and under base change.  Every route reads the mark off the complex
+(``ChainComplex.duality``), computes only the boundaries above the middle
+degree ``top // 2`` (by columns with clearing, or by Smith normal form) and
+copies each rank, and each torsion list, to its dual degree; the integer
+routes base-change only those boundaries.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ import random
 from collections.abc import Callable, Iterable
 from itertools import compress, count
 
-from .complexes import ChainComplex, IntegerChainComplex, SparseRingMatrix, _transpose
+from .complexes import ChainComplex, SparseRingMatrix, _transpose, check_base_change
 from .groupring import UnitSpecialization, random_specialization
 from .records import Record
 
@@ -547,50 +553,66 @@ class KernelBasis:
 # Engines
 
 
-def integer_free_ranks(ic: IntegerChainComplex) -> list[int]:
-    """Free ranks of the homology of an integer complex, by exact Q-ranks only.
+def _homology_dims(c: ChainComplex, bs: int, columns: Callable[[int, set[int]], list[dict[int, int]]],
+                   rank: Callable[[list[dict[int, int]], list[int]], int]) -> list[int]:
+    """Homology dimensions of a view of ``c`` whose module ranks are ``c``'s times
+    ``bs`` (1 at a point, ``N^m`` on a cover), by rank-nullity on the ranks of
+    ``_cleared_ranks(.., columns, rank, ..)``, mirrored when ``c`` is self-dual."""
+    sizes = [r * bs for r in c.ranks]
+    ranks = _cleared_ranks(sizes, columns, rank, c.duality is not None)
+    return [sizes[i] - ranks[i] - ranks[i + 1] for i in range(len(sizes))]
+
+
+def integer_free_ranks(c: ChainComplex, N: int) -> list[int]:
+    """Free ranks of the homology of the ``(Z/N)^m``-cover of ``c``, by exact Q-ranks only.
 
     Skips the Smith normal form (no torsion information): enough for Euler
     characteristics and rank-growth checks, and much faster on the larger
-    finite covers.  The boundaries are ranked with clearing from both ends
-    (``_cleared_ranks``): by rows, transposed from the columns, up to the
-    largest module, and above it by the columns, all through
-    ``integer_rank``.  Each view is a new list of the kept columns, so the
-    transpose never takes over a boundary that ``ic`` keeps.  On a self-dual
-    complex only the columns above the middle degree are ranked, and
-    ``base_change``'s lazy boundaries build only those.
+    finite covers.  ``check_base_change`` refuses an oversized cover before
+    any column is built.  The boundaries' ``base_change(N)`` columns are
+    ranked with clearing from both ends (``_cleared_ranks``): by rows,
+    transposed from the columns, up to the largest module, and above it by
+    the columns, all through ``integer_rank``.  Each boundary is base-changed
+    when it is ranked, so on a self-dual complex only those above the middle
+    degree are.
     """
-    n = len(ic.ranks)
-    ranks = _cleared_ranks(ic.ranks, lambda i, skip: [v for c, v in enumerate(ic.boundary(i)) if c not in skip],
-                           integer_rank, ic.self_dual)
-    return [ic.ranks[i] - ranks[i] - ranks[i + 1] for i in range(n)]
+    check_base_change(c, N)
+
+    def columns(i: int, skip: set[int]) -> list[dict[int, int]]:
+        return [v for j, v in enumerate(c.boundaries[i].base_change(N)) if j not in skip]
+
+    return _homology_dims(c, N ** c.ctx.ring.nvars, columns, integer_rank)
 
 
-def integer_homology(ic: IntegerChainComplex) -> HomologyReport:
-    """Cellular homology of an integer complex: free ranks and torsion via SNF.
+def integer_homology(c: ChainComplex, N: int) -> HomologyReport:
+    """Cellular homology of the ``(Z/N)^m``-cover of ``c``: free ranks and torsion via SNF.
 
-    Every boundary is built for the ``d o d = 0`` check, which multiplies the
-    columns as rows: ``(d_i d_(i+1))^T = d_(i+1)^T d_i^T``.  The Smith normal
-    form of each boundary is taken of its columns, the rows of its transpose,
-    which has the same one.  On a self-dual complex it runs above the middle
-    degree only, and each boundary's rank and torsion are copied to its dual
-    degree (``_mirror``): dual boundaries are transposed up to signed
-    permutations, so their Smith forms agree but for the padding zeros of the
-    diagonal.
+    ``check_base_change`` refuses an oversized cover before any column is
+    built.  ``d o d = 0`` is checked once over ``Z[pi]``, on the composites of
+    ``c``'s boundaries: base change is a ring homomorphism, so a zero
+    composite stays zero at every N.  The Smith normal form of each boundary
+    is taken of its ``base_change(N)`` columns, the rows of its transpose,
+    which has the same one.  On a self-dual complex only the boundaries above
+    the middle degree are base-changed, and each one's rank and torsion are
+    copied to its dual degree (``_mirror``): dual boundaries are transposed up
+    to signed permutations, so their Smith forms agree but for the padding
+    zeros of the diagonal.
     """
-    n = len(ic.ranks)
-    for i in range(1, n - 1):
-        if any(integer_matmul(ic.boundary(i + 1), ic.boundary(i))):
+    check_base_change(c, N)
+    top = c.top_degree
+    for i in range(1, top):
+        if c.boundaries[i].compose(c.boundaries[i + 1]).entries:
             raise ValueError(f"boundary composite at degree {i + 1} is nonzero: builder bug")
-    forms: list[tuple[int, tuple[int, ...]]] = [(0, ())] * (n + 1)  # (rank, torsion) of d_i
-    for i in range((n - 1) // 2 + 1 if ic.self_dual else 1, n):
-        snf = smith_normal_form(ic.boundary(i), ic.ranks[i - 1])
+    sizes = [r * N ** c.ctx.ring.nvars for r in c.ranks]
+    forms: list[tuple[int, tuple[int, ...]]] = [(0, ())] * (top + 2)  # (rank, torsion) of d_i
+    for i in range(top // 2 + 1 if c.duality is not None else 1, top + 1):
+        snf = smith_normal_form(c.boundaries[i].base_change(N), sizes[i - 1])
         forms[i] = snf.rank(), snf.nontrivial()
-    if ic.self_dual:
-        _mirror(forms, n - 1)
-    entries = [DegreeEntry(i, ic.ranks[i] - forms[i][0] - forms[i + 1][0], forms[i + 1][1])
-               for i in range(n)]
-    return HomologyReport(ic.case, dict(ic.params), "integer-snf", entries)
+    if c.duality is not None:
+        _mirror(forms, top)
+    entries = [DegreeEntry(i, sizes[i] - forms[i][0] - forms[i + 1][0], forms[i + 1][1])
+               for i in range(top + 1)]
+    return HomologyReport(c.case, dict(c.params, N=N), "integer-snf", entries)
 
 
 def _trial_specialization(ring, prime: int, seed: int, trial: int) -> UnitSpecialization:
@@ -611,7 +633,7 @@ def generic_rank(M: SparseRingMatrix, trials: int = DEFAULT_TRIALS, seed: int = 
     best = 0
     for t in range(trials):
         spec = _trial_specialization(M.ring, prime, seed, t)
-        best = max(best, _sparse_rank(M.specialize_rows(spec), prime))
+        best = max(best, _sparse_rank(M.specialize_columns(spec), prime))
         if best == full:
             break  # no trial can exceed full rank
     return best
@@ -622,8 +644,9 @@ def generic_homology(c: ChainComplex, trials: int = DEFAULT_TRIALS, seed: int = 
     """Fraction-field homology dimensions via rank-nullity on specializations.
 
     Each trial uses one consistent specialization for every boundary and
-    ranks the boundaries with clearing (``_cleared_ranks``), which changes no
-    rank.  A self-dual complex (``c.duality``) is ranked by
+    ranks the boundaries with clearing (``_homology_dims``, the driver it
+    shares with ``integer_free_ranks``), which changes no rank.  A self-dual
+    complex (``c.duality``) is ranked by
     ``specialize_columns`` above its middle degree only, where the rule never
     runs on a cleared source, and each rank is copied to its dual degree: the
     dual boundary is the same matrix at the same point, transposed up to
@@ -650,14 +673,11 @@ def generic_homology(c: ChainComplex, trials: int = DEFAULT_TRIALS, seed: int = 
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    n = len(c.modules)
     dims: list[int] | None = None
     for t in range(trials):
         spec = _trial_specialization(c.ctx.ring, prime, seed, t)
-        ranks = _cleared_ranks(c.ranks, lambda i, skip: c.boundaries[i].specialize_columns(spec, skip),
-                               lambda vectors, pivots: _sparse_rank(vectors, prime, pivots),
-                               c.duality is not None)
-        trial = [c.modules[i].rank - ranks[i] - ranks[i + 1] for i in range(n)]
+        trial = _homology_dims(c, 1, lambda i, skip: c.boundaries[i].specialize_columns(spec, skip),
+                               lambda vectors, pivots: _sparse_rank(vectors, prime, pivots))
         dims = trial if dims is None else list(map(min, dims, trial))
         if sum(1 for d in trial if d) <= 1:
             break

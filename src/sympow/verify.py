@@ -28,7 +28,6 @@ from . import dga
 from .complexes import (
     SparseRingMatrix,
     _exterior_basis,
-    base_change,
     build_cover_complex,
     build_Q_complex,
     build_wedge_complex,
@@ -386,7 +385,7 @@ def verify_lemma_cohomology(g: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
     if bad_detail is None and full_q.ranks != [math.comb(2 * g, i) for i in range(2 * g + 1)]:
         bad_detail = f"N=1: cell counts {full_q.ranks}, not binom({2 * g},i)"
     if bad_detail is None and g == 2:
-        for e in integer_homology(base_change(full_q, 2)).entries:
+        for e in integer_homology(full_q, 2).entries:
             pos = 2 * g - e.degree
             if e.rank != math.comb(2 * g, pos) or e.torsion:
                 bad_detail = f"N=2 position {pos}: rank {e.rank} torsion {list(e.torsion)}"
@@ -465,7 +464,7 @@ def verify_theorem_main(g: int, k: int, trials: int = DEFAULT_TRIALS, seed: int 
 
     if 2 <= k <= 2 * g - 2:
         # exact Q-ranks suffice here (torsion not needed)
-        free_ranks = {N: integer_free_ranks(base_change(cover, N)) for N in N_list if N >= 2}
+        free_ranks = {N: integer_free_ranks(cover, N) for N in N_list if N >= 2}
         base_rank = betti_symmetric_power(g, k)[k]
         bad_detail = None
         growth_details = []

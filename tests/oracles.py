@@ -29,6 +29,8 @@ straight into an integer-keyed target index replaced: rules returning
 ``(monomial, coefficient)`` pairs (``PAIR_RULES``), each pair looked up by
 its monomial.  ``pair_walk_rows`` scatters the pairs into rows itself, so it
 checks the library's rows, the transpose of its columns, on its own.
+``cover_view`` is the whole base-changed complex, every boundary built, that
+the integer routes' reads of one boundary at a time replaced.
 """
 
 from __future__ import annotations
@@ -274,8 +276,8 @@ def _pair_walk(M: SparseRingMatrix, value, negate):
 
 
 def pair_walk_rows(M: SparseRingMatrix, key, value, negate=None) -> list[dict]:
-    """The rows ``{col: value}`` of a view by pairs (``specialize_rows`` and
-    the rows ``homology._cleared_ranks`` transposes from the columns): each
+    """The rows ``{col: value}`` of a view by pairs (the rows that
+    ``homology._cleared_ranks`` transposes from the columns): each
     pair of each source's image looked up in the target basis and, if its
     value is truthy, stored in its row."""
     rows: list[dict] = [{} for _ in range(M.rows)]
@@ -365,6 +367,13 @@ def dense_base_change(M, N: int) -> list[list[int]]:
                 if brow[b]:
                     row[c0 + b] = brow[b]
     return out
+
+
+def cover_view(c, N: int) -> tuple[list[int], list]:
+    """The module ranks and ``[None, d_1, .., d_top]`` ``{row: value}`` columns
+    of the ``(Z/N)^m``-cover of the complex ``c``: every boundary's ``base_change(N)``."""
+    bs = N ** c.ctx.ring.nvars
+    return [r * bs for r in c.ranks], [None] + [M.base_change(N) for M in c.boundaries[1:]]
 
 
 def sparse_rows(M: list[list[int]]) -> list[dict[int, int]]:

@@ -10,7 +10,7 @@ import time
 
 import sympow.dga as dga
 from sympow.cli import run as cli_run
-from sympow.complexes import base_change, build_cover_complex
+from sympow.complexes import build_cover_complex
 from sympow.dga import (
     boundary,
     dga_mul,
@@ -71,7 +71,7 @@ def test_criterion_02_betti_oracle_agreement():
         for k in range(0, 7):
             expected = gf_betti(g, k)
             ok = ok and betti_symmetric_power(g, k) == expected
-            rep = integer_homology(base_change(build_cover_complex(g, k), 1))
+            rep = integer_homology(build_cover_complex(g, k), 1)
             ok = ok and rep.ranks() == expected
             ok = ok and all(e.torsion == () for e in rep.entries)
     _report(2, ok, "betti == generating-function coefficients == N=1 homology, g<=4, k<=6")
@@ -82,7 +82,7 @@ def test_criterion_03_euler_characteristic():
     for g in range(1, 5):
         for k in range(0, 2 * g - 1):
             ok = ok and euler_characteristic(g, k) == (-1) ** k * math.comb(2 * g - 2, k)
-    rep = integer_homology(base_change(build_cover_complex(2, 2), 2))
+    rep = integer_homology(build_cover_complex(2, 2), 2)
     ok = ok and rep.euler == 16 == 2 ** 4 * euler_characteristic(2, 2)
     _report(3, ok, "chi = (-1)^k binom(2g-2,k) for k<=2g-2, g<=4; chi(2-cover) = 16")
 
@@ -146,7 +146,7 @@ def test_criterion_08_nonfg_witness():
         ok = ok and len(choices) > 0
         for es, fs in choices:
             ok = ok and verify_nonfg_witness(ctx, k, es, fs).passed
-    rep = integer_homology(base_change(build_cover_complex(2, 2), 2))
+    rep = integer_homology(build_cover_complex(2, 2), 2)
     rank_h2 = rep.entries[2].rank
     ok = ok and rank_h2 > 7 and rank_h2 == GOLDEN_H2_RANK_N2_G2K2
     _report(8, ok, f"F(lam*d(a)) closed form at all admissible choices; "

@@ -462,9 +462,27 @@ def test_theorem_main_exits_two_only_where_rank_growth_base_changes():
                     "8,625,000 nonzeros, over the limit of 3,000,000 nonzeros\n")
 
 
+def test_base_change_refusals_exit_two_before_any_boundary_is_base_changed(monkeypatch):
+    # the guard of both integer routes reads term counts only; --N 0 is the parser's
+    from sympow.complexes import SparseRingMatrix
+
+    def refuse(M, N):
+        raise AssertionError("a boundary was base-changed before the guard")
+
+    monkeypatch.setattr(SparseRingMatrix, "base_change", refuse)
+    for argv, error in (("verify --suite theorem-main --genus 5 --k 5",
+                         "base change of the surface-cover complex at N=2 would build up to 18,145,280 nonzeros, "
+                         "over the limit of 3,000,000 nonzeros"),
+                        ("cover-homology --genus 4 --k 4 --method snf --N 3",
+                         "base change of the surface-cover complex at N=3 would build up to 21,415,104 nonzeros, "
+                         "over the limit of 3,000,000 nonzeros"),
+                        ("cover-homology --genus 4 --k 4 --method snf --N 0", "--N must be >= 1")):
+        assert run(argv.split())[:2] == (2, f"usage error: {error}\n"), argv
+
+
 def test_snf_cover_genus3_k2_N2():
     # formerly too slow for the suite under the dense SNF; stdout pinned at the dense SNF
-    from sympow.complexes import base_change, build_cover_complex
+    from sympow.complexes import build_cover_complex
     from sympow.homology import integer_free_ranks
 
     code, text, _ = run(["cover-homology", "--genus", "3", "--k", "2", "--method", "snf", "--N", "2"])
@@ -473,7 +491,7 @@ def test_snf_cover_genus3_k2_N2():
         "03ed2bae70efc74ead3a9f939aa835518b9290b83caeb311d881bb6475a059b6"
     payload = json.loads(text)
     ranks = [h["rank"] for h in payload["homology"]]
-    assert ranks == integer_free_ranks(base_change(build_cover_complex(3, 2), 2)) == [1, 6, 394, 6, 1]
+    assert ranks == integer_free_ranks(build_cover_complex(3, 2), 2) == [1, 6, 394, 6, 1]
     assert all(h["torsion"] == [] for h in payload["homology"])
 
 

@@ -15,7 +15,6 @@ import sympow.dga as dga
 from sympow.complexes import (
     Duality,
     SparseRingMatrix,
-    base_change,
     build_cover_complex,
     build_Q_complex,
     build_wedge_complex,
@@ -114,11 +113,33 @@ def test_mirrored_integer_routes_match_both_halves(monkeypatch, g, k, N):
         return original(M, n)
 
     monkeypatch.setattr(SparseRingMatrix, "base_change", counting)
-    free = integer_free_ranks(base_change(c, N))
+    free = integer_free_ranks(c, N)
     assert sorted(built) == list(range(k + 1, 2 * k + 1))  # the top half only
     monkeypatch.undo()
-    assert free == integer_free_ranks(base_change(unmarked(c), N))
-    rep, oracle = integer_homology(base_change(c, N)), integer_homology(base_change(unmarked(c), N))
+    assert free == integer_free_ranks(unmarked(c), N)
+    rep, oracle = integer_homology(c, N), integer_homology(unmarked(c), N)
     assert [(e.degree, e.rank, e.torsion) for e in rep.entries] == [(e.degree, e.rank, e.torsion)
                                                                     for e in oracle.entries]
     assert rep.ranks() == free
+
+
+@pytest.mark.parametrize("build,size,k,N,marked", [
+    (build_cover_complex, 2, 2, 2, True), (build_cover_complex, 2, 3, 2, True), (build_Q_complex, 2, 4, 2, True),
+    (build_wedge_complex, 4, 4, 2, True), (build_Q_complex, 2, 3, 2, False), (build_wedge_complex, 4, 2, 3, False),
+])
+def test_integer_routes_base_change_each_ranked_boundary_once(monkeypatch, build, size, k, N, marked):
+    # both routes base-change the top - top // 2 boundaries above the middle
+    # degree of a marked complex, and every boundary of an unmarked one, once
+    c = build(size, k)
+    assert (c.duality is not None) == marked
+    top = c.top_degree
+    built = []
+    original = SparseRingMatrix.base_change
+    monkeypatch.setattr(SparseRingMatrix, "base_change",
+                        lambda M, n: built.append(c.boundaries.index(M)) or original(M, n))
+    for complex_ in (c, unmarked(c)):
+        expected = list(range(top // 2 + 1 if complex_.duality else 1, top + 1))
+        for route in (integer_free_ranks, integer_homology):
+            built.clear()
+            route(complex_, N)
+            assert sorted(built) == expected, (c.case, c.params, route.__name__, complex_.duality)

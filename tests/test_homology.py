@@ -8,14 +8,14 @@ import sympow.homology as homology
 from sympow.complexes import (
     BasedFreeModule,
     ChainComplex,
-    IntegerChainComplex,
     SparseRingMatrix,
-    base_change,
     build_cover_complex,
     build_Q_complex,
     build_wedge_complex,
     lambda_matrix,
 )
+from sympow.complexes import _transpose
+from sympow.dga import wedge_context
 from sympow.groupring import UnitSpecialization, random_specialization
 from sympow.homology import (
     betti_symmetric_power,
@@ -35,6 +35,7 @@ from oracles import (
     all_trials_generic_homology,
     bareiss_rank,
     brute_force_modp_rank,
+    cover_view,
     dense_matrix,
     dense_modp_rank,
     dense_smith_normal_form,
@@ -56,6 +57,19 @@ def _snf(M: list[list[int]]):
 def _rank(M: list[list[int]]) -> int:
     """``integer_rank`` of a dense matrix, through its rows."""
     return integer_rank(sparse_rows(M))
+
+
+def _explicit_complex(case: str, ranks: list[int], boundaries: list[dict]) -> ChainComplex:
+    """A ``ChainComplex`` over the ring of ``wedge_context(1)`` with modules of
+    ranks ``ranks`` and explicit boundaries: ``boundaries[i - 1]`` maps each
+    cell ``(row, col)`` of ``d_i`` to an integer, or to a function of the ring."""
+    ctx = wedge_context(1)
+    one = ctx.ring.one()
+    modules = [BasedFreeModule(i, tuple((j, 0) for j in range(r))) for i, r in enumerate(ranks)]
+    mats = [SparseRingMatrix(ctx.ring, ranks[i - 1], ranks[i],
+                             {rc: v * one if isinstance(v, int) else v(ctx.ring) for rc, v in cells.items()})
+            for i, cells in enumerate(boundaries, start=1)]
+    return ChainComplex(case, {}, ctx, modules, [None] + mats)
 
 
 def _random_rank_matrices(seed: int, count: int) -> list[list[list[int]]]:
@@ -147,10 +161,10 @@ SYMPY_SNF_MAX_CELLS = 30_000
 ])
 def test_snf_on_base_changed_boundaries_against_oracles(build, g, k, N):
     # the columns are the rows of the transpose, which has the same Smith form
-    ic = base_change(build(g, k), N)
-    for i, cols in enumerate(ic.boundaries[1:], start=1):
-        diag = smith_normal_form(cols, ic.ranks[i - 1]).diagonal
-        M = dense_matrix(cols, ic.ranks[i - 1])
+    ranks, bounds = cover_view(build(g, k), N)
+    for i, cols in enumerate(bounds[1:], start=1):
+        diag = smith_normal_form(cols, ranks[i - 1]).diagonal
+        M = dense_matrix(cols, ranks[i - 1])
         assert diag == dense_smith_normal_form(M).diagonal, i
         if len(M) * len(M[0]) <= SYMPY_SNF_MAX_CELLS:
             assert list(diag) == sympy_snf_diagonal(M), i
@@ -237,7 +251,8 @@ def test_exact_routines_drop_stored_zeros():
     assert integer_rank([{0: 0}]) == 0
     assert integer_rank([{0: 0, 1: 1}, {0: 0, 1: 0}]) == 1
     assert smith_normal_form([{0: 0}, {0: 2}], 1).diagonal == (2,)
-    assert integer_free_ranks(IntegerChainComplex("x", {}, [1, 1], [None, [{0: 0}]])) == [1, 1]
+    # 1 - x augments to 0: its base change at N=1 stores no zero for the kernel to count
+    assert integer_free_ranks(_explicit_complex("x", [1, 1], [{(0, 0): lambda R: R.one() - R.gen(0)}]), 1) == [1, 1]
     rng = random.Random(41)
     small = [[[0, 0], [0, 0]], [[0, 3], [0, 0]]]
     for _ in range(60):
@@ -319,63 +334,86 @@ def test_rank_kernel_on_boundaries():
                 M = b.specialize(spec)
                 assert modp_rank(M, p) == dense_modp_rank(M, p), (c.case, p)
                 assert _rank(M) == bareiss_rank(M), (c.case, p)
-        ic = base_change(c, 1)
-        for i, cols in enumerate(ic.boundaries[1:], start=1):
-            assert integer_rank(cols) == bareiss_rank(dense_matrix(cols, ic.ranks[i - 1])), c.case
-    ic = base_change(build_cover_complex(2, 2), 2)
-    for i, cols in enumerate(ic.boundaries[1:], start=1):
-        M = dense_matrix(cols, ic.ranks[i - 1])  # the transpose, of the same rank
+        ranks, bounds = cover_view(c, 1)
+        for i, cols in enumerate(bounds[1:], start=1):
+            assert integer_rank(cols) == bareiss_rank(dense_matrix(cols, ranks[i - 1])), c.case
+    ranks, bounds = cover_view(build_cover_complex(2, 2), 2)
+    for i, cols in enumerate(bounds[1:], start=1):
+        M = dense_matrix(cols, ranks[i - 1])  # the transpose, of the same rank
         assert integer_rank(cols) == bareiss_rank(M)
         for p in RANK_PRIMES:
             assert modp_rank(M, p) == dense_modp_rank(M, p), p
 
 
 def test_integer_homology_circle():
-    ic = IntegerChainComplex("circle", {}, [1, 1], [None, [{}]])
-    rep = integer_homology(ic)
+    rep = integer_homology(_explicit_complex("circle", [1, 1], [{}]), 1)
     assert rep.ranks() == [1, 1]
     assert all(e.torsion == () for e in rep.entries)
 
 
 def test_integer_homology_torsion():
     # Z --2--> Z: H_0 = Z/2, H_1 = 0
-    ic = IntegerChainComplex("mod2", {}, [1, 1], [None, [{0: 2}]])
-    rep = integer_homology(ic)
+    rep = integer_homology(_explicit_complex("mod2", [1, 1], [{(0, 0): 2}]), 1)
     assert rep.ranks() == [0, 0]
     assert rep.entries[0].torsion == (2,)
 
 
 def test_integer_homology_rejects_bad_boundary():
-    bad = IntegerChainComplex("bad", {}, [1, 1, 1], [None, [{0: 1}], [{0: 1}]])
-    with pytest.raises(ValueError):
-        integer_homology(bad)
+    bad = _explicit_complex("bad", [1, 1, 1], [{(0, 0): 1}, {(0, 0): 1}])
+    with pytest.raises(ValueError, match="boundary composite at degree 2 is nonzero: builder bug"):
+        integer_homology(bad, 1)
+
+
+@pytest.mark.parametrize("route", [integer_free_ranks, integer_homology])
+def test_integer_routes_refuse_before_any_base_change(monkeypatch, route):
+    # the whole-complex guard runs before the first boundary is base-changed:
+    # the cover of theorem-main at (g, k) = (5, 5) and N = 2, and N = 0
+    def refuse(M, N):
+        raise AssertionError("a boundary was base-changed before the guard")
+
+    monkeypatch.setattr(SparseRingMatrix, "base_change", refuse)
+    with pytest.raises(ValueError) as e:
+        route(build_cover_complex(5, 5), 2)
+    assert str(e.value) == ("base change of the surface-cover complex at N=2 would build up to "
+                            "18,145,280 nonzeros, over the limit of 3,000,000 nonzeros")
+    with pytest.raises(ValueError) as e:
+        route(build_cover_complex(2, 2), 0)
+    assert str(e.value) == "N must be >= 1"
+
+
+def test_integer_homology_checks_d_d_over_the_group_ring():
+    # 1 - x augments to 0, so the composite vanishes at N = 1 but not over Z[pi]
+    bad = _explicit_complex("bad", [1, 1, 1], [{(0, 0): 1}, {(0, 0): lambda R: R.one() - R.gen(0)}])
+    with pytest.raises(ValueError, match="boundary composite at degree 2 is nonzero: builder bug"):
+        integer_homology(bad, 1)
 
 
 def test_integer_routes_keep_the_boundaries_they_read():
-    # the rows of the bottom half are a transpose that takes its list over:
-    # it must never take over a boundary the complex keeps, so a second call
-    # on one complex agrees with the first, and the kept columns are unchanged
+    # the rows of the bottom half are a transpose that takes its list over,
+    # and the kernel takes its vectors over: neither may change what a
+    # boundary keeps (its mapped table), so a second call on one complex
+    # agrees with the first, and the base changes read afterwards are unchanged
     cases = [(build_cover_complex(2, 2), 2), (unmarked(build_cover_complex(2, 2)), 2),
              (build_Q_complex(2, 3), 2), (build_wedge_complex(4, 2), 3)]
     for c, N in cases:
-        ic = base_change(c, N)
-        free, rep = integer_free_ranks(ic), integer_homology(ic)
-        assert integer_free_ranks(ic) == free == rep.ranks(), (c.case, c.params, N)
-        again = integer_homology(ic)
+        view = cover_view(c, N)
+        free, rep = integer_free_ranks(c, N), integer_homology(c, N)
+        assert integer_free_ranks(c, N) == free == rep.ranks(), (c.case, c.params, N)
+        again = integer_homology(c, N)
         assert [(e.rank, e.torsion) for e in again.entries] == [(e.rank, e.torsion) for e in rep.entries]
-        assert ic.boundaries == base_change(c, N).boundaries, (c.case, c.params, N)
+        assert cover_view(c, N) == view, (c.case, c.params, N)
 
 
 def test_integer_homology_n1_matches_betti():
     for g in (1, 2, 3):
         for k in range(0, 5):
-            rep = integer_homology(base_change(build_cover_complex(g, k), 1))
+            rep = integer_homology(build_cover_complex(g, k), 1)
             assert rep.ranks() == betti_symmetric_power(g, k), (g, k)
             assert all(e.torsion == () for e in rep.entries)
 
 
 def test_torus_is_first_symmetric_power():
-    rep = integer_homology(base_change(build_cover_complex(1, 1), 1))
+    rep = integer_homology(build_cover_complex(1, 1), 1)
     assert rep.ranks() == [1, 2, 1]
 
 
@@ -549,11 +587,11 @@ def test_integer_free_ranks_match_per_boundary_integer_rank():
     cases = [(build_cover_complex(2, 2), 2), (build_cover_complex(2, 2), 3),
              (build_cover_complex(2, 3), 2), (build_Q_complex(2, 4), 2)]
     for c, N in cases:
-        ic = base_change(c, N)
-        full = [0] + [integer_rank(b) for b in ic.boundaries[1:]] + [0]
-        assert integer_free_ranks(ic) == [ic.ranks[i] - full[i] - full[i + 1]
-                                          for i in range(len(ic.ranks))], (c.case, c.params, N)
-    assert integer_free_ranks(base_change(build_cover_complex(2, 2), 2)) == [1, 4, 22, 4, 1]
+        ranks, bounds = cover_view(c, N)
+        full = [0] + [integer_rank(b) for b in bounds[1:]] + [0]
+        assert integer_free_ranks(c, N) == [ranks[i] - full[i] - full[i + 1]
+                                            for i in range(len(ranks))], (c.case, c.params, N)
+    assert integer_free_ranks(build_cover_complex(2, 2), 2) == [1, 4, 22, 4, 1]
 
 
 def _recording(monkeypatch, name):
@@ -624,22 +662,22 @@ def test_clearing_drops_the_pivot_rows_of_the_previous_boundary(monkeypatch):
             monkeypatch.undo()
             assert seen == _cleared_input_counts(c.ranks, full, meet), (c.case, c.params, meet)
     cover = build_cover_complex(2, 2)
-    ic = base_change(cover, 2)
-    full = [0] + [integer_rank(b) for b in ic.boundaries[1:]] + [0]
+    ranks, bounds = cover_view(cover, 2)
+    full = [0] + [integer_rank(b) for b in bounds[1:]] + [0]
     seen = _recording(monkeypatch, "integer_rank")
-    integer_free_ranks(base_change(cover, 2))
-    assert seen == _mirrored_input_counts(ic.ranks, full)  # module ranks 16, 64, 112, 64, 16
-    assert sum(seen) < sum(ic.ranks[4:2:-1])
+    integer_free_ranks(cover, 2)
+    assert seen == _mirrored_input_counts(ranks, full)  # module ranks 16, 64, 112, 64, 16
+    assert sum(seen) < sum(ranks[4:2:-1])
     seen.clear()
-    integer_free_ranks(base_change(unmarked(cover), 2))
-    assert seen == _cleared_input_counts(ic.ranks, full, 2)
-    assert sum(seen) < sum(_uncleared_input_counts(ic.ranks, 2))
-    for meet in range(len(ic.ranks)):
+    integer_free_ranks(unmarked(cover), 2)
+    assert seen == _cleared_input_counts(ranks, full, 2)
+    assert sum(seen) < sum(_uncleared_input_counts(ranks, 2))
+    for meet in range(len(ranks)):
         seen.clear()
         cleared = homology._cleared_ranks(
-            ic.ranks, lambda i, skip: [v for c, v in enumerate(ic.boundary(i)) if c not in skip],
+            ranks, lambda i, skip: [v for c, v in enumerate(bounds[i]) if c not in skip],
             homology.integer_rank, _meet=meet)
-        assert cleared == full and seen == _cleared_input_counts(ic.ranks, full, meet), meet
+        assert cleared == full and seen == _cleared_input_counts(ranks, full, meet), meet
 
 
 def test_no_vector_is_eliminated_in_vain_when_the_homology_sits_at_the_meet(monkeypatch):
@@ -702,18 +740,18 @@ def test_specialize_rows_store_the_nonzero_evaluations():
             for M in c.boundaries[1:]:
                 entrywise = [{col: x for col in range(M.cols) if (x := M.entry(r, col).specialize(spec))}
                              for r in range(M.rows)]
-                assert M.specialize_rows(spec) == entrywise
+                assert _transpose(M.specialize_columns(spec), M.rows) == entrywise
         # every entry of these complexes vanishes under the augmentation
         assert any(b.entries for b in c.boundaries[1:])
-        assert not any(any(b.specialize_rows(ones)) for b in c.boundaries[1:])
+        assert not any(any(b.specialize_columns(ones)) for b in c.boundaries[1:])
 
 
 def test_euler_conservation_per_method():
     c = build_cover_complex(2, 2)
     chi_modules = sum((-1) ** i * r for i, r in enumerate(c.ranks))
     assert generic_homology(c, 3, 1).euler == chi_modules
-    assert integer_homology(base_change(c, 1)).euler == chi_modules
-    assert integer_homology(base_change(c, 2)).euler == 16 * chi_modules
+    assert integer_homology(c, 1).euler == chi_modules
+    assert integer_homology(c, 2).euler == 16 * chi_modules
 
 
 def test_betti_examples_and_gf_oracle():
@@ -792,13 +830,14 @@ def test_n2_cover_homology_against_sympy():
     from sympy import Matrix, ZZ
     from sympy.matrices.normalforms import smith_normal_form
 
-    ic = base_change(build_cover_complex(2, 2), 2)
+    c = build_cover_complex(2, 2)
+    ranks, cols = cover_view(c, 2)
     # each boundary's transpose, of the same rank and Smith form
-    dense = [dense_matrix(b, ic.ranks[i - 1]) for i, b in enumerate(ic.boundaries[1:], start=1)]
+    dense = [dense_matrix(b, ranks[i - 1]) for i, b in enumerate(cols[1:], start=1)]
     sympy_ranks = [Matrix(b).rank() for b in dense]
     bounds = [0] + sympy_ranks + [0]
-    sympy_free = [ic.ranks[i] - bounds[i] - bounds[i + 1] for i in range(len(ic.ranks))]
-    rep = integer_homology(ic)
+    sympy_free = [ranks[i] - bounds[i] - bounds[i + 1] for i in range(len(ranks))]
+    rep = integer_homology(c, 2)
     assert rep.ranks() == sympy_free == [1, 4, 22, 4, 1]
     for i, b in enumerate(dense, start=1):
         S = smith_normal_form(Matrix(b), domain=ZZ)

@@ -229,13 +229,13 @@ def test_lemma_cohomology_integral_shadow_catches_a_nonaugmented_lambda(monkeypa
 def test_lemma_cohomology_base_changes_only_at_genus_two(monkeypatch, g, orders):
     # the N=1 shadow reads the table; only g=2 base-changes, at N=2
     calls = []
-    orig = verify.base_change
+    orig = verify.integer_homology
 
     def counting(c, N):
         calls.append(N)
         return orig(c, N)
 
-    monkeypatch.setattr(verify, "base_change", counting)
+    monkeypatch.setattr(verify, "integer_homology", counting)
     shadow = _check(verify_lemma_cohomology(g, trials=2, seed=1), "lambda-complex-integral-shadow")
     assert calls == orders
     n1 = f"N=1: lam augments to 0, so every boundary is zero and the check reads the cell counts binom({2 * g},i)"
@@ -432,13 +432,13 @@ def test_theorem_main_above_2g_expects_zero_without_wedge_maps(monkeypatch):
 def test_theorem_main_base_changes_only_for_rank_growth(monkeypatch, g, k, N_list, base_changed):
     # euler-scaling reads the cover's cell counts; only rank growth ranks a cover
     calls = []
-    orig = verify.base_change
+    orig = verify.integer_free_ranks
 
     def counting(c, N):
         calls.append(N)
         return orig(c, N)
 
-    monkeypatch.setattr(verify, "base_change", counting)
+    monkeypatch.setattr(verify, "integer_free_ranks", counting)
     rep = verify_theorem_main(g, k, trials=3, seed=1, N_list=N_list)
     assert rep.passed
     assert _check(rep, "euler-scaling").detail == f"chi(N) = N^{2 * g} * {(-1) ** k * math.comb(2 * g - 2, k)} " \
